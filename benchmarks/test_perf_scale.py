@@ -42,25 +42,15 @@ WAVES = 1
 WALL_BUDGET_S = 600.0
 RSS_BUDGET_MB = 2048.0
 
-#: Target for the sharded full-machine point versus the sequential
-#: one — only asserted on hosts with at least this many cores (the
-#: ISSUE's bar: >= 2x on a 4-core host).
-SHARD_SPEEDUP = 2.0
-SHARD_MIN_CORES = 4
-
 #: Runs in the child: one scaling point, metrics as JSON on stdout.
-#: ``argv[3]`` selects sharding: ``"0"`` = sequential, anything else
-#: is passed through as the config's ``shards`` value.
 _CHILD = """\
 import json, resource, sys, tempfile, time
 from dataclasses import replace
 from repro.experiments.configs import frontier_full_configs
 from repro.experiments.harness import run_experiment
 
-idx, waves, shards = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+idx, waves = int(sys.argv[1]), int(sys.argv[2])
 cfg = replace(frontier_full_configs(waves=waves)[idx], seed=0)
-if shards != "0":
-    cfg = replace(cfg, shards=shards)
 t0 = time.perf_counter()
 res = run_experiment(cfg, spill_dir=tempfile.mkdtemp(prefix="repro-scale-"))
 wall = time.perf_counter() - t0
@@ -73,35 +63,23 @@ point = {
     "tasks_per_wall_second": res.n_tasks / wall,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }
-if shards != "0":
-    point["n_shards"] = res.n_shards
-    point["shard_peak_rss_mb"] = res.shard_peak_rss_mb
 print(json.dumps(point))
 """
 
 
-def _run_point(idx: int, shards: str = "0") -> dict:
+def _run_point(idx: int) -> dict:
     env = dict(os.environ)
     src = str(BENCH_FILE.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(idx), str(WAVES), shards],
+        [sys.executable, "-c", _CHILD, str(idx), str(WAVES)],
         capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_weak_scaling_to_full_machine(benchmark, emit):
-    # The sharded full-machine point only makes sense with real
-    # parallelism; on a single-core host ``shards=auto`` resolves to
-    # one shard (= sequential path) and the run would be a duplicate.
-    ncores = os.cpu_count() or 1
-
     def sweep():
-        pts = [_run_point(i) for i in range(len(FRONTIER_SCALE_POINTS))]
-        if ncores >= 2:
-            pts.append(_run_point(len(FRONTIER_SCALE_POINTS) - 1,
-                                  shards="auto"))
-        return pts
+        return [_run_point(i) for i in range(len(FRONTIER_SCALE_POINTS))]
 
     points = run_once(benchmark, sweep)
 
@@ -119,15 +97,13 @@ def test_weak_scaling_to_full_machine(benchmark, emit):
 
     rows = "\n".join(
         f"  {p['n_nodes']:>5} nodes / {p['n_partitions']:>2} parts"
-        + (f" x{p['n_shards']} shards" if p.get("n_shards") else "")
-        + f": {p['n_tasks']:>7,} tasks  {p['wall_seconds']:7.1f}s  "
+        f": {p['n_tasks']:>7,} tasks  {p['wall_seconds']:7.1f}s  "
         f"{p['tasks_per_wall_second']:7,.0f} tasks/s  "
         f"{p['peak_rss_mb']:6.0f} MB peak"
         for p in points)
     emit(f"weak scaling ({WAVES} wave):\n{rows}\nwrote {BENCH_FILE}")
 
-    full = next(p for p in points
-                if p["n_nodes"] == 9408 and not p.get("n_shards"))
+    full = next(p for p in points if p["n_nodes"] == 9408)
     assert full["n_partitions"] == 64
     assert full["wall_seconds"] <= WALL_BUDGET_S, (
         f"full-machine point took {full['wall_seconds']:.0f}s "
@@ -135,17 +111,3 @@ def test_weak_scaling_to_full_machine(benchmark, emit):
     assert full["peak_rss_mb"] <= RSS_BUDGET_MB, (
         f"full-machine point peaked at {full['peak_rss_mb']:.0f} MB "
         f"(budget {RSS_BUDGET_MB:.0f} MB)")
-
-    sharded = next((p for p in points if p.get("n_shards")), None)
-    if sharded is not None:
-        assert sharded["wall_seconds"] <= WALL_BUDGET_S
-        assert sharded["peak_rss_mb"] <= RSS_BUDGET_MB
-        for rss in sharded["shard_peak_rss_mb"]:
-            assert rss <= RSS_BUDGET_MB
-        if ncores >= SHARD_MIN_CORES:
-            speedup = (sharded["tasks_per_wall_second"]
-                       / full["tasks_per_wall_second"])
-            assert speedup >= SHARD_SPEEDUP, (
-                f"sharded full-machine point at {speedup:.2f}x the "
-                f"sequential rate (target {SHARD_SPEEDUP:.1f}x on "
-                f">={SHARD_MIN_CORES} cores)")

@@ -35,12 +35,6 @@ PROFILE_VERSION = 2
 
 _NONFINITE_KEY = "__nonfinite__"
 
-#: First characters of a schema header line (``sort_keys`` puts
-#: ``format`` first, so this prefix is stable across versions).  Used
-#: to drop stray headers when concatenating chunks from multiple
-#: writers — shard workers each emit one at the top of their spill.
-_HEADER_PREFIX = json.dumps({"format": PROFILE_FORMAT})[:-1]
-
 
 def _sanitize(value: Any) -> Any:
     """Make one value JSON-encodable without information loss.
@@ -164,12 +158,6 @@ def save_profile(profiler: Profiler, path: PathLike) -> int:
             for chunk in profiler.spilled_chunks:
                 with chunk.open("r", encoding="utf-8") as src:
                     for line in src:
-                        if line.startswith(_HEADER_PREFIX):
-                            # A chunk produced by another writer (shard
-                            # worker spills) may lead with its own
-                            # schema header; the output gets exactly
-                            # one, written above.
-                            continue
                         fh.write(line)
                         count += 1
             count += write_event_lines(fh, profiler._events)

@@ -214,13 +214,6 @@ class Agent:
             return SrunExecutor(self, sub)
         if part.backend == BACKEND_FLUX:
             self._n_flux_instances = part.n_instances
-            engine = self.session.engine
-            if engine is not None and engine.wants(part.n_instances):
-                from .executor_flux import ShardedFluxExecutor
-
-                return ShardedFluxExecutor(self, sub,
-                                           n_instances=part.n_instances,
-                                           policy=part.policy)
             return FluxExecutor(self, sub, n_instances=part.n_instances,
                                 policy=part.policy)
         if part.backend == BACKEND_DRAGON:

@@ -37,11 +37,7 @@ class Session:
                  observe: bool = False,
                  faults=None,
                  lean: bool = False,
-                 spill_dir=None,
-                 shards=None,
-                 shard_window: float = 0.25,
-                 shard_inline: bool = False,
-                 resilience=None) -> None:
+                 spill_dir=None) -> None:
         self.env = env if env is not None else Environment()
         self.cluster = cluster if cluster is not None else frontier()
         self.latencies = latencies
@@ -67,8 +63,8 @@ class Session:
         #: Live telemetry plumbing for this run, when progress
         #: streaming is on (see
         #: :class:`~repro.observability.telemetry.RunTelemetry`).  The
-        #: harness attaches it; the kernel probe and the shard
-        #: engine's window loop reach it here.  ``None`` = off.
+        #: harness attaches it; the kernel probe reaches it here.
+        #: ``None`` = off.
         self.telemetry = None
         from ..platform.filesystem import SharedFilesystem
 
@@ -90,24 +86,6 @@ class Session:
             self.faults = FaultModel(self.env, self.rng, faults,
                                      profiler=self.profiler,
                                      metrics=self.obs.registry)
-        #: Partition-sharded execution (multi-core single-run DES).
-        #: ``shards=None`` keeps the sequential code path *exactly* —
-        #: no engine object, ``run`` delegates straight to the kernel,
-        #: traces are bit-identical to pre-shard builds.  ``"auto"``/0
-        #: means one shard per core; the engine clamps to the Flux
-        #: instance count and stays dormant for non-Flux launchers.
-        self.engine = None
-        self.shards = 0
-        if shards is not None:
-            from ..shard import ShardEngine, resolve_shards
-
-            n_shards = resolve_shards(shards)
-            if n_shards >= 2:
-                self.engine = ShardEngine(self, n_shards,
-                                          window=shard_window,
-                                          inline=shard_inline,
-                                          resilience=resilience)
-                self.shards = n_shards
         self._closed = False
 
     def pilot_manager(self):
@@ -123,14 +101,7 @@ class Session:
         return TaskManager(self)
 
     def run(self, until=None):
-        """Advance the simulation.
-
-        Delegates to the environment, or — when sharding is active —
-        to the :class:`~repro.shard.coordinator.ShardEngine`'s window
-        loop, which mirrors ``Environment.run`` semantics exactly.
-        """
-        if self.engine is not None:
-            return self.engine.run(until)
+        """Advance the simulation (see :meth:`Environment.run`)."""
         return self.env.run(until)
 
     @property
@@ -141,8 +112,6 @@ class Session:
         """Mark the session closed and release machine nodes."""
         if not self._closed:
             self._closed = True
-            if self.engine is not None:
-                self.engine.close()
             self.cluster.release_all()
 
     def __enter__(self) -> "Session":

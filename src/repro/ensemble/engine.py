@@ -329,8 +329,8 @@ def write_ensemble_bundle(directory, result: EnsembleResult,
 
     The manifest carries a whole-sweep ``ensemble`` section — engine,
     worker count, seed list, wall time and one metrics row per member
-    — alongside the usual config/versions/host blocks, so a sharded
-    farm of sweeps stays auditable the same way single runs are.
+    — alongside the usual config/versions/host blocks, so a farm of
+    sweeps stays auditable the same way single runs are.
     Per-seed profile exports already sitting inside the bundle
     directory (``profile_dir`` pointed there) are indexed in the
     manifest's ``files`` section as ``profile_seed<seed>``;

@@ -100,7 +100,7 @@ def supports_vectorized(cfg, latencies: LatencyModel = FRONTIER_LATENCIES
     """Whether ``cfg`` qualifies for a vectorized ensemble engine.
 
     Common requirements: a uniform single-core no-staging null/dummy
-    workload, no fault injection, no partition sharding.  On top of
+    workload, no fault injection.  On top of
     that, per launcher:
 
     * ``srun`` — always (the pipeline is FIFO in task order, ties
@@ -116,12 +116,12 @@ def supports_vectorized(cfg, latencies: LatencyModel = FRONTIER_LATENCIES
       for the same tie-ordering reason.
 
     Everything else falls back to the generic engine (same results,
-    per-member replay — parallelized over seed shards by
+    per-member replay — parallelized over seed cohorts by
     :func:`~repro.ensemble.run_ensemble`).
     """
     if cfg.workload not in _SYNTHETIC:
         return False
-    if cfg.faults is not None or cfg.shards is not None:
+    if cfg.faults is not None:
         return False
     if _uniform_description(cfg) is None:
         return False

@@ -92,8 +92,7 @@ class StoreError(ReproError):
 
 
 class HostFailureError(SimulationError):
-    """Raised when a *host-side* worker process (shard worker, pool
-    worker) is lost — crashed pid or hung heartbeat — and supervision
-    is off or its respawn budget is exhausted.  Distinct from
+    """Raised when a *host-side* pool worker process is lost and its
+    work cannot be salvaged.  Distinct from
     :class:`NodeFailureError`, which models failures of the *simulated*
     machine."""

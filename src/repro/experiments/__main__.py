@@ -51,17 +51,6 @@ def _progress_sink(spec: str):
     return jsonl_sink() if spec == "jsonl" else line_sink()
 
 
-def _print_recovery(result) -> None:
-    """Echo the host-recovery ledger of a supervised run, if any."""
-    doc = getattr(result, "host_recovery", None)
-    if not doc:
-        return
-    print(f"host recovery: healed {doc['n_incidents']} worker "
-          f"loss(es) ({doc['n_crashes']} crashed, {doc['n_hangs']} hung), "
-          f"{doc['windows_replayed']} windows replayed in "
-          f"{doc['total_recovery_seconds']:.2f}s wall", file=sys.stderr)
-
-
 def _print_cache(result) -> None:
     """Echo one run's store outcome (``run --cache`` only)."""
     doc = getattr(result, "cache", None)
@@ -99,15 +88,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["bulk"] = True
     if getattr(args, "lean", False):
         overrides["lean"] = True
-    if getattr(args, "shards", None) is not None:
-        shards = args.shards
-        if shards != "auto":
-            try:
-                shards = int(shards)
-            except ValueError:
-                print(f"error: bad shard count {shards!r}", file=sys.stderr)
-                return 1
-        overrides["shards"] = shards
     cfg = config_by_id(args.exp_id, **overrides)
     if getattr(args, "faults", ""):
         from dataclasses import replace
@@ -131,8 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     resilience = parse_resilience(
         checkpoint=None if multi else checkpoint,
         checkpoint_every=getattr(args, "checkpoint_every", None),
-        checkpoint_wall=getattr(args, "checkpoint_wall", None),
-        supervise=getattr(args, "supervise", False))
+        checkpoint_wall=getattr(args, "checkpoint_wall", None))
     if getattr(args, "ensemble", False):
         from .harness import run_ensemble
 
@@ -167,7 +146,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                 spill_dir=spill_dir, progress=progress,
                                 resilience=resilience, cache=cache)
         _print_cache(result)
-        _print_recovery(result)
         if bundle:
             print(f"wrote observability bundle to {bundle}")
         if result.faults is not None:
@@ -187,8 +165,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.reps > 1 or seeds:
         agg = run_repetitions(cfg, n_reps=args.reps, parallel=args.parallel,
                               seeds=seeds, progress=progress,
-                              checkpoint=checkpoint,
-                              resilience=resilience, cache=cache)
+                              checkpoint=checkpoint, cache=cache)
         if cache:
             _print_cache_summary(agg.provenance)
         print(format_table(
@@ -201,7 +178,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         r = run_experiment(cfg, spill_dir=spill_dir, progress=progress,
                            resilience=resilience, cache=cache)
         _print_cache(r)
-        _print_recovery(r)
         print(format_table(
             ["exp", "nodes", "parts", "tasks", "done", "failed",
              "avg tasks/s", "peak tasks/s", "util", "makespan[s]", "wall[s]"],
@@ -223,7 +199,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     result = resume_experiment(args.directory, keep_session=keep,
                                bundle=bundle, progress=progress)
     cfg = result.config
-    _print_recovery(result)
     print(format_table(
         ["exp", "nodes", "parts", "tasks", "done", "failed",
          "avg tasks/s", "peak tasks/s", "util", "makespan[s]", "wall[s]"],
@@ -473,15 +448,6 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--profile-dir", default="", metavar="DIR",
                        help="with --ensemble: export each seed's trace "
                             "to DIR/profile-seed<seed>.jsonl")
-    p_run.add_argument("--shards", nargs="?", const="auto", default=None,
-                       metavar="N",
-                       help="partition-sharded execution: run the Flux "
-                            "partitions in N worker processes on "
-                            "shard-local kernels (bare flag = one per "
-                            "core); deterministic, but a different "
-                            "event interleaving than the sequential "
-                            "path")
-
     p_run.add_argument("--checkpoint", default="", metavar="DIR",
                        help="durable crash-safety state in DIR: periodic "
                             "run checkpoints for a single run, or a "
@@ -496,10 +462,6 @@ def main(argv: List[str] = None) -> int:
                        help="rate-limit checkpoint writes to one per "
                             "SECS wall seconds (default 1; 0 writes "
                             "at every tick)")
-    p_run.add_argument("--supervise", action="store_true",
-                       help="watchdog + deterministic replay recovery "
-                            "for crashed or hung shard workers "
-                            "(sharded runs)")
     p_run.add_argument("--cache", default="", metavar="DIR",
                        help="memoize runs through a content-addressed "
                             "store rooted at DIR: an exact match "

@@ -55,11 +55,6 @@ class ExperimentConfig:
     #: bookkeeping and event-stream history that only post-hoc
     #: debugging reads.  Off by default (tests inspect both).
     lean: bool = False
-    #: Partition-sharded execution: run the Flux partitions in worker
-    #: processes on shard-local kernels (``"auto"``/``0`` = one shard
-    #: per core, an int = that many shards).  ``None`` (default) keeps
-    #: the sequential single-kernel path exactly.
-    shards: Optional[object] = None
     tags: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -75,10 +70,6 @@ class ExperimentConfig:
             raise ConfigurationError("hybrid runs need >= 2 nodes")
         if self.waves < 1:
             raise ConfigurationError("waves must be >= 1")
-        if self.shards is not None:
-            from ..shard import resolve_shards
-
-            resolve_shards(self.shards)  # raises on malformed values
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Copy with a different seed (for repetitions)."""
@@ -89,8 +80,8 @@ class ExperimentConfig:
 
         sha256 of the normalized config document: stable field order,
         defaults filled, label fields (``exp_id``, ``tags``) and
-        trace-neutral execution knobs (``seed``, ``bulk``, ``lean``,
-        ``shards``) excluded — two configs with equal keys denote the
+        trace-neutral execution knobs (``seed``, ``bulk``, ``lean``)
+        excluded — two configs with equal keys denote the
         same simulated run modulo seed.  See
         :mod:`repro.store.keys` for the full identity scheme.
         """

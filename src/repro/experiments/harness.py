@@ -70,14 +70,6 @@ class ExperimentResult:
     wall_seconds: float = 0.0
     #: Fault-injection summary; ``None`` when the run had no fault model.
     faults: Optional[FaultReport] = None
-    #: Shard workers the run used (0 = sequential single-kernel path).
-    n_shards: int = 0
-    #: Peak RSS per shard worker [MB] (empty on the sequential path).
-    shard_peak_rss_mb: List[float] = field(default_factory=list)
-    #: Host-recovery summary (crashed/hung shard workers respawned and
-    #: replayed); ``None`` when nothing was recovered.  Wall-clock
-    #: metadata only — recovery never changes the trace.
-    host_recovery: Optional[dict] = None
     #: How this result was produced: ``"fresh"`` (simulated in this
     #: call), ``"cached"`` (delivered from a content-addressed run
     #: store), or ``"resumed"`` (rebuilt from a sweep ledger instead
@@ -161,8 +153,7 @@ def _attach_telemetry(session: Session, cfg: ExperimentConfig,
     if isinstance(progress, TelemetryBus):
         bus = progress
     else:
-        source = "shard" if session.engine is not None else "plain"
-        bus = TelemetryBus(source,
+        bus = TelemetryBus("plain",
                            sink=progress if callable(progress) else None)
     prior = None
     try:
@@ -185,7 +176,6 @@ def run_experiment(cfg: ExperimentConfig,
                    observe: bool = False,
                    bundle: Optional[str] = None,
                    spill_dir=None,
-                   shard_inline: bool = False,
                    descriptions: Optional[List[TaskDescription]] = None,
                    progress=None,
                    resilience=None,
@@ -205,11 +195,6 @@ def run_experiment(cfg: ExperimentConfig,
     order untouched: same-seed runs produce byte-identical traces with
     or without them.
 
-    ``shard_inline`` runs a sharded config's shards on the calling
-    thread instead of worker processes — same simulation, same merged
-    trace, no parallelism; the equality is pinned by the determinism
-    tests.  Ignored when ``cfg.shards`` is off.
-
     ``descriptions`` supplies a pre-built synthetic workload, letting
     sweep callers (:func:`run_repetitions`, the ensemble engine) pay
     description construction once for all seeds — the descriptions
@@ -226,9 +211,8 @@ def run_experiment(cfg: ExperimentConfig,
     ``resilience`` is an optional
     :class:`~repro.resilience.ResilienceSpec`: a checkpoint directory
     arms periodic durable checkpoints of the run's progress
-    watermarks, and ``supervise`` turns on respawn-and-replay recovery
-    of crashed/hung shard workers.  Both are wall-clock-side and
-    trace-inert (see ``docs/RESILIENCE.md``).  ``_resume_verify`` is
+    watermarks.  Checkpointing is wall-clock-side and trace-inert
+    (see ``docs/RESILIENCE.md``).  ``_resume_verify`` is
     internal resume plumbing — the checkpointed state document the
     replay must match (see :func:`resume_experiment`).
 
@@ -271,9 +255,7 @@ def run_experiment(cfg: ExperimentConfig,
                                        resilience, verify=_resume_verify)
     session = Session(cluster=frontier(max(cfg.n_nodes, 1)),
                       latencies=latencies, seed=cfg.seed, observe=observe,
-                      faults=cfg.faults, lean=cfg.lean, spill_dir=spill_dir,
-                      shards=cfg.shards, shard_inline=shard_inline,
-                      resilience=resilience)
+                      faults=cfg.faults, lean=cfg.lean, spill_dir=spill_dir)
     if checkpointer is not None:
         checkpointer.attach(session)
     # A bundle run records telemetry even without a live sink, so
@@ -346,13 +328,6 @@ def run_experiment(cfg: ExperimentConfig,
         wall_seconds=time.perf_counter() - wall0,
         faults=(FaultReport.collect(session.faults, tasks, makespan(tasks))
                 if session.faults is not None else None),
-        n_shards=len(session.engine.hosts) if session.engine is not None
-        else 0,
-        shard_peak_rss_mb=(list(session.engine.shard_peak_rss_mb)
-                           if session.engine is not None else []),
-        host_recovery=(session.engine.recovery.to_doc()
-                       if session.engine is not None
-                       and session.engine.recovery else None),
     )
     if store is not None:
         # Populate on miss (or bypassed read): the profile export is
@@ -397,9 +372,6 @@ def write_run_bundle(directory, cfg: ExperimentConfig, session: Session,
     if session.profiler.enabled and len(session.profiler):
         spans = spans_from_profiler(session.profiler, session_uid=session.uid)
         live = [s for s in session.obs.tracer.roots if s.closed]
-        # Sorted, not arrival-ordered: sharded runs merge worker spans
-        # at window boundaries, so arrival order depends on shard
-        # grouping while (start, name) does not.
         live.sort(key=lambda s: (s.start, s.name))
         spans.children.extend(live)
     manifest = build_manifest(config=cfg, session=session, result=result)
@@ -496,10 +468,10 @@ def run_repetitions(cfg: ExperimentConfig, n_reps: int = 3,
     independent seeded run, so skip-and-reload aggregates identically
     to rerunning.
 
-    ``resilience`` applies shard-worker supervision to each serial
-    repetition (see :class:`~repro.resilience.ResilienceSpec`); its
-    ``checkpoint_dir`` must be unset — per-rep run checkpoints would
-    clobber each other, the sweep ledger is the durable state here.
+    ``resilience`` is passed to each serial repetition (see
+    :class:`~repro.resilience.ResilienceSpec`); its ``checkpoint_dir``
+    must be unset — per-rep run checkpoints would clobber each other,
+    the sweep ledger is the durable state here.
 
     ``cache`` memoizes each repetition through a content-addressed
     run store at **per-seed granularity** — a 64-seed sweep with 60

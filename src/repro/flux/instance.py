@@ -79,9 +79,7 @@ class FluxInstance:
         self.rng = rng
         self.profiler = profiler
         #: Optional live :class:`~repro.observability.spans.Tracer`;
-        #: records one bootstrap span per (re)start.  Shard workers
-        #: pass their own tracer and forward the closed spans at
-        #: window boundaries.
+        #: records one bootstrap span per (re)start.
         self.tracer = tracer
         #: Optional :class:`~repro.faults.FaultModel` consulted once
         #: per dispatch for injected launch failures.

@@ -137,12 +137,6 @@ def build_manifest(config: Optional["ExperimentConfig"] = None,
             "makespan": result.makespan,
             "wall_seconds": result.wall_seconds,
         }
-        # Host-side recovery ledger (supervised shard runs that healed
-        # a crashed/hung worker) — absent on incident-free runs, so
-        # manifests only change when the supervisor actually acted.
-        recovery = getattr(result, "host_recovery", None)
-        if recovery:
-            manifest["host_recovery"] = recovery
         # Run-store provenance — recorded only when a store was in
         # play, so store-off manifests stay byte-identical to runs
         # predating the cache entirely.

@@ -349,11 +349,8 @@ def span_from_dict(doc: Dict[str, Any],
                    parent: Optional[Span] = None) -> Span:
     """Rebuild a span (and its subtree) from its ``to_dict`` form.
 
-    The inverse of :meth:`Span.to_dict`, used where span trees cross a
-    process boundary — shard workers serialize their locally-recorded
-    spans into window results and the coordinator grafts them back
-    into the session tracer — and by offline consumers loading a
-    bundle's ``spans.json``.
+    The inverse of :meth:`Span.to_dict`, used by offline consumers
+    loading a bundle's ``spans.json``.
     """
     span = Span(doc["name"], doc.get("cat", "span"), doc["start"],
                 doc.get("end"), parent=parent,

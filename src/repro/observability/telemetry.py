@@ -17,9 +17,6 @@ record schema (:data:`TELEMETRY_SCHEMA`):
 * plain runs — the kernel's instrumented dispatch loop fires a probe
   every :data:`~repro.sim.kernel.PROBE_STRIDE` events
   (:meth:`TelemetryBus.probe`);
-* sharded runs — the coordinator additionally polls at every window
-  boundary, folding in the per-shard deltas the workers piggyback on
-  their :class:`~repro.shard.protocol.WindowResult`;
 * ensembles — the engines report per-seed / per-cohort progress;
 * ``run_repetitions(parallel=)`` — the parent process emits one
   record per completed repetition.
@@ -57,18 +54,17 @@ __all__ = [
 TELEMETRY_SCHEMA = 1
 
 #: Values the ``source`` field may take — one per execution shape.
-TELEMETRY_SOURCES = ("plain", "shard", "ensemble", "parallel")
+TELEMETRY_SOURCES = ("plain", "ensemble", "parallel")
 
 #: Default wall-clock poll interval [s]: snapshots are taken at most
-#: this often no matter how fast the probe or window loop fires.
+#: this often no matter how fast the probe fires.
 DEFAULT_INTERVAL = 0.25
 
 
 def host_rss_mb() -> float:
     """Peak resident-set size of this process [MB] (0.0 off-POSIX).
 
-    Peak, not current — the same ``getrusage`` idiom the shard
-    workers already report, and a single cheap syscall.
+    Peak, not current — a single cheap ``getrusage`` syscall.
     """
     try:
         import resource
@@ -253,10 +249,9 @@ class SessionSampler:
 
     Reads (never writes) the counters the stack already maintains:
     the agent's task ledger, each executor's active/queued occupancy,
-    the allocation's node health, the sim clock, and — on sharded
-    runs — the per-shard deltas the workers piggybacked on the last
-    window.  Construction is cheap; the sampler is consulted only
-    when the bus's rate limiter fires.
+    the allocation's node health and the sim clock.  Construction is
+    cheap; the sampler is consulted only when the bus's rate limiter
+    fires.
     """
 
     def __init__(self, session, pilot=None,
@@ -301,25 +296,14 @@ class SessionSampler:
         }
         if self.host is not None:
             record["host"] = self.host.snapshot()
-        engine = session.engine
-        if engine is not None:
-            deltas = [d for d in engine.shard_telemetry if d is not None]
-            if deltas:
-                record["shards"] = deltas
-            # Supervisor healed a crashed/hung shard worker: surface
-            # the running incident count (absent on incident-free
-            # runs, keeping the record schema unchanged).
-            recovery = getattr(engine, "recovery", None)
-            if recovery:
-                record["host_recoveries"] = len(recovery)
         return record
 
 
 class RunTelemetry:
     """One run's telemetry plumbing: a bus bound to its sampler.
 
-    The harness hangs this on ``session.telemetry``; the shard
-    engine's window loop and the kernel probe both reach it there.
+    The harness hangs this on ``session.telemetry``; the kernel probe
+    reaches it there.
     """
 
     def __init__(self, bus: TelemetryBus, sampler: SessionSampler) -> None:
@@ -331,7 +315,7 @@ class RunTelemetry:
         return self.bus.records
 
     def tick(self) -> Optional[Dict[str, Any]]:
-        """Rate-limited snapshot (window boundaries, probe firings)."""
+        """Rate-limited snapshot (probe firings)."""
         return self.bus.poll(self.sampler.sample)
 
     def flush(self) -> Dict[str, Any]:
@@ -485,9 +469,6 @@ def render_progress_line(record: Dict[str, Any]) -> str:
             parts.append(f"resumed {resumed}")
     if record.get("nodes_down"):
         parts.append(f"down {record['nodes_down']}")
-    shards = record.get("shards")
-    if shards:
-        parts.append(f"shards {len(shards)}")
     parts.append(f"rss {record.get('rss_mb', 0.0):.0f}MB")
     return "  ".join(str(p) for p in parts)
 
@@ -576,7 +557,7 @@ def validate_telemetry(record: Dict[str, Any]) -> List[str]:
         problems.append(f"eta_basis: unknown {basis!r}")
     need("rss_mb", _NUMBER)
 
-    if source in ("plain", "shard"):
+    if source == "plain":
         need("sim_time", _NUMBER)
         backends = need("backends", dict)
         if backends is not None:
@@ -586,13 +567,6 @@ def validate_telemetry(record: Dict[str, Any]) -> List[str]:
                     problems.append(f"backends[{name!r}]: needs "
                                     "active/queued")
         need("nodes_down", int)
-    if source == "shard":
-        shards = record.get("shards")
-        if shards is not None and not isinstance(shards, list):
-            problems.append("shards: must be a list")
-        for i, delta in enumerate(shards or ()):
-            if not isinstance(delta, dict) or "shard" not in delta:
-                problems.append(f"shards[{i}]: needs a shard index")
     if source in ("ensemble", "parallel"):
         need("members_done", int)
         need("members_total", int)

@@ -1,9 +1,9 @@
-"""Crash-safe execution: durable checkpoints and supervised workers.
+"""Crash-safe execution: durable checkpoints and sweep ledgers.
 
 The machinery in this package extends the robustness story from the
 *modeled* machine (``repro.faults``: simulated node crashes inside the
 DES clock) to the *host* that runs the simulator: a SIGKILL'd process,
-an OOM'd pool worker, a Ctrl-C mid-sweep.  It has three pillars:
+an OOM'd pool worker, a Ctrl-C mid-sweep.  It has two pillars:
 
 ``atomic``
     Torn-write-proof artifact persistence (tmp + fsync + rename) used
@@ -15,10 +15,6 @@ an OOM'd pool worker, a Ctrl-C mid-sweep.  It has three pillars:
     resume-by-replay, plus a sweep ledger that lets ``run_many`` /
     ``run_repetitions`` skip already-finished points after an
     interruption.
-``supervisor`` (+ hooks in :mod:`repro.shard`)
-    Wall-clock heartbeats, a watchdog for crashed/hung shard workers,
-    and journal-based replay recovery that keeps recovered-run traces
-    byte-identical to uninterrupted ones.
 
 Everything here is wall-clock-side instrumentation: with checkpointing
 off and no host failures, no code path in this package touches the
@@ -35,7 +31,6 @@ from .checkpoint import (
 )
 from .crash import crash_point, crash_value
 from .spec import ResilienceSpec, parse_resilience
-from .supervisor import HostRecoveryReport, RecoveryIncident, SupervisorPolicy
 
 __all__ = [
     "atomic_write_bytes",
@@ -49,7 +44,4 @@ __all__ = [
     "crash_value",
     "ResilienceSpec",
     "parse_resilience",
-    "HostRecoveryReport",
-    "RecoveryIncident",
-    "SupervisorPolicy",
 ]

@@ -96,7 +96,11 @@ def config_from_doc(doc: Dict[str, Any]) -> "ExperimentConfig":
 
 def config_digest(cfg: "ExperimentConfig") -> str:
     """Canonical sha256 of the config document."""
-    payload = json.dumps(config_to_doc(cfg), sort_keys=True, default=repr)
+    return _doc_digest(config_to_doc(cfg))
+
+
+def _doc_digest(doc: Dict[str, Any]) -> str:
+    payload = json.dumps(doc, sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -304,8 +308,9 @@ def load_checkpoint(directory: PathLike) -> Dict[str, Any]:
     if not isinstance(version, int) or version > CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version!r}")
-    cfg = config_from_doc(doc.get("config", {}))
-    if config_digest(cfg) != doc.get("config_digest"):
+    # Digest the stored document, not the rebuilt config: a header
+    # naming a config field this version no longer has still verifies.
+    if _doc_digest(doc.get("config", {})) != doc.get("config_digest"):
         raise CheckpointError(
             f"{path}: config digest mismatch (corrupt checkpoint)")
     return doc
@@ -355,7 +360,8 @@ def result_to_doc(result) -> Dict[str, Any]:
         "startup_overheads": [list(pair) for pair in
                               result.startup_overheads],
         "wall_seconds": result.wall_seconds,
-        "n_shards": result.n_shards,
+        # Frozen key: ledgers and run stores on disk carry it; readers ignore it.
+        "n_shards": 0,
     }
 
 
@@ -377,7 +383,6 @@ def result_from_doc(cfg: "ExperimentConfig", doc: Dict[str, Any]):
         startup_overheads=[(str(n), float(v)) for n, v in
                            doc.get("startup_overheads", [])],
         wall_seconds=float(doc.get("wall_seconds", 0.0)),
-        n_shards=int(doc.get("n_shards", 0)),
     )
 
 

@@ -1,21 +1,17 @@
 """Crash-injection test hook (``REPRO_CRASH_AT``).
 
 Tests and CI jobs need to kill the simulator at a precise,
-reproducible point — mid-window in a shard worker, mid-sweep in a
-pool worker, at a given sim time in a plain run — and then assert
+reproducible point — mid-sweep in a pool worker, at a given sim
+time in a plain run — and then assert
 that recovery reproduces the uninterrupted trace byte-for-byte.
 
 ``REPRO_CRASH_AT`` holds a ``kind:value`` spec:
 
 ``sim:<t>``
     die at the first checkpoint tick whose sim time is ``>= t``
-    (plain/sharded coordinator runs with checkpointing armed);
+    (runs with checkpointing armed);
 ``events:<n>``
     die at the first checkpoint tick with ``>= n`` trace events;
-``shard:<t>``
-    a *process* shard worker dies on receiving a window whose
-    boundary is ``>= t`` (set ``REPRO_CRASH_SHARD`` to pick which
-    shard, default 0);
 ``pool:<seed>``
     a parallel-rep / ensemble pool worker dies when it picks up the
     unit with that seed.
@@ -37,7 +33,6 @@ from typing import Optional
 
 ENV_CRASH_AT = "REPRO_CRASH_AT"
 ENV_CRASH_ONCE = "REPRO_CRASH_ONCE"
-ENV_CRASH_SHARD = "REPRO_CRASH_SHARD"
 
 #: Exit status of an injected crash (mirrors a SIGKILL'd process).
 CRASH_STATUS = 137
@@ -56,14 +51,6 @@ def crash_value(kind: str) -> Optional[float]:
         return float(raw)
     except ValueError:
         return None
-
-
-def crash_shard_index() -> int:
-    """Which shard the ``shard:`` spec targets (default 0)."""
-    try:
-        return int(os.environ.get(ENV_CRASH_SHARD, "0"))
-    except ValueError:
-        return 0
 
 
 def _fire() -> None:

@@ -1,10 +1,9 @@
 """Resilience policy: one frozen spec threaded from CLI to engine.
 
 Mirrors :class:`repro.faults.spec.FaultSpec` in spirit — a single
-hashable value object that travels from the command line through
-``run_experiment`` into :class:`repro.core.session.Session` and the
-shard engine — but describes *host*-side robustness (checkpoints,
-heartbeats, watchdog deadlines) rather than modeled machine faults.
+hashable value object that travels from the command line into
+``run_experiment`` — but describes *host*-side robustness (durable
+checkpoints) rather than modeled machine faults.
 """
 
 from __future__ import annotations
@@ -35,30 +34,11 @@ class ResilienceSpec:
         most this much wall-clock progress, so the default of one
         wall-second keeps overhead negligible without weakening the
         durability story.
-    supervise:
-        Respawn-and-replay crashed or hung shard workers instead of
-        failing the run.  Detection (dead pid / stalled heartbeat) is
-        always on; this flag controls *recovery*.
-    heartbeat_interval:
-        Wall-seconds between worker heartbeats on the window pipe.
-    hang_deadline:
-        Wall-seconds of heartbeat silence after which a live worker
-        is declared hung and recovered.
-    max_respawns:
-        Per-shard respawn budget; exceeding it fails the run.
-    respawn_backoff:
-        Wall-seconds to wait before a respawn (doubled per incident
-        on the same shard).
     """
 
     checkpoint_dir: Optional[str] = None
     checkpoint_sim_interval: float = 60.0
     checkpoint_wall_interval: float = 1.0
-    supervise: bool = False
-    heartbeat_interval: float = 1.0
-    hang_deadline: float = 120.0
-    max_respawns: int = 3
-    respawn_backoff: float = 0.5
 
     def __post_init__(self) -> None:
         from ..exceptions import ConfigurationError
@@ -67,14 +47,6 @@ class ResilienceSpec:
             raise ConfigurationError("checkpoint_sim_interval must be > 0")
         if self.checkpoint_wall_interval < 0:
             raise ConfigurationError("checkpoint_wall_interval must be >= 0")
-        if self.heartbeat_interval <= 0:
-            raise ConfigurationError("heartbeat_interval must be > 0")
-        if self.hang_deadline <= 0:
-            raise ConfigurationError("hang_deadline must be > 0")
-        if self.max_respawns < 0:
-            raise ConfigurationError("max_respawns must be >= 0")
-        if self.respawn_backoff < 0:
-            raise ConfigurationError("respawn_backoff must be >= 0")
 
     @property
     def checkpointing(self) -> bool:
@@ -91,15 +63,13 @@ class ResilienceSpec:
 
 def parse_resilience(checkpoint: Optional[str] = None,
                      checkpoint_every: Optional[float] = None,
-                     checkpoint_wall: Optional[float] = None,
-                     supervise: bool = False) -> Optional[ResilienceSpec]:
+                     checkpoint_wall: Optional[float] = None
+                     ) -> Optional[ResilienceSpec]:
     """Build a spec from CLI flags; ``None`` when nothing was asked
     for (so default runs carry no resilience object at all)."""
-    if checkpoint is None and not supervise:
+    if checkpoint is None:
         return None
-    kwargs: Dict[str, Any] = {"supervise": bool(supervise)}
-    if checkpoint is not None:
-        kwargs["checkpoint_dir"] = str(checkpoint)
+    kwargs: Dict[str, Any] = {"checkpoint_dir": str(checkpoint)}
     if checkpoint_every is not None:
         kwargs["checkpoint_sim_interval"] = float(checkpoint_every)
     if checkpoint_wall is not None:

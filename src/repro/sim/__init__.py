@@ -12,7 +12,7 @@ from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .kernel import Environment
 from .monitor import Monitor
 from .process import Interrupt, Process
-from .random import RngStreams, ScopedRng
+from .random import RngStreams
 from .resources import Request, Resource, Store, StoreGet
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Request",
     "Resource",
     "RngStreams",
-    "ScopedRng",
     "Store",
     "StoreGet",
     "Timeout",

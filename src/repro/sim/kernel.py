@@ -313,111 +313,6 @@ class Environment:
             self._now = horizon
         return None
 
-    def run_bounded(self, horizon: float, stop: Optional[Event] = None) -> bool:
-        """Run until ``horizon``, stopping early once ``stop`` is processed.
-
-        The shard coordinator's window primitive: like ``run(until=
-        horizon)``, but when ``stop`` is given the loop exits the moment
-        that event has been processed — without advancing the clock to
-        the horizon — exactly where ``run(until=stop)`` would have left
-        it.  Unlike ``run(until=Event)``, an empty queue is *not* a
-        deadlock here: more events may arrive from outside the kernel
-        (shard workers) between windows, so deadlock detection belongs
-        to the caller.  Returns ``True`` iff ``stop`` was processed.
-        """
-        if stop is None:
-            self.run(horizon)
-            return False
-        if horizon < self._now:
-            raise SimulationError(
-                f"cannot run until {horizon} (already at {self._now})"
-            )
-        if self._instrument is not None:
-            return self._run_bounded_instrumented(horizon, stop)
-        queue = self._queue
-        pop = heappop
-        while queue and queue[0][0] <= horizon:
-            if stop.callbacks is None:
-                return True
-            entry = pop(queue)
-            self._now = entry[0]
-            event = entry[3]
-            if len(entry) == 5:
-                if entry[4]:
-                    event._resume(_INIT)
-                else:
-                    event(None)
-                continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            for cb in callbacks:
-                cb(event)
-            if event._ok is False and not callbacks and not event._defused:
-                raise event._value
-        if stop.callbacks is None:
-            return True
-        if horizon > self._now:
-            self._now = horizon
-        return False
-
-    def _run_bounded_instrumented(self, horizon: float, stop: Event) -> bool:
-        """Metered twin of :meth:`run_bounded` (stop-event case only)."""
-        from time import perf_counter
-
-        ins = self._instrument
-        queue = self._queue
-        pop = heappop
-        n_events = n_bootstraps = n_callbacks = 0
-        depth_max = depth_last = 0
-        depth_min = -1
-        sim0 = self._now
-        wall0 = perf_counter()
-        probe = self._probe
-        # inf sentinel: with no probe the countdown never reaches zero,
-        # so the per-event cost is one subtract and one compare.
-        stride = PROBE_STRIDE if probe is not None else float("inf")
-        tick = stride
-        try:
-            while queue and queue[0][0] <= horizon:
-                if stop.callbacks is None:
-                    return True
-                tick -= 1.0
-                if tick <= 0.0:
-                    probe()
-                    tick = stride
-                depth_last = len(queue)
-                if depth_last > depth_max:
-                    depth_max = depth_last
-                if depth_min < 0 or depth_last < depth_min:
-                    depth_min = depth_last
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                if len(entry) == 5:
-                    if entry[4]:
-                        n_bootstraps += 1
-                        event._resume(_INIT)
-                    else:
-                        n_callbacks += 1
-                        event(None)
-                    continue
-                n_events += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if event._ok is False and not callbacks and not event._defused:
-                    raise event._value
-            if stop.callbacks is None:
-                return True
-            if horizon > self._now:
-                self._now = horizon
-            return False
-        finally:
-            ins.flush(n_events, n_bootstraps, n_callbacks,
-                      depth_max, depth_min, depth_last)
-            ins.account(self._now - sim0, perf_counter() - wall0)
-
     def _run_instrumented(self, until: Optional[Any] = None) -> Any:
         """The metered twin of :meth:`run` (observability enabled).
 

@@ -239,51 +239,3 @@ class StreamCursor:
         self._pos += 1
         self.n_drawn += 1
         return value
-
-
-class ScopedRng:
-    """A view of an :class:`RngStreams` with every stream name prefixed.
-
-    Shard workers host several Flux instances on one local
-    :class:`RngStreams`; prefixing each instance's stream names with its
-    globally-unique instance id (``"agent.0000.flux.003/flux.cycle"``)
-    makes the draws a pure function of ``(seed, instance id, stream
-    name)`` — independent of how instances are grouped into shards,
-    which is what makes shard traces invariant under the worker count.
-
-    Implements the full :class:`RngStreams` drawing API so components
-    take either interchangeably.
-    """
-
-    __slots__ = ("_base", "_prefix")
-
-    def __init__(self, base: RngStreams, scope: str) -> None:
-        self._base = base
-        self._prefix = scope + "/"
-
-    @property
-    def seed(self) -> int:
-        return self._base.seed
-
-    def stream(self, name: str) -> np.random.Generator:
-        return self._base.stream(self._prefix + name)
-
-    def lognormal_latency(
-        self, name: str, mean: float, cv: float = 0.25
-    ) -> float:
-        return self._base.lognormal_latency(self._prefix + name, mean, cv)
-
-    def lognormal_latency_batch(
-        self, name: str, mean: float, cv: float = 0.25, n: int = 1
-    ) -> List[float]:
-        return self._base.lognormal_latency_batch(
-            self._prefix + name, mean, cv, n)
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        return self._base.uniform(self._prefix + name, low, high)
-
-    def exponential(self, name: str, mean: float) -> float:
-        return self._base.exponential(self._prefix + name, mean)
-
-    def weibull(self, name: str, mean: float, shape: float = 1.5) -> float:
-        return self._base.weibull(self._prefix + name, mean, shape)

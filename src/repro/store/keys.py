@@ -6,13 +6,12 @@ A run digest is a sha256 over four components:
     The canonical cache key of the :class:`ExperimentConfig` —
     every behavior-affecting field, serialized with sorted keys at
     every nesting level (dict insertion order must never leak into
-    the digest), defaults filled by ``dataclasses.asdict``.  Fields
-    that are *labels* (``exp_id``, ``tags``) or *pinned
-    trace-neutral execution knobs* (``seed`` — keyed separately —
-    ``bulk``, ``lean``, ``shards``) are excluded: the determinism
-    suites guarantee that same-seed traces are byte-identical across
-    those switches, so two configs differing only there denote the
-    same simulated run (see :data:`CACHE_KEY_EXCLUDED`).
+    the digest), defaults filled by ``dataclasses.asdict``.  Excluded
+    are the *labels* (``exp_id``, ``tags``), the ``seed`` (keyed
+    separately) and the *trace-neutral execution switches* (``bulk``,
+    ``lean``): same-seed profiles are byte-identical for either value
+    of a switch, so two configs differing only there denote the same
+    simulated run (see :data:`CACHE_KEY_EXCLUDED`).
 
 ``seed``
     Kept out of the config key so sweeps get per-seed granularity: a
@@ -47,11 +46,12 @@ KEY_SCHEME = 1
 
 #: Config fields excluded from the cache key.  ``exp_id`` and
 #: ``tags`` are labels (no effect on the simulation); ``seed`` is a
-#: separate digest component; ``bulk``, ``lean`` and ``shards`` are
-#: execution switches whose trace-neutrality is pinned by
-#: ``tests/property/test_prop_bulk_submit.py`` and the shard
-#: determinism suite — byte-identical profiles for any value.
-CACHE_KEY_EXCLUDED = ("exp_id", "tags", "seed", "bulk", "lean", "shards")
+#: separate digest component; ``bulk`` and ``lean`` are execution
+#: switches that leave the profile byte-identical, pinned for every
+#: excluded switch by ``tests/store/test_keys.py``.  A field belongs
+#: here only if that holds; otherwise a run could be served another
+#: run's result.
+CACHE_KEY_EXCLUDED = ("exp_id", "tags", "seed", "bulk", "lean")
 
 
 def normalize_config(cfg) -> Dict[str, Any]:

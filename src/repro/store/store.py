@@ -123,7 +123,8 @@ def result_to_doc(result) -> Dict[str, Any]:
     doc = ledger_doc(result)
     doc["faults"] = (dataclasses.asdict(result.faults)
                      if result.faults is not None else None)
-    doc["shard_peak_rss_mb"] = list(result.shard_peak_rss_mb)
+    # Frozen key: stores on disk carry it; readers ignore it.
+    doc["shard_peak_rss_mb"] = []
     return doc
 
 
@@ -140,8 +141,6 @@ def result_from_doc(cfg, doc: Dict[str, Any]):
         faults["schedule"] = tuple(
             tuple(item) for item in faults.get("schedule", ()))
         result.faults = FaultReport(**faults)
-    result.shard_peak_rss_mb = [
-        float(v) for v in doc.get("shard_peak_rss_mb", [])]
     return result
 
 

@@ -4,8 +4,7 @@ An ensemble run of seeds ``[s1..sN]`` must be indistinguishable from
 N independent sequential ``run_experiment`` calls — float-identical
 metrics and byte-identical exported profiles — on both engines (the
 vectorized fast paths for srun, single-instance flux and dragon, and
-the generic replay).  These tests pin that contract the way the shard
-suite pins merged traces.
+the generic replay).
 """
 
 import hashlib
@@ -150,7 +149,6 @@ def test_seed_grouping_is_irrelevant(tmp_path):
     (dict(launcher="flux", n_partitions=2), "multi-instance flux"),
     (dict(launcher="dragon", n_partitions=2), "multi-partition dragon"),
     (dict(workload="mixed"), "mixed workload"),
-    (dict(shards=2), "sharded run"),
 ])
 def test_vectorized_gating(overrides, reason):
     base = dict(exp_id="gate", launcher="srun", workload="null",

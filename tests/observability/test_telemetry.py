@@ -2,14 +2,14 @@
 
 Pins the ISSUE's acceptance gates:
 
-* every execution shape (plain, ``--shards``, ``--parallel``,
-  ``--ensemble``) emits schema-valid JSONL records through the same
+* every execution shape (plain, ``--parallel``, ``--ensemble``) emits
+  schema-valid JSONL records through the same
   :func:`~repro.observability.telemetry.validate_telemetry` contract;
 * same-seed profiles are byte-identical with progress streaming on or
-  off, for srun, flux_n (sharded and unsharded), dragon and ensemble
-  runs — telemetry observes the simulation, it never perturbs it;
-* bundles carry the telemetry stream, and sharded / ensemble bundles
-  are complete (spans from the workers, per-seed profiles indexed).
+  off, for srun, flux_n, dragon and ensemble runs — telemetry observes
+  the simulation, it never perturbs it;
+* bundles carry the telemetry stream, and ensemble bundles are
+  complete (per-seed profiles indexed).
 
 Tiny runs may legitimately finish inside one poll interval, so tests
 assert *at least* the final flushed record and validate everything
@@ -41,9 +41,6 @@ SRUN = ExperimentConfig(exp_id="srun", launcher="srun", workload="null",
                         n_nodes=2, duration=5.0, waves=1)
 FLUX = ExperimentConfig(exp_id="flux_n", launcher="flux", workload="null",
                         n_nodes=4, n_partitions=2, duration=5.0, waves=1)
-SHARDED = ExperimentConfig(exp_id="flux_n", launcher="flux",
-                           workload="null", n_nodes=4, n_partitions=2,
-                           duration=5.0, waves=1, shards=2)
 DRAGON = ExperimentConfig(exp_id="dragon", launcher="dragon",
                           workload="null", n_nodes=2, duration=5.0,
                           waves=1)
@@ -249,18 +246,6 @@ class TestSchemaAcrossShapes:
         assert "backends" in final and "srun" in final["backends"]
         assert final["host"]["phases"].keys() >= {"run", "workload"}
 
-    def test_sharded_run(self, capsys):
-        records = _cli_records(capsys, [
-            "run", "flux_n", "--nodes", "4", "--partitions", "2",
-            "--waves", "1", "--shards", "2", "--progress", "jsonl"])
-        final = records[-1]
-        assert final["source"] == "shard"
-        assert final["tasks_done"] == final["tasks_total"] > 0
-        shard_bearing = [r for r in records if r.get("shards")]
-        assert shard_bearing, "no record carried per-shard deltas"
-        for delta in shard_bearing[-1]["shards"]:
-            assert {"shard", "active", "queued", "rss_mb"} <= set(delta)
-
     def test_parallel_repetitions(self, capsys):
         records = _cli_records(capsys, [
             "run", "srun", "--nodes", "2", "--waves", "1",
@@ -297,9 +282,8 @@ class TestDeterminism:
         save_profile(result.session.profiler, path)
         return path.read_bytes()
 
-    @pytest.mark.parametrize("cfg", [SRUN, FLUX, SHARDED, DRAGON],
-                             ids=["srun", "flux_n", "flux_n_sharded",
-                                  "dragon"])
+    @pytest.mark.parametrize("cfg", [SRUN, FLUX, DRAGON],
+                             ids=["srun", "flux_n", "dragon"])
     def test_progress_does_not_perturb_trace(self, tmp_path, cfg):
         plain = self._profile_bytes(tmp_path, cfg, "plain")
         streamed = self._profile_bytes(tmp_path, cfg, "streamed",
@@ -331,19 +315,6 @@ class TestDeterminism:
 
 
 class TestBundles:
-    def test_sharded_bundle_is_complete(self, tmp_path):
-        bundle = tmp_path / "bundle"
-        run_experiment(SHARDED, bundle=bundle, progress=True)
-        manifest = read_manifest(bundle)
-        assert {"metrics", "spans", "trace", "profile", "telemetry"} <= \
-            set(manifest["files"])
-        records = read_telemetry(bundle / "telemetry.jsonl")
-        assert records and all(validate_telemetry(r) == [] for r in records)
-        # Worker-side instance bootstrap spans were forwarded and
-        # grafted: the bundle's span tree names them.
-        spans_doc = (bundle / "spans.json").read_text(encoding="utf-8")
-        assert ".bootstrap" in spans_doc
-
     def test_ensemble_bundle_is_complete(self, tmp_path):
         bundle = tmp_path / "ens"
         result = run_ensemble(SRUN, n_reps=2, bundle=str(bundle),

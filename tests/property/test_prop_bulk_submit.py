@@ -23,12 +23,11 @@ launchers = st.sampled_from(["srun", "flux", "dragon"])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def _digest(cfg, tmp_dir, tag, spill=False, inline=False):
+def _digest(cfg, tmp_dir, tag, spill=False):
     spill_dir = None
     if spill:
         spill_dir = tmp_dir / f"{tag}-chunks"
-    result = run_experiment(cfg, keep_session=True, spill_dir=spill_dir,
-                            shard_inline=inline)
+    result = run_experiment(cfg, keep_session=True, spill_dir=spill_dir)
     if spill:
         # Shrink the threshold post-hoc is impossible (the run is
         # over), so instead assert spilling was at least configured;
@@ -61,42 +60,3 @@ class TestBulkSubmitTraceEquivalence:
         assert lean == legacy, (
             f"{launcher} seed={seed}: lean/spill trace drifted from legacy")
 
-
-class TestShardedTraceEquivalence:
-    """Sharding's determinism contract, property-tested.
-
-    For srun and dragon (and any config the engine cannot shard) a
-    ``shards=N`` run must be byte-identical to the serial path; for a
-    sharded flux run, process workers and inline execution must agree
-    byte-for-byte with each other for any seed.
-    """
-
-    @settings(max_examples=6, deadline=None)
-    @given(launcher=st.sampled_from(["srun", "dragon"]), seed=seeds,
-           n_nodes=st.integers(min_value=1, max_value=4))
-    def test_unshardable_run_is_serial_byte_exact(self, tmp_path_factory,
-                                                  launcher, seed, n_nodes):
-        tmp_dir = tmp_path_factory.mktemp("shard-prop")
-        base = dict(exp_id="base", launcher=launcher, workload="null",
-                    n_nodes=n_nodes, n_partitions=1, duration=0.0,
-                    waves=1, seed=seed)
-        serial = _digest(ExperimentConfig(**base), tmp_dir, "serial")
-        sharded = _digest(ExperimentConfig(shards=2, **base), tmp_dir,
-                          "sharded")
-        assert sharded == serial, (
-            f"{launcher} seed={seed}: hostless sharded trace drifted")
-
-    @settings(max_examples=6, deadline=None)
-    @given(seed=seeds, n_parts=st.integers(min_value=2, max_value=4))
-    def test_flux_shard_process_equals_inline(self, tmp_path_factory, seed,
-                                              n_parts):
-        tmp_dir = tmp_path_factory.mktemp("shard-flux-prop")
-        base = dict(exp_id="base", launcher="flux", workload="null",
-                    n_nodes=4, n_partitions=n_parts, duration=0.0,
-                    waves=1, seed=seed, shards=2)
-        proc = _digest(ExperimentConfig(**base), tmp_dir, "proc")
-        inline = _digest(ExperimentConfig(**base), tmp_dir, "inline",
-                         inline=True)
-        assert proc == inline, (
-            f"flux seed={seed} parts={n_parts}: process workers drifted "
-            f"from inline execution")

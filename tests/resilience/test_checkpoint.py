@@ -139,6 +139,21 @@ class TestCheckpointedRun:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path)
 
+    def test_load_accepts_a_retired_config_field(self, tmp_path):
+        # A header written while the config still had a since-removed
+        # field verifies: the digest covers the stored document.
+        spec = ResilienceSpec(checkpoint_dir=str(tmp_path),
+                              checkpoint_sim_interval=7.0)
+        _run(ExperimentConfig(**SRUN), resilience=spec)
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["retired_knob"] = None
+        doc["config_digest"] = hashlib.sha256(json.dumps(
+            doc["config"], sort_keys=True).encode("utf-8")).hexdigest()
+        path.write_text(json.dumps(doc))
+        loaded = load_checkpoint(tmp_path)
+        assert config_from_doc(loaded["config"]) == ExperimentConfig(**SRUN)
+
 
 class TestResume:
     def test_resume_completed_checkpoint_is_byte_identical(

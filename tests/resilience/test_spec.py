@@ -10,16 +10,13 @@ class TestSpec:
     def test_defaults_are_inert(self):
         spec = ResilienceSpec()
         assert not spec.checkpointing
-        assert not spec.supervise
 
     def test_checkpointing_property(self):
         assert ResilienceSpec(checkpoint_dir="/tmp/x").checkpointing
 
     def test_doc_roundtrip(self):
         spec = ResilienceSpec(checkpoint_dir="d", checkpoint_sim_interval=5.0,
-                              supervise=True, heartbeat_interval=0.5,
-                              hang_deadline=10.0, max_respawns=7,
-                              respawn_backoff=0.25)
+                              checkpoint_wall_interval=0.25)
         assert ResilienceSpec.from_doc(spec.to_doc()) == spec
 
     def test_from_doc_ignores_unknown_fields(self):
@@ -30,10 +27,6 @@ class TestSpec:
         {"checkpoint_sim_interval": 0.0},
         {"checkpoint_sim_interval": -1.0},
         {"checkpoint_wall_interval": -0.5},
-        {"heartbeat_interval": 0.0},
-        {"hang_deadline": 0.0},
-        {"max_respawns": -1},
-        {"respawn_backoff": -0.1},
     ])
     def test_validation(self, kw):
         with pytest.raises(ConfigurationError):
@@ -43,19 +36,14 @@ class TestSpec:
 class TestParse:
     def test_nothing_requested_is_none(self):
         assert parse_resilience() is None
-        assert parse_resilience(checkpoint=None, supervise=False) is None
+        assert parse_resilience(checkpoint=None) is None
 
     def test_checkpoint_dir(self):
         spec = parse_resilience(checkpoint="ck")
         assert spec.checkpoint_dir == "ck" and spec.checkpointing
 
-    def test_intervals_and_supervise(self):
+    def test_intervals(self):
         spec = parse_resilience(checkpoint="ck", checkpoint_every=7.5,
-                                checkpoint_wall=30.0, supervise=True)
+                                checkpoint_wall=30.0)
         assert spec.checkpoint_sim_interval == 7.5
         assert spec.checkpoint_wall_interval == 30.0
-        assert spec.supervise
-
-    def test_supervise_alone(self):
-        spec = parse_resilience(supervise=True)
-        assert spec is not None and not spec.checkpointing

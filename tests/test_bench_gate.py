@@ -38,7 +38,7 @@ class TestExtractRates:
         # Reordering or inserting points must not shift the labels:
         # each point compares against its own baseline entry.
         a = {"n_nodes": 588, "n_partitions": 4, "tasks_per_wall_second": 1.0}
-        b = {"n_nodes": 9408, "n_partitions": 64, "n_shards": 2,
+        b = {"n_nodes": 9408, "n_partitions": 64,
              "tasks_per_wall_second": 2.0}
         forward = {p: v for p, v, _ in
                    bench_gate.extract_rates({"points": [a, b]})}
@@ -46,7 +46,7 @@ class TestExtractRates:
                      bench_gate.extract_rates({"points": [b, a]})}
         assert forward == reordered == {
             "points.588n4p.tasks_per_wall_second": 1.0,
-            "points.9408n64px2shards.tasks_per_wall_second": 2.0,
+            "points.9408n64p.tasks_per_wall_second": 2.0,
         }
 
     def test_unlabelled_entries_stay_positional(self):

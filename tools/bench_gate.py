@@ -53,8 +53,7 @@ def entry_label(entry, index: int) -> str:
     """A content-derived label for one list entry.
 
     BENCH_scale.json's ``points[]`` entries are labelled by what they
-    measure (``9408n64p``, plus ``xNshards`` for sharded points), not
-    by position — so reordering points or inserting one in the middle
+    measure (``9408n64p``), not by position — so reordering points or inserting one in the middle
     compares each point against *its own* baseline instead of its
     neighbour's.  Entries without identifying keys keep the positional
     ``[i]`` form.
@@ -63,9 +62,6 @@ def entry_label(entry, index: int) -> str:
         label = f"{entry['n_nodes']}n"
         if "n_partitions" in entry:
             label += f"{entry['n_partitions']}p"
-        shards = entry.get("n_shards") or entry.get("shards")
-        if shards:
-            label += f"x{shards}shards"
         return label
     return f"[{index}]"
 
