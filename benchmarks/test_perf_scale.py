@@ -7,11 +7,11 @@ throughput and peak RSS per point to ``BENCH_scale.json``.
 
 Each point runs in a fresh subprocess so ``ru_maxrss`` is the honest
 per-point peak (in-process it would only ever ratchet up), and so the
-points do not share allocator state.  The family enables the scale
-machinery this benchmark exists to guard: bulk submission, lean
-retention, and a spilling profiler, all trace-neutral.
+points do not share allocator state.  Each point runs with a spilling
+profiler, as full-machine runs should; task admission and Flux
+retention have one mode each, so there is nothing else to switch on.
 
-The full-machine point carries the ISSUE's resource budget: it must
+The full-machine point carries a resource budget: it must
 finish inside ``WALL_BUDGET_S`` and ``RSS_BUDGET_MB``.  The budgets
 are deliberately loose versus the measured values (documented in
 EXPERIMENTS.md, "Simulator performance and scaling") — they are

@@ -18,12 +18,12 @@ failing are blacklisted so surviving backends absorb the work.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ...analytics.events import BACKEND_BLACKLISTED, TASK_ATTEMPT_FAILED
 from ...exceptions import ConfigurationError, SchedulingError
 from ...platform.cluster import Allocation
-from ...sim import Store
 from ..description import (
     BACKEND_DRAGON,
     BACKEND_FLUX,
@@ -68,9 +68,13 @@ class Agent:
                 labels=("agent",)).labels(self.uid)
             self._m_intake = self.metrics.gauge(
                 "repro_agent_intake_depth",
-                "tasks queued at the agent intake",
+                "tasks waiting in the agent admission queue",
                 labels=("agent",)).labels(self.uid)
-        self.incoming: Store = Store(self.env)
+        #: The admission queue: tasks waiting for the serialized
+        #: dispatch stage, in FIFO order.  While the agent is alive and
+        #: the queue is not empty, the head's admission is pending as
+        #: one kernel callback.
+        self._admission: Deque["Task"] = deque()
         self.executors: Dict[str, ExecutorBase] = {}
         self.stager_in = Stager(self.env, self.latencies, self.rng,
                                 name=f"{self.uid}.stage_in",
@@ -86,14 +90,6 @@ class Agent:
         self._alive = False
         self._n_flux_instances = 0
         self._inflight: set = set()
-        #: Bulk-submission state: batches handed over before bootstrap,
-        #: tasks admitted but whose dispatch slot has not fired yet, and
-        #: the time at which the serialized dispatch stage frees up
-        #: (keeps successive bulk waves — and bulk after streaming —
-        #: serialized like the legacy loop).
-        self._bulk_backlog: List[List["Task"]] = []
-        self._bulk_pending: set = set()
-        self._dispatch_free_at = 0.0
         #: Session fault model (``None`` unless the session was built
         #: with a :class:`~repro.faults.FaultSpec`); owns the retry
         #: policy and all fault randomness.
@@ -168,16 +164,13 @@ class Agent:
         self.log.info("agent ready",
                       backends=",".join(sorted(self.executors)))
         self.obs.tracer.end(span)
-        self.env.process(self._dispatch_loop())
         if self.faults is not None:
             # Arm the fault clocks only once the stack is fully up, so
             # the injection schedule is a pure function of the seed and
             # the bootstrapped topology.
             self.faults.on_agent_ready(self)
-        if self._bulk_backlog:
-            waves, self._bulk_backlog = self._bulk_backlog, []
-            for wave in waves:
-                self._admit_bulk(wave)
+        if self._admission:  # tasks handed over before bootstrap
+            self._open_slot()
 
     def _make_router(self) -> Router:
         ready = {name: ex for name, ex in self.executors.items()
@@ -234,25 +227,11 @@ class Agent:
             self.faults.stop()
         for ex in self.executors.values():
             ex.shutdown()
-        while True:
-            task = self.incoming.try_get()
-            if task is None:
-                break
-            self.n_canceled += 1
-            task.cancel()
-        # Bulk tasks waiting for their dispatch slot (or for bootstrap)
-        # are queued work just like the intake store's.
-        for wave in self._bulk_backlog:
-            for task in wave:
-                if not task.is_final:
-                    self.n_canceled += 1
-                    task.cancel()
-        self._bulk_backlog.clear()
-        for task in list(self._bulk_pending):
+        for task in self._admission:
             if not task.is_final:
                 self.n_canceled += 1
                 task.cancel()
-        self._bulk_pending.clear()
+        self._admission.clear()
         for task in list(self._inflight):
             if not task.is_final:
                 self.n_canceled += 1
@@ -275,112 +254,57 @@ class Agent:
             "agent.dispatch", self._dispatch_mean(),
             cv=self.latencies.agent_cv)
 
-    def _dispatch_loop(self):
-        """Serialized dispatch: RP's task-management subsystem."""
-        while self._alive:
-            # Synchronous pop while tasks are queued; only block on an
-            # empty intake.  Saves one event round-trip per task when
-            # the agent is saturated (the regime the paper measures).
-            task = self.incoming.try_get()
-            if task is None:
-                task = yield self.incoming.get()
-            yield self.env.timeout(self.dispatch_cost())
-            # Keep the bulk path serialized behind streamed dispatches;
-            # a plain attribute write, so traces without bulk
-            # submission are untouched.
-            self._dispatch_free_at = self.env._now
-            self.n_dispatched += 1
-            if self._m_dispatched is not None:
-                self._m_dispatched.inc()
-                # len(Store) is O(1); .items would snapshot the whole
-                # deque per dispatch — O(n^2) over a saturated intake.
-                self._m_intake.set(len(self.incoming))
-            if task.description.input_staging > 0:
-                self.env.process(self._handle(task))
-            else:
-                # No staging: the pipeline up to backend submission is
-                # synchronous — skip the per-task process allocation
-                # and bootstrap round-trip through the event queue.
-                self._submit_routed(task)
+    def submit(self, tasks: List["Task"]) -> None:
+        """Queue tasks for the serialized dispatch stage.
 
-    # -- bulk submission -----------------------------------------------------
-
-    def submit_bulk(self, tasks) -> None:
-        """Admit a whole wave of tasks through the serialized dispatch
-        stage with O(batch) kernel events.
-
-        The legacy path threads every task through the intake store
-        and the dispatch-loop generator: a store round-trip, a Timeout
-        and a generator resume per task.  Bulk admission draws all
-        dispatch costs in one batched RNG call (bitwise-identical to
-        sequential draws, see
-        :meth:`~repro.sim.random.RngStreams.lognormal_latency_batch`)
-        and walks the wave with a single chained deferred callback —
-        one live queue entry regardless of wave size, admitting each
-        task at the exact simulated time the legacy loop would have.
-        Same-seed traces are byte-identical between the two paths.
+        Every submission takes this path: whole waves, single tasks
+        released mid-run (DAG nodes, replay arrivals) and service
+        tasks.  Tasks handed over before bootstrap wait in the queue
+        until the backends are up.
         """
-        tasks = list(tasks)
-        if not tasks:
-            return
-        if not self._alive:
-            # Pre-bootstrap hand-over (the common case: the harness
-            # submits the workload, then runs): admitted once the
-            # backends are up, like tasks parked in the intake store.
-            self._bulk_backlog.append(tasks)
-            return
-        self._admit_bulk(tasks)
+        queue = self._admission
+        idle = not queue
+        queue.extend(tasks)
+        if idle and queue and self._alive:
+            self._open_slot()
 
-    def _admit_bulk(self, tasks: list) -> None:
-        costs = self.rng.lognormal_latency_batch(
-            "agent.dispatch", self._dispatch_mean(),
-            cv=self.latencies.agent_cv, n=len(tasks))
-        now = self.env._now
-        start = now if self._dispatch_free_at < now else self._dispatch_free_at
-        self._bulk_pending.update(tasks)
-        # The dispatch stage is a serial resource: a later wave (or a
-        # streamed dispatch) queues behind this one.  Accumulate the
-        # end time with the same one-addition-per-task float order the
-        # legacy loop produces.
-        end = start
-        for cost in costs:
-            end += cost
-        self._dispatch_free_at = end
-        # (start - now) is exactly 0.0 when the stage is free, making
-        # the first admission land at now + costs[0] to the last ulp —
-        # the same float the legacy loop's first Timeout targets.
-        self.env.schedule_callback(start - now + costs[0],
-                                   self._bulk_step, [tasks, costs, 0])
+    def _open_slot(self) -> None:
+        """Start the head task's dispatch slot: one cost draw, one
+        kernel callback at the end of the slot.
 
-    def _bulk_step(self, wave: list) -> None:
-        """Admit one bulk task, then chain the next admission.
-
-        Mirrors one iteration of :meth:`_dispatch_loop` past its
-        ``timeout`` — same counters, same routing, same event order —
-        with the next admission scheduled exactly ``costs[i+1]`` after
-        this one, as the loop's next Timeout would be.
+        The cost is drawn when the slot opens, not when the task is
+        queued, so agents sharing the session's ``agent.dispatch``
+        stream interleave their draws in simulated-time order.
         """
-        if not self._alive:
+        self.env.schedule_callback(self.dispatch_cost(), self._admit)
+
+    def _admit(self) -> None:
+        """Admit the head task, then open the next task's slot.
+
+        The next admission lands exactly one cost after this one, so a
+        busy stage admits back to back and a wave submitted while it
+        is busy queues behind the tasks already waiting.
+        """
+        if not self._alive:  # shutdown canceled the queue
             return
-        tasks, costs, i = wave
-        task = tasks[i]
-        self._bulk_pending.discard(task)
+        queue = self._admission
+        task = queue.popleft()
         self.n_dispatched += 1
         if self._m_dispatched is not None:
             self._m_dispatched.inc()
-            self._m_intake.set(len(self.incoming))
+            self._m_intake.set(len(queue))
         if task.description.input_staging > 0:
             self.env.process(self._handle(task))
         else:
+            # No staging: the pipeline up to backend submission is
+            # synchronous, so it runs inline.
             self._submit_routed(task)
-        i += 1
-        if i < len(tasks):
-            wave[2] = i
-            self.env.schedule_callback(costs[i], self._bulk_step, wave)
+        if queue:
+            self._open_slot()
 
     def _handle(self, task: "Task"):
         """Per-task pipeline up to backend submission (staging path)."""
-        if task.is_final:  # canceled while queued in the intake store
+        if task.is_final:  # canceled while in the admission queue
             return
         self._inflight.add(task)
         td = task.description
@@ -395,7 +319,7 @@ class Agent:
 
     def _submit_routed(self, task: "Task") -> None:
         """Staging-free tail of :meth:`_handle`, run inline."""
-        if task.is_final:  # canceled while queued in the intake store
+        if task.is_final:  # canceled while in the admission queue
             return
         self._inflight.add(task)
         task.advance(TaskState.AGENT_SCHEDULING)
@@ -425,7 +349,7 @@ class Agent:
         task = Task(self.env, self.session.ids.next("service.task"), td,
                     profiler=self.profiler)
         task.advance(TaskState.TMGR_SCHEDULING)
-        self.incoming.put(task)
+        self.submit([task])
         service = Service(self.env, self.rng,
                           self.session.ids.next("service"), description,
                           task)
@@ -434,7 +358,7 @@ class Agent:
         return service
 
     def cancel_task(self, task: "Task") -> None:
-        """Cancel one task wherever it currently is: intake queue,
+        """Cancel one task wherever it currently is: admission queue,
         staging, backend queue, or running payload."""
         if task.is_final:
             return

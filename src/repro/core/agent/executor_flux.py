@@ -41,7 +41,6 @@ class FluxExecutor(ExecutorBase):
             n_instances=n_instances, policy=policy,
             name=f"{agent.uid}.flux", profiler=self.profiler,
             metrics=self.metrics, faults=agent.faults,
-            lean=agent.session.lean,
             tracer=agent.obs.tracer if agent.obs.enabled else None)
         #: flux job id -> RP task, for event correlation.
         self._job_to_task: Dict[str, "Task"] = {}
@@ -49,7 +48,7 @@ class FluxExecutor(ExecutorBase):
         self._task_to_job: Dict[str, tuple] = {}
         #: id(description) -> (description, jobspec).  Descriptions are
         #: frozen, so identical submissions reuse one validated spec —
-        #: bulk synthetic workloads share a single description across
+        #: synthetic workloads share a single description across
         #: every task.  The description is pinned in the value to keep
         #: its id() from being recycled.
         self._spec_cache: Dict[int, tuple] = {}

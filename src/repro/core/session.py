@@ -36,7 +36,6 @@ class Session:
                  trace: bool = True,
                  observe: bool = False,
                  faults=None,
-                 lean: bool = False,
                  spill_dir=None) -> None:
         self.env = env if env is not None else Environment()
         self.cluster = cluster if cluster is not None else frontier()
@@ -45,11 +44,6 @@ class Session:
         self.rng = RngStreams(seed)
         self.ids = IdRegistry()
         self.uid = self.ids.next("session")
-        #: Memory-lean mode for full-machine sweeps: components drop
-        #: retention that only post-hoc inspection reads (retired Flux
-        #: jobs, event-stream history).  Simulated behaviour — and the
-        #: trace — is identical either way.
-        self.lean = lean
         #: ``spill_dir`` bounds profiler RSS by streaming trace events
         #: to chunked JSONL files instead of holding them all in
         #: memory; see :class:`~repro.analytics.profiler.Profiler`.

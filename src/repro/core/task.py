@@ -55,7 +55,7 @@ class Task:
         self._final_event: Optional["Event"] = None
         self._exec_event: Optional["Event"] = None
         #: Optional ``fn(task)`` invoked when the task reaches a final
-        #: state.  Cheaper than :meth:`completion_event` for bulk
+        #: state.  Cheaper than :meth:`completion_event` for many-task
         #: waiters (no per-task Event or queue round-trip); see
         #: :meth:`TaskManager.wait_tasks`.
         self._on_final = None
@@ -167,7 +167,7 @@ class Task:
 def build_tasks(env: "Environment", uids: List[str],
                 descriptions: List[TaskDescription],
                 profiler: Optional["Profiler"] = None) -> List["Task"]:
-    """Batched task construction for the bulk submission pipeline.
+    """Batched task construction for :meth:`TaskManager.submit_tasks`.
 
     Produces exactly the objects and trace records that ``n`` calls of
     ``Task(env, uid, desc, profiler)`` would, but shares the per-state

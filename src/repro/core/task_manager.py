@@ -33,40 +33,25 @@ class TaskManager:
 
     def submit_tasks(
         self, descriptions: Union[TaskDescription, Sequence[TaskDescription]],
-        bulk: bool = False,
     ) -> Union[Task, List[Task]]:
-        """Create tasks and enqueue them for the agent.
+        """Create tasks and queue them for the agent.
 
-        Tasks queue in the agent's intake store immediately; the agent
-        starts draining it once bootstrapped.  ``bulk=True`` switches a
-        multi-task submission to the batched pipeline: tasks are built
-        in one pass (:func:`~repro.core.task.build_tasks`) and admitted
-        through :meth:`Agent.submit_bulk` with O(batch) kernel events
-        instead of one store/Timeout/generator chain per task.  Both
-        paths produce byte-identical same-seed traces.
+        Tasks are built in one pass (:func:`~repro.core.task.build_tasks`)
+        and join the agent's admission queue immediately; the agent
+        starts admitting them once bootstrapped.  A single description
+        returns a single task.
         """
         if self.pilot is None or self.pilot.agent is None:
             raise ConfigurationError(f"{self.uid}: add_pilot() first")
         single = isinstance(descriptions, TaskDescription)
         descs = [descriptions] if single else list(descriptions)
-        if bulk and not single:
-            ids = self.session.ids
-            uids = [ids.next("task") for _ in descs]
-            out = build_tasks(self.env, uids, descs,
-                              profiler=self.session.profiler)
-            for task in out:
-                task.advance(TaskState.TMGR_SCHEDULING)
-            self.tasks.extend(out)
-            self.pilot.agent.submit_bulk(out)
-            return out
-        out: List[Task] = []
-        for desc in descs:
-            task = Task(self.env, self.session.ids.next("task"), desc,
-                        profiler=self.session.profiler)
+        ids = self.session.ids
+        out = build_tasks(self.env, [ids.next("task") for _ in descs], descs,
+                          profiler=self.session.profiler)
+        for task in out:
             task.advance(TaskState.TMGR_SCHEDULING)
-            self.tasks.append(task)
-            out.append(task)
-            self.pilot.agent.incoming.put(task)
+        self.tasks.extend(out)
+        self.pilot.agent.submit(out)
         return out[0] if single else out
 
     def cancel_tasks(self, tasks: Optional[Sequence[Task]] = None) -> int:

@@ -246,7 +246,7 @@ def _run_replay(cfg, seeds: Sequence[int], latencies: LatencyModel,
     handed to every :func:`run_experiment` call — description
     construction is seed-independent, and the per-run task objects are
     built *from* the shared descriptions, so sharing them is exactly
-    the kernel's own bulk-submission idiom.
+    what :func:`~repro.core.task.build_tasks` does within one run.
 
     ``store``/``digests`` populate the run store as each seed lands
     (the caller already established these seeds are misses, so no

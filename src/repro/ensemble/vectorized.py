@@ -165,7 +165,7 @@ class _Preamble:
     """A run prefix captured from the real stack (one seed's bootstrap)."""
 
     records: Tuple[TraceEvent, ...]   #: alloc grant + agent/backend events
-    t_ready: float                    #: dispatch-loop start time
+    t_ready: float                    #: dispatch-stage start time
     overheads: List[Tuple[str, float]]  #: startup_overheads() rows
     #: The backend's ``backend_ready`` meta (flux: lanes + per-seed
     #: load factor; dragon: pool capacity); empty for srun.
@@ -176,9 +176,9 @@ def capture_preamble(cfg, latencies: LatencyModel = FRONTIER_LATENCIES,
                      seed: Optional[int] = None) -> Optional[_Preamble]:
     """Run the real bootstrap (no tasks) and capture its trace.
 
-    With an empty intake the simulation runs allocation grant, agent
-    bootstrap and backend bring-up, then the dispatch loop blocks and
-    the event queue drains.  The dispatch-anchor time is the
+    With an empty admission queue the simulation runs allocation
+    grant, agent bootstrap and backend bring-up, then the event queue
+    drains.  The dispatch-anchor time is the
     ``pilot_active`` record — *not* the drained clock, which a stray
     bootstrap watchdog timer (dragon's startup timeout) can leave far
     past the pilot's activation.
@@ -366,8 +366,8 @@ def synthesize_profiler(preamble: _Preamble, scheduled: np.ndarray,
     own exec-start / exec-stop / done cascade (zero-duration payloads,
     flux's synchronous finish), ordered by a per-record subkey under
     the stable merge sort.  Meta dicts are shared across records
-    exactly like the kernel's bulk path shares them — they are
-    read-only once recorded.
+    exactly like :func:`~repro.core.task.build_tasks` shares them —
+    they are read-only once recorded.
 
     By default the four per-task record streams are
     ``(scheduled, exec_start, exec_stop, exec_stop)`` and each record's

@@ -84,10 +84,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["n_partitions"] = args.partitions
     if args.waves:
         overrides["waves"] = args.waves
-    if getattr(args, "bulk", False):
-        overrides["bulk"] = True
-    if getattr(args, "lean", False):
-        overrides["lean"] = True
     cfg = config_by_id(args.exp_id, **overrides)
     if getattr(args, "faults", ""):
         from dataclasses import replace
@@ -413,12 +409,6 @@ def main(argv: List[str] = None) -> int:
                        help="write the observability bundle (manifest, "
                             "metrics, spans, Perfetto trace) to this "
                             "directory")
-    p_run.add_argument("--bulk", action="store_true",
-                       help="batched task submission (trace-neutral; "
-                            "the frontier_full family sets it already)")
-    p_run.add_argument("--lean", action="store_true",
-                       help="memory-lean retention for full-machine "
-                            "runs (trace-neutral)")
     p_run.add_argument("--progress", nargs="?", const="line", default="",
                        choices=["line", "jsonl"], metavar="FMT",
                        help="stream live telemetry to stderr while the "

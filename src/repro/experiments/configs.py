@@ -48,13 +48,6 @@ class ExperimentConfig:
     generations: int = 12         #: IMPECCABLE generations
     adaptive: bool = True         #: IMPECCABLE adaptive task counts
     faults: Optional[FaultSpec] = None  #: fault injection (None = off)
-    #: Batched task submission (``TaskManager.submit_tasks(bulk=True)``):
-    #: O(batch) kernel events per wave, byte-identical traces.
-    bulk: bool = False
-    #: Memory-lean mode for full-machine runs: drop retired per-job
-    #: bookkeeping and event-stream history that only post-hoc
-    #: debugging reads.  Off by default (tests inspect both).
-    lean: bool = False
     tags: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -79,9 +72,8 @@ class ExperimentConfig:
         """Canonical content key of this config's *behavior*.
 
         sha256 of the normalized config document: stable field order,
-        defaults filled, label fields (``exp_id``, ``tags``) and
-        trace-neutral execution knobs (``seed``, ``bulk``, ``lean``)
-        excluded — two configs with equal keys denote the
+        defaults filled, label fields (``exp_id``, ``tags``) and the
+        ``seed`` excluded — two configs with equal keys denote the
         same simulated run modulo seed.  See
         :mod:`repro.store.keys` for the full identity scheme.
         """
@@ -172,16 +164,13 @@ def frontier_full_configs(seed: int = 0,
     """The full-machine weak-scaling family (``frontier_full``).
 
     Null-workload flux_n runs from 588 nodes up to the whole 9408-node
-    machine; at four waves the largest point is ~2.1 M tasks.  The
-    family enables the scale machinery (``bulk`` submission and
-    ``lean`` retention) by default — both are trace-neutral, and the
-    runs are unfeasibly slow and memory-hungry without them.
+    machine; at four waves the largest point is ~2.1 M tasks.
     """
     return [
         ExperimentConfig(
             exp_id="frontier_full", launcher=LAUNCHER_FLUX,
             workload=WORKLOAD_NULL, n_nodes=n, n_partitions=p,
-            duration=0.0, waves=waves, seed=seed, bulk=True, lean=True,
+            duration=0.0, waves=waves, seed=seed,
             tags={"family": "frontier_full",
                   "nodes_per_partition": str(n // p)})
         for n, p in FRONTIER_SCALE_POINTS

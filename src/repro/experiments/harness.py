@@ -190,10 +190,9 @@ def run_experiment(cfg: ExperimentConfig,
     the run's observability bundle into (manifest, metrics, spans,
     Perfetto trace, raw profile) and implies ``observe``.
     ``spill_dir`` streams the profiler's trace to chunked files under
-    that directory, bounding memory on full-machine runs.  All three —
-    like ``cfg.bulk`` and ``cfg.lean`` — leave the simulated event
-    order untouched: same-seed runs produce byte-identical traces with
-    or without them.
+    that directory, bounding memory on full-machine runs.  All three
+    leave the simulated event order untouched: same-seed runs produce
+    byte-identical traces with or without them.
 
     ``descriptions`` supplies a pre-built synthetic workload, letting
     sweep callers (:func:`run_repetitions`, the ensemble engine) pay
@@ -255,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig,
                                        resilience, verify=_resume_verify)
     session = Session(cluster=frontier(max(cfg.n_nodes, 1)),
                       latencies=latencies, seed=cfg.seed, observe=observe,
-                      faults=cfg.faults, lean=cfg.lean, spill_dir=spill_dir)
+                      faults=cfg.faults, spill_dir=spill_dir)
     if checkpointer is not None:
         checkpointer.attach(session)
     # A bundle run records telemetry even without a live sink, so
@@ -294,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig,
             host.start("workload")
         if descriptions is None:
             descriptions = build_workload(cfg, session.cluster.cores_per_node)
-        tasks = tmgr.submit_tasks(descriptions, bulk=cfg.bulk)
+        tasks = tmgr.submit_tasks(descriptions)
         if host is not None:
             host.stop("workload")
         if telemetry is not None:

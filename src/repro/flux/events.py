@@ -44,15 +44,9 @@ class EventStream:
     for, in publication order."""
 
     def __init__(self, env: Environment,
-                 delivery_delay: float = DELIVERY_DELAY,
-                 keep_history: bool = True) -> None:
+                 delivery_delay: float = DELIVERY_DELAY) -> None:
         self.env = env
         self.delivery_delay = delivery_delay
-        #: ``keep_history=False`` (memory-lean full-machine runs) stops
-        #: recording published events; only post-hoc debugging reads
-        #: :attr:`history`, delivery itself never does.  At ~6 events
-        #: per job this is the largest per-task retention in the stack.
-        self._keep_history = keep_history
         #: (sink, wanted-names) pairs; a sink is any callable taking
         #: one event (a queue's ``put`` or a plain callback); ``None``
         #: names = all events.
@@ -63,14 +57,13 @@ class EventStream:
         #: executor only consumes 3 of the 5+ lifecycle events each job
         #: emits.
         self._wanted: Any = frozenset()
-        self._history: List[JobEvent] = []
 
     def subscribe(self, names: Any = None) -> Store:
         """Register a new subscriber; returns its event queue.
 
         ``names`` optionally restricts delivery to those event names;
         events the subscriber would ignore are then never queued for
-        it.  The full stream is still recorded in :attr:`history`.
+        it.
         """
         queue = Store(self.env)
         want = None if names is None else frozenset(names)
@@ -95,8 +88,6 @@ class EventStream:
     def publish(self, job_id: str, name: str, **meta: Any) -> JobEvent:
         """Emit an event; it reaches subscribers after ``delivery_delay``."""
         event = JobEvent(job_id, name, self.env._now, meta)
-        if self._keep_history:
-            self._history.append(event)
         wanted = self._wanted
         if wanted is None or name in wanted:
             if self.delivery_delay > 0:
@@ -111,8 +102,3 @@ class EventStream:
         for sink, want in self._subscribers:
             if want is None or name in want:
                 sink(event)
-
-    @property
-    def history(self) -> List[JobEvent]:
-        """All events published so far, in order."""
-        return list(self._history)

@@ -28,8 +28,7 @@ class FluxHierarchy:
                  latencies: LatencyModel, rng: RngStreams,
                  n_instances: int = 1, policy: str = "fcfs",
                  name: str = "flux", profiler: Optional["Profiler"] = None,
-                 metrics=None, faults=None, lean: bool = False,
-                 tracer=None) -> None:
+                 metrics=None, faults=None, tracer=None) -> None:
         self.env = env
         self.allocation = allocation
         self.name = name
@@ -38,7 +37,7 @@ class FluxHierarchy:
             FluxInstance(env, part, latencies, rng,
                          instance_id=f"{name}.{i:03d}", policy=policy,
                          profiler=profiler, metrics=metrics, faults=faults,
-                         lean=lean, tracer=tracer)
+                         tracer=tracer)
             for i, part in enumerate(partitions)
         ]
         self._rr = 0
@@ -139,6 +138,6 @@ class FluxHierarchy:
                              parent.rng,
                              instance_id=f"{parent.instance_id}.child",
                              policy=policy, profiler=parent.profiler,
-                             lean=parent._lean, tracer=parent.tracer)
+                             tracer=parent.tracer)
         self.instances.append(child)
         return child

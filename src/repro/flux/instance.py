@@ -69,8 +69,7 @@ class FluxInstance:
                  latencies: LatencyModel, rng: RngStreams,
                  instance_id: str = "", policy: str = "fcfs",
                  profiler: Optional["Profiler"] = None,
-                 metrics=None, faults=None, lean: bool = False,
-                 tracer=None) -> None:
+                 metrics=None, faults=None, tracer=None) -> None:
         from .scheduler import make_policy
 
         self.env = env
@@ -84,15 +83,11 @@ class FluxInstance:
         #: Optional :class:`~repro.faults.FaultModel` consulted once
         #: per dispatch for injected launch failures.
         self._faults = faults
-        #: Memory-lean mode (full-machine sweeps): retired jobs and the
-        #: event-stream history are dropped instead of retained for
-        #: post-hoc inspection.  Simulated behaviour is unaffected.
-        self._lean = lean
         self.instance_id = instance_id or f"flux.{id(self):x}"
         self.policy = make_policy(policy)
         self.state = InstanceState.INIT
 
-        self.events = EventStream(env, keep_history=not lean)
+        self.events = EventStream(env)
         self._ids = IdRegistry()
         self._ingest_queue: Store = Store(env)
         #: Pending queue, kept in scheduling order incrementally: the
@@ -104,6 +99,7 @@ class FluxInstance:
         self._pending_dirty = False
         self._ingest_seq = 0
         self._running: List[FluxJob] = []
+        #: Live jobs by id; a job leaves when it retires or fails.
         self._jobs: Dict[str, FluxJob] = {}
         self._run_procs: Dict[str, object] = {}
         self._wake: Optional[Event] = None
@@ -348,8 +344,7 @@ class FluxInstance:
             self._m_backlog.set(self.outstanding)
         self.events.publish(job.job_id, EV_EXCEPTION, reason=reason,
                             infra=infra)
-        if self._lean:
-            self._jobs.pop(job.job_id, None)
+        self._jobs.pop(job.job_id, None)
 
     # -- submission -----------------------------------------------------------
 
@@ -589,8 +584,7 @@ class FluxInstance:
             # track the instance's free pool without polling.
             self.events.publish(job.job_id, EV_RELEASE,
                                 free_cores=self.allocation.free_cores)
-        if self._lean:
-            self._jobs.pop(job.job_id, None)
+        self._jobs.pop(job.job_id, None)
         self._kick()
 
     def _release(self, job: FluxJob) -> None:

@@ -100,9 +100,9 @@ class RngStreams:
 
         Consumes the same per-stream prefetch buffer in the same order
         (including ``math.exp`` for the transform, so not even the last
-        ulp differs), which is what lets the bulk task pipeline admit a
-        whole wave while staying byte-compatible with per-task
-        submission traces.
+        ulp differs), which is what lets the vectorized ensemble engines
+        draw a whole run's latencies at once while staying
+        byte-compatible with the scalar simulator's traces.
         """
         if n <= 0:
             return []

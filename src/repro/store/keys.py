@@ -7,11 +7,8 @@ A run digest is a sha256 over four components:
     every behavior-affecting field, serialized with sorted keys at
     every nesting level (dict insertion order must never leak into
     the digest), defaults filled by ``dataclasses.asdict``.  Excluded
-    are the *labels* (``exp_id``, ``tags``), the ``seed`` (keyed
-    separately) and the *trace-neutral execution switches* (``bulk``,
-    ``lean``): same-seed profiles are byte-identical for either value
-    of a switch, so two configs differing only there denote the same
-    simulated run (see :data:`CACHE_KEY_EXCLUDED`).
+    are the *labels* (``exp_id``, ``tags``) and the ``seed`` (keyed
+    separately; see :data:`CACHE_KEY_EXCLUDED`).
 
 ``seed``
     Kept out of the config key so sweeps get per-seed granularity: a
@@ -46,12 +43,10 @@ KEY_SCHEME = 1
 
 #: Config fields excluded from the cache key.  ``exp_id`` and
 #: ``tags`` are labels (no effect on the simulation); ``seed`` is a
-#: separate digest component; ``bulk`` and ``lean`` are execution
-#: switches that leave the profile byte-identical, pinned for every
-#: excluded switch by ``tests/store/test_keys.py``.  A field belongs
-#: here only if that holds; otherwise a run could be served another
-#: run's result.
-CACHE_KEY_EXCLUDED = ("exp_id", "tags", "seed", "bulk", "lean")
+#: separate digest component.  Any other field changes the simulated
+#: run, so excluding it would let a run be served another run's
+#: result.
+CACHE_KEY_EXCLUDED = ("exp_id", "tags", "seed")
 
 
 def normalize_config(cfg) -> Dict[str, Any]:

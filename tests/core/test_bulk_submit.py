@@ -1,12 +1,11 @@
-"""Bulk task submission: the batched admission pipeline.
+"""Task submission: batched construction and the admission queue.
 
-``TaskManager.submit_tasks(bulk=True)`` constructs tasks through
+``TaskManager.submit_tasks`` constructs tasks through
 :func:`~repro.core.task.build_tasks` (shared frozen descriptions,
-shared payload/meta dicts) and admits whole waves through
-``Agent.submit_bulk`` — one chained kernel callback per wave instead
-of one queue entry per task.  Byte-identical trace equivalence with
-the legacy path is covered by the property suite and the pinned
-determinism digests; these tests cover the machinery's edges.
+shared payload/meta dicts) and hands them to the agent's admission
+queue, which one chained kernel callback drains through the serialized
+dispatch stage.  Trace digests of every submitter are pinned in
+``test_admission_digests.py``; these tests cover the machinery's edges.
 """
 
 import pytest
@@ -17,8 +16,7 @@ from repro.core import (
     TaskDescription,
     TaskState,
 )
-from repro.core.task import Task, build_tasks
-from repro.platform import FRONTIER_LATENCIES, generic
+from repro.core.task import build_tasks
 
 
 def launch(session, nodes=8, **pilot_kwargs):
@@ -58,39 +56,40 @@ class TestBuildTasks:
 class TestBulkSubmission:
     def test_bulk_wave_completes(self, session):
         pilot, tmgr = launch(session)
-        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 20,
-                                  bulk=True)
+        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 20)
         session.run(tmgr.wait_tasks())
         assert len(tasks) == 20
         assert all(t.succeeded for t in tasks)
 
     def test_bulk_before_bootstrap_is_backlogged(self, session):
-        """Waves submitted before the agent is alive are admitted at
-        bootstrap, exactly like the legacy intake queue."""
+        """Waves submitted before the agent is alive wait in the
+        admission queue and are admitted once it bootstraps."""
         pilot, tmgr = launch(session)
-        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 8,
-                                  bulk=True)
-        assert pilot.agent._bulk_backlog or pilot.agent._bulk_pending
+        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 8)
+        assert list(pilot.agent._admission) == tasks
         session.run(tmgr.wait_tasks())
         assert all(t.succeeded for t in tasks)
-        assert not pilot.agent._bulk_backlog
-        assert not pilot.agent._bulk_pending
+        assert not pilot.agent._admission
 
-    def test_mixed_bulk_and_legacy(self, session):
+    def test_intake_gauge_reports_queue_depth(self, small_cluster):
+        """One wave of N tasks queued before bootstrap: the first
+        admission leaves N-1 waiting, the last leaves none."""
+        session = Session(cluster=small_cluster, seed=42, observe=True)
         pilot, tmgr = launch(session)
-        bulk = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 5,
-                                 bulk=True)
-        legacy = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 5)
+        n = 40
+        tmgr.submit_tasks([TaskDescription(duration=1.0)] * n)
         session.run(tmgr.wait_tasks())
-        assert all(t.succeeded for t in bulk + legacy)
+        fam = session.obs.registry.get("repro_agent_intake_depth")
+        gauge = fam.labels(pilot.agent.uid)
+        assert gauge.max == n - 1
+        assert gauge.value == 0
 
     def test_bulk_staging_path(self, session):
         """Tasks with input staging must still route through the
         staging handler, not straight to the executor."""
         pilot, tmgr = launch(session)
         tasks = tmgr.submit_tasks(
-            [TaskDescription(duration=1.0, input_staging=4)] * 4,
-            bulk=True)
+            [TaskDescription(duration=1.0, input_staging=4)] * 4)
         session.run(tmgr.wait_tasks())
         assert all(t.succeeded for t in tasks)
         for t in tasks:
@@ -99,17 +98,14 @@ class TestBulkSubmission:
 
     def test_empty_bulk_is_noop(self, session):
         pilot, tmgr = launch(session)
-        assert tmgr.submit_tasks([], bulk=True) == []
+        assert tmgr.submit_tasks([]) == []
 
     def test_shutdown_cancels_pending_bulk(self, session):
-        """Tasks admitted but not yet dispatched when the allocation's
-        walltime expires are canceled at shutdown, like the legacy
-        intake drain."""
+        """Tasks still in the admission queue when the allocation's
+        walltime expires are canceled at shutdown."""
         pilot, tmgr = launch(session, walltime=60.0)
-        tasks = tmgr.submit_tasks([TaskDescription(duration=5000.0)] * 2000,
-                                  bulk=True)
+        tasks = tmgr.submit_tasks([TaskDescription(duration=5000.0)] * 2000)
         session.run()
-        assert not pilot.agent._bulk_backlog
-        assert not pilot.agent._bulk_pending
+        assert not pilot.agent._admission
         canceled = [t for t in tasks if t.state == TaskState.CANCELED]
         assert canceled, "a 2000-task backlog cannot drain in 60s"

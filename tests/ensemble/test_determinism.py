@@ -43,7 +43,7 @@ def _metrics(r):
     dict(),                                   # 4 nodes, null
     dict(workload="dummy"),                   # payload durations
     dict(n_nodes=1, waves=2),                 # multi-wave, 1 node
-    dict(n_nodes=2, bulk=True),               # bulk submission path
+    dict(n_nodes=2),                          # 2 nodes, null
 ])
 def test_vectorized_matches_independent_runs(tmp_path, overrides):
     cfg = config_by_id("srun", waves=overrides.pop("waves", 1),

@@ -104,17 +104,7 @@ class TestFrontierFullFamily:
         # ~2.1M tasks at the default four waves
         assert full.n_nodes * 56 * full.waves == 2_107_392
 
-    def test_scale_machinery_on_by_default(self):
-        from repro.experiments.configs import frontier_full_configs
-
-        for cfg in frontier_full_configs():
-            assert cfg.bulk and cfg.lean
-
     def test_config_by_id_resolves_family(self):
         cfg = config_by_id("frontier_full", waves=1)
         assert cfg.exp_id == "frontier_full"
         assert cfg.waves == 1
-
-    def test_table1_defaults_stay_legacy(self):
-        for cfg in table1_configs():
-            assert not cfg.bulk and not cfg.lean

@@ -95,20 +95,19 @@ class TestEnabledFaultsAreDeterministic:
         assert a.session.faults.schedule_log != b.session.faults.schedule_log
 
 
-class TestScalePathsAreInert:
-    """The full-machine scale machinery (bulk submission, lean
-    retention, spilling profiler) must not move a single event: every
-    pinned pre-fault-layer digest must also come out of a run with all
-    three enabled."""
+class TestSpillIsInert:
+    """The spilling profiler must not move a single event: every
+    pinned pre-fault-layer digest must also come out of a run that
+    streams its trace to disk."""
 
-    def test_bulk_lean_spill_match_pinned_baselines(self, tmp_path):
+    def test_spill_matches_pinned_baselines(self, tmp_path):
         for i, (kwargs, expected) in enumerate(PINNED):
-            cfg = ExperimentConfig(bulk=True, lean=True, **kwargs)
+            cfg = ExperimentConfig(**kwargs)
             result = run_experiment(cfg, keep_session=True,
                                     spill_dir=tmp_path / f"chunks{i}")
             path = tmp_path / f"scale{i}.jsonl"
             save_profile(result.session.profiler, path)
             got = hashlib.sha256(path.read_bytes()).hexdigest()
             assert got == expected, (
-                f"{kwargs['launcher']}/{kwargs['workload']}: bulk/lean/"
-                f"spill trace drifted from the pinned baseline ({got})")
+                f"{kwargs['launcher']}/{kwargs['workload']}: spilled "
+                f"trace drifted from the pinned baseline ({got})")

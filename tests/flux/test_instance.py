@@ -126,12 +126,14 @@ class TestExecution:
     def test_fail_attribute_raises_exception_event(self, env, rng):
         inst = make_instance(env, rng)
         env.run(env.process(inst.start()))
+        seen = []
+        inst.events.subscribe_callback(seen.append)
         job = inst.submit(Jobspec(command="x", duration=1.0,
                                   attributes={"fail": True}))
         env.run()
         assert job.failed
         assert inst.n_failed == 1
-        names = [e.name for e in inst.events.history if e.job_id == job.job_id]
+        names = [e.name for e in seen if e.job_id == job.job_id]
         assert EV_EXCEPTION in names
 
     def test_throughput_matches_lane_model(self, env, rng):

@@ -1,9 +1,9 @@
-"""Memory-lean mode: drop post-hoc retention, keep behavior.
+"""Flux retention: retired jobs leave the instance's job table.
 
-``Session(lean=True)`` plumbs down to every Flux instance: retired
-and failed jobs are popped from the per-instance job table and the
-event stream keeps no history.  Simulated behavior — and therefore
-the trace — must be identical; only what is *retained* differs.
+Every Flux instance pops retired and failed jobs from its per-instance
+job table, and the event stream keeps no history, so memory stays flat
+over a full-machine run.  The instance counters must stay exact
+regardless.
 """
 
 from repro.core import PartitionSpec, PilotDescription, Session, \
@@ -11,9 +11,9 @@ from repro.core import PartitionSpec, PilotDescription, Session, \
 from repro.platform import FRONTIER_LATENCIES, generic
 
 
-def _run(lean: bool):
+def _run():
     session = Session(cluster=generic(4, cores_per_node=8),
-                      latencies=FRONTIER_LATENCIES, seed=42, lean=lean)
+                      latencies=FRONTIER_LATENCIES, seed=42)
     pmgr = session.pilot_manager()
     tmgr = session.task_manager()
     pilot = pmgr.submit_pilots(PilotDescription(
@@ -26,20 +26,13 @@ def _run(lean: bool):
 
 class TestLeanFluxRetention:
     def test_lean_drops_retired_jobs(self):
-        session, pilot, tasks = _run(lean=True)
+        session, pilot, tasks = _run()
         assert all(t.succeeded for t in tasks)
         hierarchy = pilot.agent.executors["flux"].hierarchy
         for inst in hierarchy.instances:
             assert inst._jobs == {}, "retired jobs must be dropped"
-            assert inst.events._history == []
-
-    def test_default_keeps_them(self):
-        session, pilot, tasks = _run(lean=False)
-        hierarchy = pilot.agent.executors["flux"].hierarchy
-        assert sum(len(inst._jobs) for inst in hierarchy.instances) == 32
-        assert any(inst.events._history for inst in hierarchy.instances)
 
     def test_lean_counters_still_accurate(self):
-        session, pilot, _ = _run(lean=True)
+        session, pilot, _ = _run()
         hierarchy = pilot.agent.executors["flux"].hierarchy
         assert sum(inst.n_completed for inst in hierarchy.instances) == 32

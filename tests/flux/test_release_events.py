@@ -15,35 +15,40 @@ def instance(env, rng):
     return inst
 
 
+@pytest.fixture
+def seen(instance):
+    """Every event the instance publishes, collected at delivery."""
+    events = []
+    instance.events.subscribe_callback(events.append)
+    return events
+
+
 class TestReleaseEvents:
-    def test_release_follows_finish(self, env, instance):
-        queue = instance.events.subscribe()
+    def test_release_follows_finish(self, env, instance, seen):
         instance.submit(Jobspec(command="x", duration=1.0,
                                 resources=ResourceSpec(cores=4)))
         env.run()
-        names = [e.name for e in instance.events.history]
+        names = [e.name for e in seen]
         assert names.index(EV_RELEASE) > names.index(EV_FINISH)
 
-    def test_release_reports_free_pool(self, env, instance):
+    def test_release_reports_free_pool(self, env, instance, seen):
         instance.submit(Jobspec(command="x", duration=1.0,
                                 resources=ResourceSpec(cores=4)))
         env.run()
-        release = next(e for e in instance.events.history
-                       if e.name == EV_RELEASE)
+        release = next(e for e in seen if e.name == EV_RELEASE)
         assert release.meta["free_cores"] == instance.allocation.total_cores
 
-    def test_canceled_job_also_releases(self, env, instance):
+    def test_canceled_job_also_releases(self, env, instance, seen):
         job = instance.submit(Jobspec(command="x", duration=1e6,
                                       resources=ResourceSpec(cores=4)))
         env.run(until=env.now + 30.0)
         instance.cancel(job.job_id)
         env.run(until=env.now + 5.0)
-        assert any(e.name == EV_RELEASE for e in instance.events.history)
+        assert any(e.name == EV_RELEASE for e in seen)
 
-    def test_one_release_per_job(self, env, instance):
+    def test_one_release_per_job(self, env, instance, seen):
         for _ in range(5):
             instance.submit(Jobspec(command="x", duration=1.0))
         env.run()
-        releases = [e for e in instance.events.history
-                    if e.name == EV_RELEASE]
+        releases = [e for e in seen if e.name == EV_RELEASE]
         assert len(releases) == 5

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
-from repro.analytics import save_profile
 from repro.experiments.configs import config_by_id
-from repro.experiments.harness import build_workload, run_experiment
+from repro.experiments.harness import build_workload
 from repro.store.keys import (
     CACHE_KEY_EXCLUDED,
     cache_key,
@@ -57,35 +53,10 @@ class TestCacheKey:
                             tags={"campaign": "x"})
         assert cache_key(base) == cache_key(relabeled)
 
-    def test_trace_neutral_switches_excluded(self):
-        # bulk/lean are trace-neutral (see the test below); the cache
-        # key must not distinguish them.
-        base = cfg()
-        assert cache_key(base) == cache_key(replace(base, bulk=True))
-        assert cache_key(base) == cache_key(replace(base, lean=True))
-
-    @pytest.mark.parametrize("field", [
-        name for name in CACHE_KEY_EXCLUDED
-        if name not in ("exp_id", "tags", "seed")])
-    def test_excluded_switch_is_trace_neutral(self, tmp_path, field):
-        # An excluded field shares one cache entry across its values,
-        # so every value must produce the same profile bytes.  A
-        # multi-partition flux run is where interleavings can differ.
-        base = config_by_id("flux_n", n_nodes=16, n_partitions=4,
-                            waves=1, seed=11)
-        default = getattr(base, field)
-        assert isinstance(default, bool), \
-            f"{field}: not a switch; give this test its second value"
-        digests = []
-        for value in (default, not default):
-            result = run_experiment(replace(base, **{field: value}),
-                                    keep_session=True)
-            path = tmp_path / f"{field}-{value}.jsonl"
-            save_profile(result.session.profiler, path)
-            result.session.close()
-            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        assert digests[0] == digests[1], \
-            f"{field} changes the trace but is excluded from the cache key"
+    def test_only_labels_and_seed_excluded(self):
+        # Every other field changes the simulated run, so excluding it
+        # would let one run be served another's result.
+        assert CACHE_KEY_EXCLUDED == ("exp_id", "tags", "seed")
 
     def test_behavior_fields_included(self):
         base = cfg()
