@@ -132,19 +132,19 @@ def build_workload(cfg: ExperimentConfig,
 
 
 def _attach_telemetry(session: Session, cfg: ExperimentConfig,
-                      latencies: LatencyModel, progress):
+                      latencies: LatencyModel, progress, host):
     """Build and attach one run's live telemetry plumbing.
 
-    ``progress`` is a :class:`~repro.observability.telemetry.
-    TelemetryBus` (used as-is), a callable (subscribed as the sink of
-    a fresh bus), or any other truthy value (fresh bus, no sink — the
-    records still land in the bundle).  The ETA prior comes from the
+    ``host`` is the run's wall-clock phase profiler, sampled into
+    every record.  ``progress`` is a :class:`~repro.observability.
+    telemetry.TelemetryBus` (used as-is), a callable (subscribed as
+    the sink of a fresh bus), or any other truthy value (fresh bus, no
+    sink — the records still land in the bundle).  The ETA prior comes from the
     fluid surrogate when it covers the launcher.
     """
     from ..exceptions import ReproError
     from ..observability.telemetry import (
         EtaEstimator,
-        HostProfiler,
         RunTelemetry,
         SessionSampler,
         TelemetryBus,
@@ -163,7 +163,7 @@ def _attach_telemetry(session: Session, cfg: ExperimentConfig,
     except ReproError:
         pass  # launcher outside the surrogate's coverage: rate-only ETA
     sampler = SessionSampler(session, eta=EtaEstimator(None, prior),
-                             host=HostProfiler())
+                             host=host)
     telemetry = RunTelemetry(bus, sampler)
     session.telemetry = telemetry
     session.env._probe = telemetry.probe()
@@ -257,24 +257,23 @@ def run_experiment(cfg: ExperimentConfig,
                       faults=cfg.faults, spill_dir=spill_dir)
     if checkpointer is not None:
         checkpointer.attach(session)
+    from ..observability.telemetry import HostProfiler
+
+    host = HostProfiler()
     # A bundle run records telemetry even without a live sink, so
     # ``trace watch`` always has something to replay from the bundle.
-    telemetry = (_attach_telemetry(session, cfg, latencies, progress)
+    telemetry = (_attach_telemetry(session, cfg, latencies, progress, host)
                  if progress is not None or bundle is not None else None)
-    host = telemetry.sampler.host if telemetry is not None else None
     span = session.obs.tracer.begin(
         "experiment", cat="experiment",
         launcher=cfg.launcher, workload=cfg.workload, seed=cfg.seed)
-    if host is not None:
-        host.start("setup")
-    pmgr = session.pilot_manager()
-    tmgr = session.task_manager()
-    pilot = pmgr.submit_pilots(build_pilot_description(cfg))
-    tmgr.add_pilot(pilot)
+    with host.phase("setup"):
+        pmgr = session.pilot_manager()
+        tmgr = session.task_manager()
+        pilot = pmgr.submit_pilots(build_pilot_description(cfg))
+        tmgr.add_pilot(pilot)
     if telemetry is not None:
         telemetry.sampler.pilot = pilot
-    if host is not None:
-        host.stop("setup")
 
     if cfg.workload == WORKLOAD_IMPECCABLE:
         # Campaign tasks are generated adaptively mid-run, so the
@@ -282,69 +281,57 @@ def run_experiment(cfg: ExperimentConfig,
         runner = CampaignRunner(session, tmgr, pilot, cfg.n_nodes,
                                 generations=cfg.generations,
                                 adaptive=cfg.adaptive)
-        if host is not None:
-            host.start("run")
-        session.run(runner.start())
-        if host is not None:
-            host.stop("run")
+        with host.phase("run"):
+            session.run(runner.start())
         tasks = runner.result.tasks
     else:
-        if host is not None:
-            host.start("workload")
-        if descriptions is None:
-            descriptions = build_workload(cfg, session.cluster.cores_per_node)
-        tasks = tmgr.submit_tasks(descriptions)
-        if host is not None:
-            host.stop("workload")
+        with host.phase("workload"):
+            if descriptions is None:
+                descriptions = build_workload(
+                    cfg, session.cluster.cores_per_node)
+            tasks = tmgr.submit_tasks(descriptions)
         if telemetry is not None:
             telemetry.sampler.tasks_total = len(tasks)
-        if host is not None:
-            host.start("run")
-        session.run(tmgr.wait_tasks())
-        if host is not None:
-            host.stop("run")
+        with host.phase("run"):
+            session.run(tmgr.wait_tasks())
     session.obs.tracer.end(span)
     if telemetry is not None:
         telemetry.sampler.tasks_total = len(tasks)
-    if host is not None:
-        host.start("metrics")
-
-    total_cores = cfg.n_nodes * session.cluster.cores_per_node
-    total_gpus = cfg.n_nodes * session.cluster.gpus_per_node
-    result = ExperimentResult(
-        config=cfg,
-        n_tasks=len(tasks),
-        n_done=sum(1 for t in tasks if t.succeeded),
-        n_failed=sum(1 for t in tasks if t.state == "FAILED"),
-        throughput=task_throughput(tasks),
-        utilization_cores=utilization(tasks, total_cores),
-        utilization_gpus=(utilization(tasks, total_gpus, resource="gpus")
-                          if total_gpus else 0.0),
-        makespan=makespan(tasks),
-        startup_overheads=startup_overheads(session.profiler),
-        tasks=tasks,
-        session=session if keep_session else None,
-        wall_seconds=time.perf_counter() - wall0,
-        faults=(FaultReport.collect(session.faults, tasks, makespan(tasks))
-                if session.faults is not None else None),
-    )
-    if store is not None:
-        # Populate on miss (or bypassed read): the profile export is
-        # the same ``save_profile`` bytes a fresh export produces, so
-        # a later hit delivers a byte-identical trace.  Losing a
-        # publication race to a concurrent writer costs nothing — the
-        # winner's entry is byte-identical by the determinism
-        # contract.
-        stored = store.put(run_key, cfg, result,
-                           profiler=session.profiler)
-        result.cache = {"digest": run_key, "hit": False, "stored": stored}
-    if checkpointer is not None:
-        # The final (complete) checkpoint — and, on a resume, the
-        # point where a replay that never crossed the watermark fails
-        # loudly instead of pretending it continued anything.
-        checkpointer.close(complete=True)
-    if host is not None:
-        host.stop("metrics")
+    with host.phase("metrics"):
+        total_cores = cfg.n_nodes * session.cluster.cores_per_node
+        total_gpus = cfg.n_nodes * session.cluster.gpus_per_node
+        result = ExperimentResult(
+            config=cfg,
+            n_tasks=len(tasks),
+            n_done=sum(1 for t in tasks if t.succeeded),
+            n_failed=sum(1 for t in tasks if t.state == "FAILED"),
+            throughput=task_throughput(tasks),
+            utilization_cores=utilization(tasks, total_cores),
+            utilization_gpus=(utilization(tasks, total_gpus, resource="gpus")
+                              if total_gpus else 0.0),
+            makespan=makespan(tasks),
+            startup_overheads=startup_overheads(session.profiler),
+            tasks=tasks,
+            session=session if keep_session else None,
+            wall_seconds=time.perf_counter() - wall0,
+            faults=(FaultReport.collect(session.faults, tasks, makespan(tasks))
+                    if session.faults is not None else None),
+        )
+        if store is not None:
+            # Populate on miss (or bypassed read): the profile export is
+            # the same ``save_profile`` bytes a fresh export produces, so
+            # a later hit delivers a byte-identical trace.  Losing a
+            # publication race to a concurrent writer costs nothing — the
+            # winner's entry is byte-identical by the determinism
+            # contract.
+            stored = store.put(run_key, cfg, result,
+                               profiler=session.profiler)
+            result.cache = {"digest": run_key, "hit": False, "stored": stored}
+        if checkpointer is not None:
+            # The final (complete) checkpoint — and, on a resume, the
+            # point where a replay that never crossed the watermark fails
+            # loudly instead of pretending it continued anything.
+            checkpointer.close(complete=True)
     if telemetry is not None:
         # The final record: every progress-enabled run emits at least
         # one snapshot regardless of how briefly it ran.

@@ -256,8 +256,10 @@ class MetricsRegistry:
 
 
 class KernelInstrument:
-    """Per-environment kernel probes, consumed by the instrumented
-    dispatch loop in :meth:`repro.sim.kernel.Environment.run`.
+    """Per-environment kernel probes, consumed by the kernel's one
+    instrumented dispatch loop (``Environment._run_instrumented``,
+    selected by :meth:`repro.sim.kernel.Environment.run`), which
+    serves every ``until`` shape.
 
     The hot path is O(1) per ``run()`` call, not per event: the
     instrumented loop accumulates event-kind counts and queue-depth

@@ -18,18 +18,20 @@ exercised by the property-based tests in ``tests/sim``.
 Performance
 -----------
 ``run`` is the hottest function in the whole codebase (every
-simulated event passes through it), so its three loops inline the
-single-event dispatch instead of calling :meth:`step`, bind
-``heapq.heappop`` and the queue to locals, and branch on the
-queue-entry shape directly.  ``step`` remains the readable,
-fully-checked reference implementation used by external callers and
-tests.  See ``docs/MODEL.md`` ("Performance model of the simulator
-itself") for the full picture.
+simulated event passes through it).  It normalises ``until`` to a
+``(horizon, stop)`` pair once, then one loop — plus its metered twin
+under observability — inlines the single-event dispatch instead of
+calling :meth:`step`, binds ``heapq.heappop`` and the queue to locals,
+and branches on the queue-entry shape directly.  ``step`` remains the
+readable, fully-checked reference implementation used by external
+callers and tests.  See ``docs/MODEL.md`` ("Performance model of the
+simulator itself") for the full picture.
 """
 
 from __future__ import annotations
 
 from heapq import heappop
+from time import perf_counter
 from typing import Any, List, Optional, Tuple
 
 from ..exceptions import SimulationError
@@ -53,10 +55,14 @@ from .process import Process, ProcessGenerator, _INIT
 _QueueItem = Tuple[float, int, int, Event]
 
 #: Dispatch count between firings of the telemetry probe
-#: (``Environment._probe``) inside the instrumented loops.  The probe
+#: (``Environment._probe``) inside the instrumented loop.  The probe
 #: itself rate-limits on wall time; the stride only bounds how often
 #: that wall-clock check runs, so it can stay coarse.
 PROBE_STRIDE = 4096
+
+_INF = float("inf")
+#: The ``stop`` of runs that await no event: it is never processed.
+_NEVER = Event(None)
 
 
 class Environment:
@@ -75,11 +81,11 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Optional kernel instrumentation (see
         #: :class:`repro.observability.metrics.KernelInstrument`).
-        #: ``None`` keeps the fast dispatch loops below untouched; the
-        #: check happens once per :meth:`run` call, not per event.
+        #: ``None`` selects the plain dispatch loop; the check happens
+        #: once per :meth:`run` call, not per event.
         self._instrument = None
         #: Optional zero-argument telemetry heartbeat, called every
-        #: :data:`PROBE_STRIDE` dispatches by the *instrumented* loops
+        #: :data:`PROBE_STRIDE` dispatches by the *instrumented* loop
         #: only (telemetry implies observability).  The probe must be
         #: read-only: no scheduling, no RNG, no clock writes — the
         #: determinism tests pin that instrumented runs with a probe
@@ -225,73 +231,20 @@ class Environment:
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run until the queue drains), a number
-        (run until that simulated time) or an :class:`Event` (run until
-        it is processed, returning its value).
+        ``until`` may be ``None`` (run until the queue drains), a finite
+        number (run until that simulated time) or an :class:`Event` (run
+        until it is processed, returning its value).
         """
-        # The dispatch body is intentionally inlined in each loop (and
-        # must match step() semantically): at ~1e6 events/s of kernel
-        # throughput, a method call per event costs double-digit
-        # percentages of total runtime.
+        # The dispatch body is inlined here and in _run_instrumented
+        # (and must match step() semantically): calling self.step() per
+        # event instead runs a kernel-only microbenchmark 4-7% slower
+        # (EXPERIMENTS.md, "One dispatch loop per mode").
         if self._instrument is not None:
             return self._run_instrumented(until)
+        horizon, stop = self._bounds(until)
         queue = self._queue
         pop = heappop
-
-        if until is None:
-            while queue:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                if len(entry) == 5:
-                    if entry[4]:
-                        event._resume(_INIT)
-                    else:
-                        event(None)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if event._ok is False and not callbacks and not event._defused:
-                    raise event._value
-            return None
-
-        if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None:  # i.e. not yet processed
-                if not queue:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered (deadlock?)"
-                    )
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                if len(entry) == 5:
-                    if entry[4]:
-                        event._resume(_INIT)
-                    else:
-                        event(None)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if event._ok is False and not callbacks and not event._defused:
-                    raise event._value
-            if stop._ok:
-                return stop._value
-            if isinstance(stop._value, BaseException):
-                raise stop._value
-            raise SimulationError(f"awaited event failed: {stop._value!r}")
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"cannot run until {horizon} (already at {self._now})"
-            )
-        while queue and queue[0][0] <= horizon:
+        while queue and queue[0][0] <= horizon and stop.callbacks is not None:
             entry = pop(queue)
             self._now = entry[0]
             event = entry[3]
@@ -307,25 +260,50 @@ class Environment:
                 cb(event)
             if event._ok is False and not callbacks and not event._defused:
                 raise event._value
-        if horizon > self._now:
-            # Only move the clock forward; run(until=now) with nothing
-            # left to do must leave the clock bit-for-bit untouched.
-            self._now = horizon
-        return None
+        return self._finish(horizon, stop)
 
-    def _run_instrumented(self, until: Optional[Any] = None) -> Any:
-        """The metered twin of :meth:`run` (observability enabled).
+    def _bounds(self, until: Optional[Any]) -> Tuple[float, Event]:
+        """Normalise ``until`` to ``(horizon, stop)``: the dispatch loops
+        run while the next event is due by ``horizon`` and ``stop`` is
+        unprocessed."""
+        if until is None:
+            return _INF, _NEVER
+        if isinstance(until, Event):
+            return _INF, until
+        horizon = float(until)
+        if horizon < self._now:
+            raise SimulationError(
+                f"cannot run until {horizon} (already at {self._now})")
+        if not horizon < _INF:  # inf or nan
+            raise SimulationError(f"cannot run until {horizon}: horizons "
+                                  f"must be finite; run() drains the queue")
+        return horizon, _NEVER
 
-        Mirrors ``run``'s inlined dispatch loops exactly — nothing here
-        touches event ordering, RNG state or the clock beyond what
-        ``run`` does, so instrumented runs produce byte-identical
-        traces.  The metering itself is O(1) per ``run()`` call, not
-        per event: kind counts and queue-depth extremes accumulate in
-        plain locals and are folded into the registry once, via
-        :meth:`KernelInstrument.flush`, when the loop exits.
-        """
-        from time import perf_counter
+    def _finish(self, horizon: float, stop: Event) -> Any:
+        """The dispatch loops' shared epilogue: the awaited event's
+        value (or failure, or deadlock), else the clock moved forward
+        to a finite horizon."""
+        if stop is _NEVER:
+            # Only move the clock forward: run(until=now) with nothing
+            # left to do must leave it bit-for-bit untouched.
+            if _INF > horizon > self._now:
+                self._now = horizon
+            return None
+        if stop.callbacks is not None:
+            raise SimulationError("simulation ran out of events before "
+                                  "the awaited event triggered (deadlock?)")
+        if stop._ok:
+            return stop._value
+        if isinstance(stop._value, BaseException):
+            raise stop._value
+        raise SimulationError(f"awaited event failed: {stop._value!r}")
 
+    def _run_instrumented(self, until: Optional[Any]) -> Any:
+        """The metered twin of :meth:`run` (observability enabled): the
+        same loop, so traces stay byte-identical.  Kind counts and
+        queue-depth extremes accumulate in locals and are folded in once
+        by :meth:`KernelInstrument.flush`; errors and the move to the
+        horizon fall inside the metered window."""
         ins = self._instrument
         queue = self._queue
         pop = heappop
@@ -337,88 +315,12 @@ class Environment:
         probe = self._probe
         # inf sentinel: with no probe the countdown never reaches zero,
         # so the per-event cost is one subtract and one compare.
-        stride = PROBE_STRIDE if probe is not None else float("inf")
+        stride = PROBE_STRIDE if probe is not None else _INF
         tick = stride
         try:
-            if until is None:
-                while queue:
-                    tick -= 1.0
-                    if tick <= 0.0:
-                        probe()
-                        tick = stride
-                    depth_last = len(queue)
-                    if depth_last > depth_max:
-                        depth_max = depth_last
-                    if depth_min < 0 or depth_last < depth_min:
-                        depth_min = depth_last
-                    entry = pop(queue)
-                    self._now = entry[0]
-                    event = entry[3]
-                    if len(entry) == 5:
-                        if entry[4]:
-                            n_bootstraps += 1
-                            event._resume(_INIT)
-                        else:
-                            n_callbacks += 1
-                            event(None)
-                        continue
-                    n_events += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
-                    if event._ok is False and not callbacks and not event._defused:
-                        raise event._value
-                return None
-
-            if isinstance(until, Event):
-                stop = until
-                while stop.callbacks is not None:
-                    if not queue:
-                        raise SimulationError(
-                            "simulation ran out of events before the "
-                            "awaited event triggered (deadlock?)"
-                        )
-                    tick -= 1.0
-                    if tick <= 0.0:
-                        probe()
-                        tick = stride
-                    depth_last = len(queue)
-                    if depth_last > depth_max:
-                        depth_max = depth_last
-                    if depth_min < 0 or depth_last < depth_min:
-                        depth_min = depth_last
-                    entry = pop(queue)
-                    self._now = entry[0]
-                    event = entry[3]
-                    if len(entry) == 5:
-                        if entry[4]:
-                            n_bootstraps += 1
-                            event._resume(_INIT)
-                        else:
-                            n_callbacks += 1
-                            event(None)
-                        continue
-                    n_events += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
-                    if event._ok is False and not callbacks and not event._defused:
-                        raise event._value
-                if stop._ok:
-                    return stop._value
-                if isinstance(stop._value, BaseException):
-                    raise stop._value
-                raise SimulationError(
-                    f"awaited event failed: {stop._value!r}")
-
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"cannot run until {horizon} (already at {self._now})"
-                )
-            while queue and queue[0][0] <= horizon:
+            horizon, stop = self._bounds(until)
+            while (queue and queue[0][0] <= horizon
+                   and stop.callbacks is not None):
                 tick -= 1.0
                 if tick <= 0.0:
                     probe()
@@ -446,9 +348,7 @@ class Environment:
                     cb(event)
                 if event._ok is False and not callbacks and not event._defused:
                     raise event._value
-            if horizon > self._now:
-                self._now = horizon
-            return None
+            return self._finish(horizon, stop)
         finally:
             ins.flush(n_events, n_bootstraps, n_callbacks,
                       depth_max, depth_min, depth_last)

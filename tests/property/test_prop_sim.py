@@ -1,8 +1,11 @@
 """Property-based tests for the DES kernel (hypothesis)."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.observability import Observability
 from repro.sim import Environment
 
 delays = st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -99,3 +102,67 @@ class TestProcessAlgebra:
         procs = [env.process(sleeper(env, d)) for d in ds]
         env.run(env.any_of(procs))
         assert env.now == min(ds)
+
+
+def _seeded_schedule(env, seed):
+    """Schedule a seeded mix of every queue-entry kind on ``env``:
+    timeout-driven processes (bootstraps + events), ``schedule``
+    events and chained ``schedule_callback`` entries, many of them at
+    equal times.  Returns the ``(now, tag)`` trace the dispatches
+    append to."""
+    rng = random.Random(seed)
+    trace = []
+
+    def delay():
+        return rng.choice((0.0, 0.5, rng.random()))
+
+    def note(tag):
+        trace.append((env.now, tag))
+
+    def chain(tag, left):
+        note(tag)
+        if left:
+            env.schedule_callback(delay(), chain, tag, left - 1)
+
+    def proc(tag, n):
+        for i in range(n):
+            yield env.timeout(delay())
+            note((tag, i))
+
+    for k in range(rng.randint(1, 6)):
+        env.process(proc(f"p{k}", rng.randint(0, 8)))
+        env.schedule(delay(), note, f"s{k}")
+        env.schedule_callback(delay(), chain, f"c{k}", rng.randint(0, 8))
+    return trace
+
+
+class TestRunShapesAgree:
+    """One ``run()``, horizon slices then ``run()``, and ``step()`` to
+    exhaustion dispatch the same schedule identically, with the
+    instrumented loop or the plain one."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.floats(min_value=0.0, max_value=12.0), max_size=8),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_dispatch_trace_independent_of_drive(self, seed, cuts, observe):
+        def drive(how):
+            env = Environment()
+            if observe:
+                Observability(env, enabled=True).attach_kernel(env)
+            trace = _seeded_schedule(env, seed)
+            if how == "slices":
+                for t in sorted(cuts):
+                    env.run(until=t)
+                env.run()
+            elif how == "step":
+                while env.peek() < float("inf"):
+                    env.step()
+            else:
+                env.run()
+            return trace
+
+        reference = drive("step")
+        assert reference
+        assert drive("run") == reference
+        assert drive("slices") == reference

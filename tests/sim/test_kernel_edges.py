@@ -56,6 +56,23 @@ class TestRunHorizons:
         assert hits == ["due-now"]
         assert env.now == 2.0
 
+    def test_infinite_horizon_rejected(self, env):
+        # run() is the way to drain the queue; an infinite numeric
+        # horizon would leave the clock at inf and every later timeout
+        # firing at +inf.
+        hits = []
+        env.schedule(1.0, hits.append, 1)
+        with pytest.raises(SimulationError, match="finite"):
+            env.run(until=float("inf"))
+        assert hits == [] and env.now == 0.0
+
+    def test_nan_horizon_rejected(self, env):
+        hits = []
+        env.schedule(1.0, hits.append, 1)
+        with pytest.raises(SimulationError, match="finite"):
+            env.run(until=float("nan"))
+        assert hits == [] and env.now == 0.0
+
 
 class TestZeroDelays:
     def test_zero_delay_timeout_fires_now(self, env):
