@@ -297,7 +297,7 @@ _PROGRESS_STEP = 1024
 
 def _cohort_recurrence(dispatch: np.ndarray, ctl: np.ndarray,
                        setup: np.ndarray, t_ready: float, duration: float,
-                       core_slots: int, ceiling_slots: int,
+                       n_cores: int, ceiling_slots: int,
                        progress=None
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lock-step evaluation of the srun pipeline across all members.
@@ -308,7 +308,7 @@ def _cohort_recurrence(dispatch: np.ndarray, ctl: np.ndarray,
 
     * dispatch: ``D[i] = D[i-1] + dispatch[i]`` — the serialized agent
       stage, accumulated in the kernel's one-addition-per-task order;
-    * core slot: pop the earliest of ``core_slots`` free times
+    * core slot: pop the earliest of ``n_cores`` free times
       (``P = max(D, free)``) — a counted FIFO semaphore is exactly a
       pop-min/push-completion recurrence;
     * ceiling slot: same over ``ceiling_slots``;
@@ -328,7 +328,7 @@ def _cohort_recurrence(dispatch: np.ndarray, ctl: np.ndarray,
     """
     n_members, n_tasks = dispatch.shape
     rows = np.arange(n_members)
-    free_cores = np.zeros((n_members, min(core_slots, n_tasks)))
+    free_cores = np.zeros((n_members, min(n_cores, n_tasks)))
     free_ceiling = np.zeros((n_members, min(ceiling_slots, n_tasks)))
     scheduled = np.empty_like(dispatch)
     exec_start = np.empty_like(dispatch)
@@ -526,7 +526,7 @@ def _run_srun_vectorized(cfg, seeds: Sequence[int],
             progress(i * n_members, total * n_members)
     scheduled, exec_start, exec_stop = _cohort_recurrence(
         dispatch, ctl, setup, preamble.t_ready, duration,
-        core_slots=cluster_cores, ceiling_slots=latencies.srun_ceiling,
+        n_cores=cluster_cores, ceiling_slots=latencies.srun_ceiling,
         progress=cohort_progress)
     return assemble_results(cfg, seeds, [preamble] * len(seeds),
                             scheduled, exec_start, exec_stop,

@@ -76,15 +76,20 @@ def _print_cache_summary(provenance) -> None:
     print(line, file=sys.stderr)
 
 
+def _overrides(args: argparse.Namespace) -> dict:
+    """Config fields set by ``--nodes``/``--partitions``/``--waves``.
+
+    Only flags that were given count; an explicit 0 is passed on, so
+    config validation rejects it instead of the default running.
+    """
+    flags = (("nodes", "n_nodes"), ("partitions", "n_partitions"),
+             ("waves", "waves"))
+    return {field: getattr(args, flag) for flag, field in flags
+            if getattr(args, flag, None) is not None}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = {}
-    if args.nodes:
-        overrides["n_nodes"] = args.nodes
-    if args.partitions:
-        overrides["n_partitions"] = args.partitions
-    if args.waves:
-        overrides["waves"] = args.waves
-    cfg = config_by_id(args.exp_id, **overrides)
+    cfg = config_by_id(args.exp_id, **_overrides(args))
     if getattr(args, "faults", ""):
         from dataclasses import replace
 
@@ -220,7 +225,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     cfgs = []
     for cfg in table1_configs():
-        if args.waves:
+        if args.waves is not None:
             cfg = cfg.scaled(args.waves)
         if cfg.n_nodes > args.max_nodes:
             continue
@@ -257,12 +262,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
 
     if args.trace_command == "run":
-        overrides = {}
-        if args.nodes:
-            overrides["n_nodes"] = args.nodes
-        if args.waves:
-            overrides["waves"] = args.waves
-        cfg = config_by_id(args.exp_id, **overrides)
+        cfg = config_by_id(args.exp_id, **_overrides(args))
         result = run_experiment(cfg, keep_session=True, bundle=args.out)
         print(f"wrote observability bundle to {args.out} "
               f"({result.n_tasks} tasks, makespan {result.makespan:.1f}s)")
@@ -388,9 +388,9 @@ def main(argv: List[str] = None) -> int:
 
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("exp_id", help="experiment id (see 'list')")
-    p_run.add_argument("--nodes", type=int, default=0)
-    p_run.add_argument("--partitions", type=int, default=0)
-    p_run.add_argument("--waves", type=int, default=0)
+    p_run.add_argument("--nodes", type=int, default=None)
+    p_run.add_argument("--partitions", type=int, default=None)
+    p_run.add_argument("--waves", type=int, default=None)
     p_run.add_argument("--reps", type=int, default=1)
     p_run.add_argument("--parallel", nargs="?", const="auto", default=None,
                        metavar="N",
@@ -475,7 +475,7 @@ def main(argv: List[str] = None) -> int:
                        help="stream live progress to stderr")
 
     p_t1 = sub.add_parser("table1", help="run the full Table-1 sweep")
-    p_t1.add_argument("--waves", type=int, default=0)
+    p_t1.add_argument("--waves", type=int, default=None)
     p_t1.add_argument("--max-nodes", type=int, default=1024)
     p_t1.add_argument("--parallel", nargs="?", const="auto", default=None,
                       metavar="N",
@@ -503,8 +503,8 @@ def main(argv: List[str] = None) -> int:
     tr_run.add_argument("exp_id", help="experiment id (see 'list')")
     tr_run.add_argument("--out", required=True,
                         help="bundle output directory")
-    tr_run.add_argument("--nodes", type=int, default=0)
-    tr_run.add_argument("--waves", type=int, default=0)
+    tr_run.add_argument("--nodes", type=int, default=None)
+    tr_run.add_argument("--waves", type=int, default=None)
     tr_ins = tr_sub.add_parser(
         "inspect", help="summarize a bundle's manifest and phases")
     tr_ins.add_argument("bundle", help="bundle directory")

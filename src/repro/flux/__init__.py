@@ -2,7 +2,7 @@
 
 Models a Flux deployment inside a pilot allocation: per-instance
 brokers with serialized ingest, policy-driven scheduling (FCFS / EASY
-backfill) over real slot-level placement, TBON-style dispatch lanes,
+backfill) over count-level node placement, TBON-style dispatch lanes,
 an asynchronous job event stream, and hierarchical / partitioned
 multi-instance operation.
 """

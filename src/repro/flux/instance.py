@@ -17,8 +17,8 @@ behaviour in the paper:
   ``flux_lane_rate`` spawns/s scaled by a per-run background-load
   factor.
 
-Placement is real: every running job holds node slots in the
-instance's :class:`~repro.platform.cluster.Allocation`.
+Placement is real: every running job holds core and GPU counts on
+nodes of the instance's :class:`~repro.platform.cluster.Allocation`.
 """
 
 from __future__ import annotations
@@ -287,10 +287,11 @@ class FluxInstance:
     def fail_node(self, node) -> None:
         """A node of this allocation went DOWN (fault injection).
 
-        Jobs with placements on the node are killed (their held slots
-        release into the node's lost pool) and pending jobs that no
-        longer fit the shrunken usable capacity fail immediately, so
-        the queue cannot deadlock behind an unsatisfiable head.
+        Jobs with placements on the node are killed (their held
+        capacity is released into the node's lost count) and pending
+        jobs that no longer fit the shrunken usable capacity fail
+        immediately, so the queue cannot deadlock behind an
+        unsatisfiable head.
         """
         if self.state in (InstanceState.STOPPED, InstanceState.FAILED):
             return

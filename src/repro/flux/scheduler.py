@@ -11,9 +11,9 @@ Two policies cover the paper's configurations:
   jobs may jump ahead if their walltime keeps them clear of the
   head's reservation.  Used for heterogeneous IMPECCABLE mixes.
 
-Both policies perform real slot-level placement through
-:meth:`repro.platform.cluster.Allocation.try_place`, so the
-no-oversubscription invariant holds by construction.
+Both policies place jobs by core and GPU counts on nodes through
+:meth:`repro.platform.cluster.Allocation.try_place`, so no node ever
+hands out more than its capacity.
 """
 
 from __future__ import annotations

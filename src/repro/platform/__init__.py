@@ -2,9 +2,9 @@
 
 This package substitutes for the paper's physical substrate (Frontier).
 It models exactly what the experiments exercise — resource counting,
-slot-level placement, node partitioning, and the timing behaviour of
-the system software (see :mod:`repro.platform.latency` for the
-calibration).
+count-level placement of cores and GPUs on nodes, node partitioning,
+and the timing behaviour of the system software (see
+:mod:`repro.platform.latency` for the calibration).
 """
 
 from .cluster import Allocation, Cluster

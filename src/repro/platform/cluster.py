@@ -194,7 +194,7 @@ class Allocation:
         hint = self._scan_hint
         while hint < n_nodes:
             node = nodes[hint]
-            if node._free_cores or node._free_gpus:
+            if node.free_cores or node.free_gpus:
                 break
             hint += 1
         self._scan_hint = hint
@@ -215,8 +215,8 @@ class Allocation:
                     if cores_needed <= 0 and gpus_needed <= 0:
                         break
                     node = nodes[i]
-                    take_c = min(cores_needed, len(node._free_cores))
-                    take_g = min(gpus_needed, len(node._free_gpus))
+                    take_c = min(cores_needed, node.free_cores)
+                    take_g = min(gpus_needed, node.free_gpus)
                     if take_c <= 0 and take_g <= 0:
                         continue
                     placements.append(node.allocate(max(take_c, 0), max(take_g, 0)))
@@ -246,16 +246,14 @@ class Cluster:
     """A homogeneous HPC machine."""
 
     def __init__(self, name: str, n_nodes: int, cores_per_node: int,
-                 gpus_per_node: int = 0, mem_gb_per_node: float = 512.0) -> None:
+                 gpus_per_node: int = 0) -> None:
         if n_nodes < 1:
             raise AllocationError(f"cluster needs >=1 node, got {n_nodes}")
         self.name = name
         self.cores_per_node = cores_per_node
         self.gpus_per_node = gpus_per_node
-        self.mem_gb_per_node = mem_gb_per_node
         self.nodes = [
-            Node(i, cores_per_node, gpus_per_node, mem_gb_per_node,
-                 name=f"{name}-{i:05d}")
+            Node(i, cores_per_node, gpus_per_node, name=f"{name}-{i:05d}")
             for i in range(n_nodes)
         ]
         self._free_indices = set(range(n_nodes))

@@ -1,15 +1,16 @@
-"""Compute-node model with explicit core and GPU slot maps.
+"""Compute-node model with count-level core and GPU capacity.
 
-Slot-level bookkeeping (rather than mere counters) lets the property
-tests assert the strongest possible invariant: *no slot is ever held
-by two placements at once*, exactly the guarantee a real node-level
-resource manager provides.
+A node hands out *counts* of cores and GPUs, as the RP agent does
+for each task; no per-slot identity is tracked, so allocate and
+release are O(1) per placement.  Double-free detection stays exact:
+the node remembers the placement objects it has handed out (hashed by
+identity), so releasing one placement twice raises even while other
+placements of the same shape are still held.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Tuple
 
 from ..exceptions import ResourceError
 
@@ -18,9 +19,9 @@ class NodeHealth(enum.Enum):
     """Health of one compute node.
 
     ``UP`` serves placements normally.  ``DRAINING`` accepts no new
-    placements but lets running work finish (free slots are
-    confiscated, held slots stay held).  ``DOWN`` additionally means
-    running work on the node has been killed by the failure.
+    placements but lets running work finish (free capacity is
+    confiscated, held capacity stays held).  ``DOWN`` additionally
+    means running work on the node has been killed by the failure.
     """
 
     UP = "up"
@@ -28,33 +29,32 @@ class NodeHealth(enum.Enum):
     DOWN = "down"
 
 
-class Placement(NamedTuple):
-    """A set of slots handed out on one node.
+class Placement:
+    """``cores`` cores and ``gpus`` GPUs handed out on one node.
 
     Placements are returned by :meth:`Node.allocate` and must be given
-    back via :meth:`Node.release`.  One is created per task placement,
-    so it is a named tuple (cheap construction) rather than a frozen
-    dataclass.
+    back via :meth:`Node.release`.  Equality and hashing are by
+    identity, so two placements of the same shape on one node stay
+    distinct in the node's held set.
     """
 
-    node_index: int
-    core_slots: Tuple[int, ...]
-    gpu_slots: Tuple[int, ...]
+    __slots__ = ("node_index", "cores", "gpus")
 
-    @property
-    def cores(self) -> int:
-        return len(self.core_slots)
+    def __init__(self, node_index: int, cores: int, gpus: int) -> None:
+        self.node_index = node_index
+        self.cores = cores
+        self.gpus = gpus
 
-    @property
-    def gpus(self) -> int:
-        return len(self.gpu_slots)
+    def __repr__(self) -> str:
+        return (f"Placement(node_index={self.node_index}, "
+                f"cores={self.cores}, gpus={self.gpus})")
 
 
 class Node:
     """One compute node with ``n_cores`` CPU cores and ``n_gpus`` GPUs."""
 
     def __init__(self, index: int, n_cores: int, n_gpus: int = 0,
-                 mem_gb: float = 512.0, name: str = "") -> None:
+                 name: str = "") -> None:
         if n_cores < 1:
             raise ResourceError(f"node needs >=1 core, got {n_cores}")
         if n_gpus < 0:
@@ -63,18 +63,17 @@ class Node:
         self.name = name or f"node{index:05d}"
         self.n_cores = n_cores
         self.n_gpus = n_gpus
-        self.mem_gb = mem_gb
-        self._free_cores: List[int] = list(range(n_cores))
-        self._free_gpus: List[int] = list(range(n_gpus))
-        self._held_cores: set = set()
-        self._held_gpus: set = set()
+        self.free_cores = n_cores
+        self.free_gpus = n_gpus
+        #: Placements handed out and not yet released.
+        self._held: set = set()
         self.health = NodeHealth.UP
-        # Slots confiscated while unhealthy.  Keeping them out of the
-        # free lists means a DOWN/DRAINING node looks fully busy to the
+        # Capacity confiscated while unhealthy.  Keeping it out of the
+        # free counts means a DOWN/DRAINING node looks fully busy to the
         # placement hot path — ``try_place`` and the allocation scan
         # hint skip it with no health check of their own.
-        self._lost_cores: List[int] = []
-        self._lost_gpus: List[int] = []
+        self._lost_cores = 0
+        self._lost_gpus = 0
         #: Allocations watching this node's free counts.  Every
         #: allocate/release pushes the delta to all watchers, keeping
         #: each allocation's aggregate free-core/GPU counters exact in
@@ -86,18 +85,6 @@ class Node:
     # -- capacity ----------------------------------------------------------
 
     @property
-    def free_cores(self) -> int:
-        return len(self._free_cores)
-
-    @property
-    def free_gpus(self) -> int:
-        return len(self._free_gpus)
-
-    @property
-    def busy_cores(self) -> int:
-        return self.n_cores - self.free_cores
-
-    @property
     def is_idle(self) -> bool:
         return self.free_cores == self.n_cores and self.free_gpus == self.n_gpus
 
@@ -105,76 +92,60 @@ class Node:
     def is_up(self) -> bool:
         return self.health is NodeHealth.UP
 
-    def can_fit(self, cores: int, gpus: int = 0) -> bool:
-        """Could ``allocate(cores, gpus)`` succeed right now?"""
-        return cores <= self.free_cores and gpus <= self.free_gpus
-
     # -- allocation --------------------------------------------------------
 
     def allocate(self, cores: int, gpus: int = 0) -> Placement:
-        """Claim ``cores`` core slots and ``gpus`` GPU slots.
+        """Claim ``cores`` cores and ``gpus`` GPUs.
 
-        Raises :class:`ResourceError` when insufficient slots are free.
+        Raises :class:`ResourceError` when insufficient capacity is free.
         """
         if cores < 0 or gpus < 0:
             raise ResourceError("negative allocation request")
-        free_cores = self._free_cores
-        free_gpus = self._free_gpus
-        if cores > len(free_cores) or gpus > len(free_gpus):
+        if cores > self.free_cores or gpus > self.free_gpus:
             raise ResourceError(
                 f"{self.name}: cannot allocate {cores}c/{gpus}g "
                 f"(free {self.free_cores}c/{self.free_gpus}g)"
             )
-        core_slots = tuple(free_cores[:cores])
-        del free_cores[:cores]
-        gpu_slots = tuple(free_gpus[:gpus])
-        del free_gpus[:gpus]
-        self._held_cores.update(core_slots)
-        self._held_gpus.update(gpu_slots)
+        self.free_cores -= cores
+        self.free_gpus -= gpus
+        placement = Placement(self.index, cores, gpus)
+        self._held.add(placement)
         for watcher in self._watchers:
             watcher._on_node_delta(-cores, -gpus, self.index)
-        return Placement(self.index, core_slots, gpu_slots)
+        return placement
 
     def release(self, placement: Placement) -> None:
-        """Return a placement's slots.  Double-free raises."""
+        """Return a placement's capacity.  Double-free raises."""
         if placement.node_index != self.index:
             raise ResourceError(
                 f"placement for node {placement.node_index} released on "
                 f"node {self.index}"
             )
-        held_cores = self._held_cores
-        # Slots released on an unhealthy node are confiscated rather
-        # than freed: the capacity is gone until the node recovers, so
-        # no positive delta reaches the watchers and the node keeps
-        # reading as fully busy to the placement scan.
-        free_cores = self._free_cores if self.health is NodeHealth.UP \
-            else self._lost_cores
-        for slot in placement.core_slots:
-            try:
-                held_cores.remove(slot)
-            except KeyError:
-                raise ResourceError(f"{self.name}: core {slot} double-freed")
-            free_cores.append(slot)
-        held_gpus = self._held_gpus
-        free_gpus = self._free_gpus if self.health is NodeHealth.UP \
-            else self._lost_gpus
-        for slot in placement.gpu_slots:
-            try:
-                held_gpus.remove(slot)
-            except KeyError:
-                raise ResourceError(f"{self.name}: gpu {slot} double-freed")
-            free_gpus.append(slot)
-        if self.health is NodeHealth.UP:
-            for watcher in self._watchers:
-                watcher._on_node_delta(len(placement.core_slots),
-                                       len(placement.gpu_slots), self.index)
+        try:
+            self._held.remove(placement)
+        except KeyError:
+            raise ResourceError(f"{self.name}: {placement!r} double-freed")
+        cores = placement.cores
+        gpus = placement.gpus
+        if self.health is not NodeHealth.UP:
+            # Capacity released on an unhealthy node is confiscated
+            # rather than freed: it is gone until the node recovers, so
+            # no positive delta reaches the watchers and the node keeps
+            # reading as fully busy to the placement scan.
+            self._lost_cores += cores
+            self._lost_gpus += gpus
+            return
+        self.free_cores += cores
+        self.free_gpus += gpus
+        for watcher in self._watchers:
+            watcher._on_node_delta(cores, gpus, self.index)
 
     # -- health ------------------------------------------------------------
 
     def drain(self) -> bool:
         """Stop serving new placements; running work may finish.
 
-        Confiscates the currently-free slots (pushing the negative
+        Confiscates the currently-free capacity (pushing the negative
         delta to watchers so their free counts stay exact) and marks
         the node ``DRAINING``.  Returns ``False`` when the node was
         already unhealthy.
@@ -188,10 +159,10 @@ class Node:
     def fail(self) -> bool:
         """Take the node ``DOWN``.
 
-        Free slots are confiscated; held slots stay held until their
-        placements are released (the owning executors are responsible
-        for killing the tasks and releasing — released slots then land
-        in the lost pool).  Watchers are told about the capacity loss
+        Free capacity is confiscated; held placements stay held until
+        they are released (the owning executors are responsible for
+        killing the tasks and releasing — released capacity then lands
+        in the lost count).  Watchers are told about the capacity loss
         via ``_on_node_down`` so aggregate *usable* capacity tracks the
         failure.  Returns ``False`` when already DOWN.
         """
@@ -206,17 +177,15 @@ class Node:
         return True
 
     def recover(self) -> bool:
-        """Bring the node back ``UP``, restoring confiscated slots."""
+        """Bring the node back ``UP``, restoring confiscated capacity."""
         if self.health is NodeHealth.UP:
             return False
         was_down = self.health is NodeHealth.DOWN
         self.health = NodeHealth.UP
-        cores = len(self._lost_cores)
-        gpus = len(self._lost_gpus)
-        self._free_cores.extend(sorted(self._lost_cores))
-        self._free_gpus.extend(sorted(self._lost_gpus))
-        self._lost_cores.clear()
-        self._lost_gpus.clear()
+        cores, gpus = self._lost_cores, self._lost_gpus
+        self.free_cores += cores
+        self.free_gpus += gpus
+        self._lost_cores = self._lost_gpus = 0
         if was_down:
             for watcher in self._watchers:
                 watcher._on_node_up(self.index, self.n_cores, self.n_gpus)
@@ -226,12 +195,10 @@ class Node:
         return True
 
     def _confiscate_free(self) -> None:
-        cores = len(self._free_cores)
-        gpus = len(self._free_gpus)
-        self._lost_cores.extend(self._free_cores)
-        self._lost_gpus.extend(self._free_gpus)
-        self._free_cores.clear()
-        self._free_gpus.clear()
+        cores, gpus = self.free_cores, self.free_gpus
+        self._lost_cores += cores
+        self._lost_gpus += gpus
+        self.free_cores = self.free_gpus = 0
         if cores or gpus:
             for watcher in self._watchers:
                 watcher._on_node_delta(-cores, -gpus, self.index)

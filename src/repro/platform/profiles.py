@@ -26,7 +26,6 @@ def frontier(n_nodes: int = FRONTIER_NODES) -> Cluster:
         n_nodes=n_nodes,
         cores_per_node=FRONTIER_CORES_PER_NODE,
         gpus_per_node=FRONTIER_GPUS_PER_NODE,
-        mem_gb_per_node=512.0,
     )
 
 

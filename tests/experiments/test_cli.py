@@ -39,6 +39,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "warpdrive" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "srun", "--nodes", "0"],
+        ["run", "srun", "--nodes", "-1"],
+        ["run", "srun", "--partitions", "0"],
+        ["run", "srun", "--waves", "0"],
+        ["trace", "run", "flux_1", "--nodes", "0", "--out", "unused"],
+        ["trace", "run", "flux_1", "--waves", "0", "--out", "unused"],
+        ["table1", "--waves", "0"],
+    ], ids=lambda argv: " ".join(argv[:-2] if "--out" in argv else argv))
+    def test_explicit_zero_override_is_rejected(self, argv, capsys,
+                                                tmp_path, monkeypatch):
+        # An explicit 0 must reach config validation, not silently
+        # fall back to the experiment's default.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "unused").exists()
+
     def test_run_with_summary(self, capsys):
         assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
                      "--summary"]) == 0
