@@ -35,6 +35,10 @@ PROFILE_VERSION = 2
 
 _NONFINITE_KEY = "__nonfinite__"
 
+#: The record encoder, built once: ``json.dumps`` with keyword
+#: arguments constructs a fresh ``JSONEncoder`` on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
 
 def _sanitize(value: Any) -> Any:
     """Make one value JSON-encodable without information loss.
@@ -84,6 +88,7 @@ def write_event_lines(fh, events) -> int:
     through here, which is what makes chunk files verbatim slices of a
     profile.  Returns the number of lines written.
     """
+    encode = _ENCODER.encode
     count = 0
     for ev in events:
         record = {
@@ -93,10 +98,9 @@ def write_event_lines(fh, events) -> int:
             "meta": ev.meta,
         }
         try:
-            line = json.dumps(record, sort_keys=True, allow_nan=False)
+            line = encode(record)
         except (ValueError, TypeError):
-            line = json.dumps(_sanitize(record), sort_keys=True,
-                              allow_nan=False)
+            line = encode(_sanitize(record))
         fh.write(line)
         fh.write("\n")
         count += 1
@@ -132,14 +136,34 @@ def iter_event_lines(fh, contains: str = None):
         )
 
 
-def save_profile(profiler: Profiler, path: PathLike) -> int:
-    """Write every trace event as one JSON object per line.
+def write_profile(fh, profiler: Profiler) -> int:
+    """Write a whole profile to the text handle ``fh``.
 
-    The first line is the schema header; it does not count toward the
+    The single source of the profile wire format: :func:`save_profile`
+    writes through it into a file, and the run store into memory.  The
+    first line is the schema header; it does not count toward the
     returned number of events written.  A streaming (spill-to-disk)
-    profiler's chunks are concatenated verbatim — they are already in
-    the record format — so the output is byte-identical to an
-    in-memory profiler's, without materializing the trace.
+    profiler's chunks are copied verbatim — they are already in the
+    record format — so the output is byte-identical to an in-memory
+    profiler's, without materializing the trace.
+    """
+    fh.write(json.dumps({"format": PROFILE_FORMAT,
+                         "version": PROFILE_VERSION}, sort_keys=True))
+    fh.write("\n")
+    if not getattr(profiler, "spilling", False):
+        return write_event_lines(fh, profiler)
+    count = 0
+    for chunk in profiler.spilled_chunks:
+        with chunk.open("r", encoding="utf-8") as src:
+            for line in src:
+                fh.write(line)
+                count += 1
+    return count + write_event_lines(fh, profiler._events)
+
+
+def save_profile(profiler: Profiler, path: PathLike) -> int:
+    """Write every trace event as one JSON object per line
+    (:func:`write_profile`'s format); returns the number of events.
 
     The write is crash-safe: the profile is staged to a temp file in
     the target directory and atomically renamed into place, so a kill
@@ -148,22 +172,8 @@ def save_profile(profiler: Profiler, path: PathLike) -> int:
     """
     from ..resilience.atomic import atomic_writer
 
-    path = Path(path)
-    count = 0
-    with atomic_writer(path, encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": PROFILE_FORMAT,
-                             "version": PROFILE_VERSION}, sort_keys=True))
-        fh.write("\n")
-        if getattr(profiler, "spilling", False):
-            for chunk in profiler.spilled_chunks:
-                with chunk.open("r", encoding="utf-8") as src:
-                    for line in src:
-                        fh.write(line)
-                        count += 1
-            count += write_event_lines(fh, profiler._events)
-        else:
-            count += write_event_lines(fh, profiler)
-    return count
+    with atomic_writer(Path(path), encoding="utf-8") as fh:
+        return write_profile(fh, profiler)
 
 
 def load_events(path: PathLike) -> List[TraceEvent]:

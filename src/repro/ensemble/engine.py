@@ -159,7 +159,8 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
     granularity: seeds already stored are delivered from the store
     (profile exports come from the cached bytes — identical by the
     determinism contract), and only the missing seeds reach the
-    engine, which then populates the store with them.
+    engine, which then populates the store with them.  The hits are
+    recorded for LRU with one journal line per call, not one per seed.
     ``keep_profiles`` needs live profiler objects, so it bypasses the
     cache *read* (every seed simulates) while still populating.
     """
@@ -177,9 +178,11 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
             digests[seed] = store.digest_for(cfg, seed=seed)
         if not keep_profiles:
             for seed in seeds:
-                hit = store.fetch(digests[seed])
+                hit = store.fetch(digests[seed], touch=False)
                 if hit is not None:
                     cached_runs[seed] = hit
+            # One index record for the whole request's hits.
+            store.touch([digests[seed] for seed in cached_runs])
     missing = [seed for seed in seeds if seed not in cached_runs]
     results, profilers = [], []
     notified = set()

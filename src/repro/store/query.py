@@ -107,7 +107,6 @@ def query(store: RunStore, where: Optional[Dict[str, Any]] = None,
     (config + metrics), newest first.
     """
     rows = store.entries()
-    rows.sort(key=lambda r: r.get("created") or 0.0, reverse=True)
     out: List[Dict[str, Any]] = []
     for row in rows:
         cached = store.get(row["digest"])

@@ -4,7 +4,10 @@ Layout (everything under one root directory)::
 
     <root>/
       store.json        format marker + digest-scheme version
-      index.json        digest -> {summary, last_access, hits, bytes}
+      index.json        snapshot: digest -> {summary, last_access, hits,
+                        bytes}, plus the journal position it holds
+      index.jsonl       journal: a generation header, then one line per
+                        put, touch or evict since the last compaction
       index.lock        advisory lock serializing index/eviction updates
       objects/ab/<digest>/
         entry.json      full config doc, cache key, fingerprint,
@@ -32,6 +35,18 @@ Correctness properties, each pinned by ``tests/store``:
 * **LRU / size caps.**  ``max_bytes`` / ``max_entries`` evict
   least-recently-used entries after each write (and on demand via
   :meth:`RunStore.gc`).
+* **O(1) index updates.**  A put, touch or evict appends one fsynced
+  line to ``index.jsonl`` under the lock; it never parses or rewrites
+  the snapshot.  Readers fold the journal into the snapshot.  ``gc``
+  compacts the two, and so does any write that finds the journal
+  larger than the snapshot, so compaction costs O(1) amortized per
+  write.  Every record starts with a newline, so a torn last line (a
+  crash mid-append) is skipped and never swallows the next append.
+  The snapshot records the journal generation and byte offset it
+  holds and only later bytes are replayed, so a crash between a
+  compaction's two writes neither double-counts nor loses a record.
+  The index is derived from ``objects/``: a torn or missing snapshot
+  is rebuilt by scanning them.
 """
 
 from __future__ import annotations
@@ -40,13 +55,15 @@ import contextlib
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import shutil
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..exceptions import StoreError
 from .keys import KEY_SCHEME, cache_key, run_digest
@@ -65,6 +82,8 @@ STORE_VERSION = 1
 ARTIFACT_RESULT = "result.json"
 ARTIFACT_PROFILE = "profile.jsonl"
 ENTRY_NAME = "entry.json"
+INDEX_NAME = "index.json"
+JOURNAL_NAME = "index.jsonl"
 
 
 @dataclasses.dataclass
@@ -242,24 +261,100 @@ class RunStore:
                     fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
 
-    def _read_index(self) -> Dict[str, Dict[str, Any]]:
-        path = self.root / "index.json"
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            # The index is a derived structure; a torn or missing one
-            # is rebuilt from the object directories, never fatal.
-            return self._scan_objects()
-        return dict(doc.get("entries", {}))
+    def _read_index(self) -> Tuple[Dict[str, Dict[str, Any]],
+                                   Tuple[int, int]]:
+        """The folded index (snapshot + journal) and the journal
+        position it reaches: ``(generation, byte length)``.
 
-    def _write_index(self, entries: Dict[str, Dict[str, Any]]) -> None:
+        The snapshot records the position it already holds; only
+        journal bytes past it are replayed, so a crash between a
+        compaction's snapshot write and its journal reset neither
+        replays a record twice nor loses a later append.  The journal
+        is read before the snapshot: a compaction landing in between
+        then only makes the snapshot hold more of what was read.
+        """
+        generation, data = self._read_journal()
+        try:
+            doc = json.loads((self.root / INDEX_NAME).read_text(
+                encoding="utf-8"))
+            entries = dict(doc["entries"])
+            held = tuple(doc.get("journal", (-1, 0)))
+        except (OSError, ValueError, KeyError, TypeError):
+            # The index is a derived structure; a torn or missing
+            # snapshot is rebuilt from the object directories, never
+            # fatal.
+            entries, held = self._scan_objects(), (-1, 0)
+        if generation is None:
+            return entries, (max(held[0], 0), 0)
+        start = 0
+        if generation == held[0]:
+            start = held[1]
+        elif generation < held[0]:
+            start = len(data)  # already folded into the snapshot
+        for line in data[start:].split(b"\n"):
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # a torn append
+            _apply(entries, record)
+        return entries, (generation, len(data))
+
+    def _read_journal(self) -> Tuple[Optional[int], bytes]:
+        """The journal's generation and raw bytes (header included)."""
+        try:
+            data = (self.root / JOURNAL_NAME).read_bytes()
+            header = json.loads(data.split(b"\n", 1)[0])
+            return int(header["generation"]), data
+        except (OSError, ValueError, KeyError, TypeError):
+            return None, b""
+
+    def _write_index(self, entries: Dict[str, Dict[str, Any]],
+                     position: Tuple[int, int]) -> None:
         from ..resilience.atomic import atomic_write_json
 
-        atomic_write_json(self.root / "index.json", {
+        atomic_write_json(self.root / INDEX_NAME, {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
+            "journal": list(position),
             "entries": entries,
-        })
+        }, indent=None)
+
+    def _compact(self, entries: Dict[str, Dict[str, Any]],
+                 position: Tuple[int, int]) -> None:
+        """Fold everything up to ``position`` into a new snapshot and
+        start the next journal generation (lock held)."""
+        self._write_index(entries, position)
+        self._reset_journal(position[0] + 1)
+
+    def _reset_journal(self, generation: int) -> None:
+        from ..resilience.atomic import atomic_write_bytes
+
+        atomic_write_bytes(self.root / JOURNAL_NAME, _encode_record(
+            {"format": STORE_FORMAT, "generation": generation}))
+
+    def _log(self, *records: Dict[str, Any]) -> None:
+        """Record index updates: one fsynced journal append (lock held).
+
+        Compacts instead when the journal is missing or has outgrown
+        the snapshot, which bounds both replay cost and journal size.
+        """
+        journal = self.root / JOURNAL_NAME
+        try:
+            due = (journal.stat().st_size
+                   > (self.root / INDEX_NAME).stat().st_size)
+        except FileNotFoundError:
+            due = True
+        if due:
+            entries, position = self._read_index()
+            for record in records:
+                _apply(entries, record)
+            self._compact(entries, position)
+            return
+        with journal.open("ab") as fh:
+            fh.write(b"".join(b"\n" + _encode_record(record)
+                              for record in records))
+            fh.flush()
+            os.fsync(fh.fileno())
 
     def _scan_objects(self) -> Dict[str, Dict[str, Any]]:
         """Rebuild index entries from the object directories."""
@@ -361,11 +456,16 @@ class RunStore:
         finally:
             if stage.exists():
                 shutil.rmtree(stage, ignore_errors=True)
+        meta = self._index_meta(entry)
+        records = [{"op": "put", "digest": digest, "meta": meta}]
         with self._locked():
-            entries = self._read_index()
-            entries[digest] = self._index_meta(entry)
-            self._enforce_caps(entries, protect=digest)
-            self._write_index(entries)
+            if self.max_bytes is not None or self.max_entries is not None:
+                entries, _ = self._read_index()
+                entries[digest] = meta
+                evicted = self._enforce_caps(entries, protect=digest)
+                if evicted:
+                    records.append({"op": "evict", "digests": evicted})
+            self._log(*records)
         self.stats.stored += 1
         STATS.stored += 1
         return True
@@ -379,6 +479,9 @@ class RunStore:
         ``entry.json`` before delivering it; the (much larger) profile
         blob is verified by :meth:`CachedRun.profile_bytes` when it is
         actually read.  A corrupt entry is quarantined and counted.
+        ``touch`` records the access for LRU and hit counts; a caller
+        fetching many entries at once passes ``False`` and records
+        them all with one :meth:`touch`.
         """
         path = self._object_dir(digest)
         entry_path = path / ENTRY_NAME
@@ -400,18 +503,20 @@ class RunStore:
             return None
         result_doc = json.loads(result_bytes.decode("utf-8"))
         if touch:
-            with self._locked():
-                entries = self._read_index()
-                meta = entries.get(digest)
-                if meta is None:
-                    meta = entries[digest] = self._index_meta(entry)
-                meta["last_access"] = time.time()
-                meta["hits"] = int(meta.get("hits", 0)) + 1
-                self._write_index(entries)
+            self.touch([digest])
         self.stats.hits += 1
         STATS.hits += 1
         return CachedRun(digest=digest, path=path, entry=entry,
                          result_doc=result_doc)
+
+    def touch(self, digests: Sequence[str]) -> None:
+        """Record one access to each of ``digests`` (bumps its LRU
+        clock and hit count) with a single journal line."""
+        if not digests:
+            return
+        with self._locked():
+            self._log({"op": "touch", "at": time.time(),
+                       "digests": list(digests)})
 
     def load_result(self, cfg, digest: str):
         """Convenience: fetch + rebuild the cached result, or ``None``."""
@@ -465,15 +570,12 @@ class RunStore:
             entries,
             key=lambda d: entries[d].get("last_access")
             or entries[d].get("created") or 0.0)
+        total = sum(int(m.get("bytes", 0)) for m in entries.values())
 
         def over() -> bool:
             if max_entries is not None and len(entries) > max_entries:
                 return True
-            if max_bytes is not None:
-                total = sum(int(m.get("bytes", 0))
-                            for m in entries.values())
-                return total > max_bytes
-            return False
+            return max_bytes is not None and total > max_bytes
 
         for digest in by_age:
             if not over():
@@ -481,7 +583,7 @@ class RunStore:
             if digest == protect:
                 continue
             self._remove(digest)
-            entries.pop(digest, None)
+            total -= int(entries.pop(digest).get("bytes", 0))
             evicted.append(digest)
             self.stats.evicted += 1
             STATS.evicted += 1
@@ -490,17 +592,18 @@ class RunStore:
     def gc(self, max_bytes: Optional[int] = None,
            max_entries: Optional[int] = None) -> List[str]:
         """Evict down to the given caps (defaults to the store's own);
-        also reconciles the index with the object directories."""
+        also reconciles the index with the object directories and
+        compacts the journal into the snapshot."""
         with self._locked():
             entries = self._scan_objects()
-            index = self._read_index()
+            index, position = self._read_index()
             for digest, meta in index.items():
                 if digest in entries:
                     entries[digest]["last_access"] = meta.get("last_access")
                     entries[digest]["hits"] = meta.get("hits", 0)
             evicted = self._enforce_caps(entries, max_bytes=max_bytes,
                                          max_entries=max_entries)
-            self._write_index(entries)
+            self._compact(entries, position)
         return evicted
 
     def verify(self) -> List[str]:
@@ -530,14 +633,15 @@ class RunStore:
     # -- enumeration -------------------------------------------------------
 
     def entries(self) -> List[Dict[str, Any]]:
-        """Index rows (summary metadata) for every stored run."""
-        index = self._read_index()
+        """Index rows (summary metadata) for every stored run, newest
+        first."""
+        index, _ = self._read_index()
         missing = [d for d in index if not self._object_dir(d).exists()]
         for digest in missing:
             index.pop(digest)
         rows = [dict(meta, digest=digest)
                 for digest, meta in index.items()]
-        rows.sort(key=lambda m: m.get("created") or 0.0)
+        rows.sort(key=lambda m: m.get("created") or 0.0, reverse=True)
         return rows
 
     def get(self, digest: str) -> Optional[CachedRun]:
@@ -579,19 +683,33 @@ class RunStore:
         return written
 
 
+def _encode_record(record: Dict[str, Any]) -> bytes:
+    return json.dumps(record, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def _apply(entries: Dict[str, Dict[str, Any]], record: Any) -> None:
+    """Fold one journal record into ``entries`` (in place)."""
+    op = record.get("op") if isinstance(record, dict) else None
+    if op == "put":
+        entries[record["digest"]] = record["meta"]
+    elif op == "touch":
+        for digest in record["digests"]:
+            meta = entries.get(digest)
+            if meta is not None:
+                meta["last_access"] = record["at"]
+                meta["hits"] = int(meta.get("hits", 0)) + 1
+    elif op == "evict":
+        for digest in record["digests"]:
+            entries.pop(digest, None)
+
+
 def export_profile_bytes(profiler) -> bytes:
-    """A profiler's ``save_profile`` export as bytes.
+    """A profiler's ``save_profile`` export as bytes, encoded in memory
+    by the same writer (:func:`repro.analytics.export.write_profile`),
+    so spilled-chunk concatenation stays verbatim."""
+    from ..analytics.export import write_profile
 
-    Byte-identical to :func:`repro.analytics.save_profile`'s file
-    output — the store reuses the exporter itself (via a temp file, so
-    spilled-chunk concatenation stays verbatim) rather than
-    reimplementing the wire format.
-    """
-    import tempfile
-
-    from ..analytics import save_profile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "profile.jsonl"
-        save_profile(profiler, path)
-        return path.read_bytes()
+    buf = io.StringIO()
+    write_profile(buf, profiler)
+    return buf.getvalue().encode("utf-8")

@@ -100,6 +100,16 @@ class TestExportEquivalence:
         assert save_profile(mem, pm) == save_profile(spill, ps) == 100
         assert pm.read_bytes() == ps.read_bytes()
 
+    def test_in_memory_export_matches_file(self, twins, tmp_path):
+        """The run store's in-memory encoding writes the same bytes."""
+        from repro.store.store import export_profile_bytes
+
+        mem, spill = twins
+        path = tmp_path / "mem.jsonl"
+        save_profile(mem, path)
+        assert export_profile_bytes(mem) == path.read_bytes()
+        assert export_profile_bytes(spill) == path.read_bytes()
+
     def test_save_profile_roundtrips(self, twins, tmp_path):
         _, spill = twins
         path = tmp_path / "p.jsonl"

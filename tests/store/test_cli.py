@@ -155,3 +155,17 @@ class TestStoreCommand:
         assert main(["store", "gc", store, "--max-entries", "1"]) == 0
         out = capsys.readouterr().out
         assert "2 entry(ies) evicted, 1 kept" in out
+
+    def test_ls_lists_newest_first(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        for nodes in ("1", "2"):
+            assert main(["run", "srun", "--nodes", nodes, "--waves", "1",
+                         "--cache", store]) == 0
+        capsys.readouterr()
+        assert main(["store", "ls", store, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["n_nodes"] for row in rows] == [2, 1]
+        assert main(["store", "ls", store]) == 0
+        table = capsys.readouterr().out
+        assert table.index(rows[0]["digest"][:12]) \
+            < table.index(rows[1]["digest"][:12])

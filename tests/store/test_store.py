@@ -214,6 +214,13 @@ class TestEviction:
         assert len(kept) < 3
         assert store.stats.evicted >= 1
 
+    def test_max_bytes_evicts_only_down_to_the_cap(self, tmp_path, donor):
+        store = RunStore(tmp_path / "store")
+        d1, d2, d3 = populate(store, donor, seeds=(0, 1, 2))
+        size = max(row["bytes"] for row in store.entries())
+        assert store.gc(max_bytes=int(size * 2.5)) == [d1]
+        assert {row["digest"] for row in store.entries()} == {d2, d3}
+
     def test_eviction_never_tears_a_mid_read(self, tmp_path, donor):
         """POSIX rename-to-trash: an open handle keeps its bytes."""
         cfg, result, profile = donor
@@ -276,3 +283,164 @@ class TestIndex:
         assert written["profile.jsonl"].read_bytes() == profile
         doc = json.loads(written["result.json"].read_text())
         assert doc["n_tasks"] == result.n_tasks
+
+
+
+def journal_records(store: RunStore):
+    """The journal's record lines (the header line carries none)."""
+    data = (store.root / "index.jsonl").read_bytes()
+    return [json.loads(line) for line in data.split(b"\n")[1:]]
+
+
+def spy_rewrites(monkeypatch):
+    """Record every snapshot rewrite from here on."""
+    calls = []
+    monkeypatch.setattr(RunStore, "_write_index",
+                        lambda self, *args: calls.append(args))
+    return calls
+
+
+class TestJournal:
+    def test_hit_and_put_append_one_line_each(self, tmp_path, donor,
+                                              monkeypatch):
+        store = RunStore(tmp_path / "store")
+        d0, _, _ = populate(store, donor, seeds=(0, 1, 2))
+        store.gc()  # compacts: the journal is just its header
+        assert journal_records(store) == []
+        rewrites = spy_rewrites(monkeypatch)
+        assert store.fetch(d0) is not None
+        (touch,) = journal_records(store)
+        assert touch["op"] == "touch" and touch["digests"] == [d0]
+        (d3,) = populate(store, donor, seeds=(3,))
+        assert [r["op"] for r in journal_records(store)] == ["touch", "put"]
+        assert journal_records(store)[1]["digest"] == d3
+        assert rewrites == []
+
+    def test_ensemble_hit_is_one_touch_line(self, tmp_path, monkeypatch):
+        from repro.ensemble import run_ensemble
+
+        cfg = config_by_id("srun", n_nodes=1, waves=1)
+        store = RunStore(tmp_path / "store")
+        seeds = list(range(8))
+        run_ensemble(cfg, seeds=seeds, cache=store, parallel=1)
+        store.gc()
+        before = {row["digest"]: row for row in store.entries()}
+        rewrites = spy_rewrites(monkeypatch)
+        served = run_ensemble(cfg, seeds=seeds, cache=store, parallel=1)
+        assert all(m.result.provenance == "cached" for m in served.members)
+        (touch,) = journal_records(store)
+        assert touch["op"] == "touch"
+        assert sorted(touch["digests"]) == sorted(before)
+        assert rewrites == []
+        after = {row["digest"]: row for row in store.entries()}
+        assert len(after) == 8
+        for digest, row in after.items():
+            assert row["hits"] == 1
+            assert row["last_access"] > before[digest]["last_access"]
+
+    def test_torn_tail_ignored_and_next_append_kept(self, tmp_path, donor):
+        store = RunStore(tmp_path / "store")
+        (digest,) = populate(store, donor)
+        store.gc()
+        with (store.root / "index.jsonl").open("ab") as fh:
+            fh.write(b'\n{"op": "touch", "at": 1')  # a crash mid-append
+        (row,) = store.entries()
+        assert row["hits"] == 0
+        store.fetch(digest)
+        (row,) = store.entries()
+        assert row["hits"] == 1
+
+    def test_crash_mid_compaction_neither_double_counts_nor_loses(
+            self, tmp_path, donor, monkeypatch):
+        store = RunStore(tmp_path / "store")
+        d0, d1 = populate(store, donor, seeds=(0, 1))
+        store.gc()
+        store.fetch(d0)
+        store.fetch(d0)
+        store.fetch(d1)
+        hits = {row["digest"]: row["hits"] for row in store.entries()}
+        assert hits == {d0: 2, d1: 1}
+
+        def crash(self, generation):
+            raise OSError("killed between snapshot and journal reset")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RunStore, "_reset_journal", crash)
+            with pytest.raises(OSError, match="killed"):
+                store.gc()
+        # The new snapshot already holds the old journal's records.
+        assert {row["digest"]: row["hits"]
+                for row in store.entries()} == hits
+        # An append to the not-yet-reset journal is still replayed.
+        store.fetch(d1)
+        assert {row["digest"]: row["hits"]
+                for row in store.entries()} == {d0: 2, d1: 2}
+
+    def test_concurrent_touches_are_never_lost(self, tmp_path, donor):
+        """More writers than cores, each with its own store handle and
+        a short switch interval: every touch lands, across the
+        compactions the writers trigger."""
+        import sys
+        import threading
+
+        root = tmp_path / "store"
+        (digest,) = populate(RunStore(root), donor)
+        n_threads, n_touches = 6, 20
+
+        def touch():
+            store = RunStore(root)
+            for _ in range(n_touches):
+                store.touch([digest])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=touch)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        (row,) = RunStore(root).entries()
+        assert row["hits"] == n_threads * n_touches
+
+    def test_gc_compaction_keeps_entries(self, tmp_path, donor):
+        store = RunStore(tmp_path / "store")
+        d0, d1, _ = populate(store, donor, seeds=(0, 1, 2))
+        store.fetch(d1)
+        store.fetch(d0)
+        before = store.entries()
+        store.gc()
+        assert journal_records(store) == []
+        assert store.entries() == before
+
+    def test_hit_and_put_cost_independent_of_index_size(
+            self, tmp_path, donor, monkeypatch):
+        """A hit and an uncapped put append the same bytes and parse no
+        index at 1 or 10,001 entries."""
+        appended = []
+        for n_fake in (0, 10_000):
+            store = RunStore(tmp_path / f"store{n_fake}")
+            (digest,) = populate(store, donor)
+            store.gc()
+            snapshot = store.root / "index.json"
+            doc = json.loads(snapshot.read_text())
+            meta = doc["entries"][digest]
+            for i in range(n_fake):
+                doc["entries"][f"{i:064x}"] = dict(meta)
+            snapshot.write_text(json.dumps(doc))
+            journal = store.root / "index.jsonl"
+            size = journal.stat().st_size
+            with monkeypatch.context() as patch:
+                patch.setattr(store_mod.time, "time", lambda: 1.5e9)
+                patch.setattr(RunStore, "_read_index", None)
+                assert store.fetch(digest) is not None
+                populate(store, donor, seeds=(1,))
+            appended.append(journal.read_bytes()[size:])
+            index, _ = store._read_index()
+            assert len(index) == n_fake + 2 and index[digest]["hits"] == 1
+        assert appended[0] == appended[1]
+        assert appended[0].count(b"\n") == 2
