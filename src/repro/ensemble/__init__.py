@@ -11,9 +11,9 @@ package attacks it at three price points:
   dragon) advance all members in lock-stepped structure-of-arrays
   cohorts through the launch pipeline's exact queueing recurrence —
   srun/dragon over the task index, flux over scheduler-cycle
-  boundaries; everything else replays the real stack per seed with the
-  per-sweep setup hoisted (auto-sharded over the process pool for
-  sweeps of four seeds or more).  Either way, per-seed results and
+  boundaries; everything else replays the real stack per seed
+  (auto-sharded over the process pool for sweeps of four seeds or
+  more).  Either way, per-seed results and
   exported profiles are byte-identical to independent sequential runs.
 * :class:`FluidSurrogate` — a calibrated mean-value model answering
   throughput/utilization what-ifs in microseconds, within the

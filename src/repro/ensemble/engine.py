@@ -17,11 +17,10 @@ the correctness contract:
     below a kernel run (gated by ``benchmarks/test_perf_ensemble.py``).
 
 ``replay``
-    Generic fallback: one real :func:`run_experiment` per seed with
-    the per-sweep setup (workload construction, config validation)
-    hoisted out of the loop.  Used for launchers/workloads the
-    recurrences do not cover (multi-partition hierarchies, staged or
-    faulty workloads, degenerate zero-cv latencies).  Replay sweeps of
+    Generic fallback: one real :func:`run_experiment` per seed.  Used
+    for launchers/workloads the recurrences do not cover
+    (multi-partition hierarchies, staged or faulty workloads,
+    degenerate zero-cv latencies).  Replay sweeps of
     :data:`_AUTO_REPLAY_MIN_SEEDS` or more seeds are sharded over the
     process pool automatically unless the caller pinned ``parallel``,
     so no launcher is left at 1x per-seed cost.
@@ -30,12 +29,16 @@ Either way the results are *identical* to N independent sequential
 runs — same metric floats, byte-identical exported profiles.  The
 determinism tests pin both engines against the real stack.
 
-``parallel=`` composes with :mod:`repro.experiments.parallel` by
-splitting the seed list into contiguous batches, one worker process
-per batch, each running the same engine on its slice.  Profilers do
-not survive pickling, so parallel ensembles return traces only via
-``profile_dir`` (exported inside the worker), mirroring
-``run_many``'s ``profile_paths`` contract.
+``parallel=`` splits the seed list into contiguous batches, one
+worker process per batch, each running the same engine on its slice
+through the same process-pool loop as
+:func:`~repro.experiments.parallel.run_many` (salvage, resubmit and
+give up after ``POOL_RETRIES``).  Profilers do not survive pickling,
+so parallel ensembles return traces only via ``profile_dir``
+(exported inside the worker), mirroring ``run_many``'s
+``profile_paths`` contract.  Seeds resolve through
+:func:`~repro.ensemble.seeds.sweep_seeds`, exactly as in
+:func:`~repro.experiments.harness.run_repetitions`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analytics.profiler import Profiler
 from ..exceptions import ConfigurationError
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
-from .seeds import SeedsLike, resolve_seeds
+from .seeds import SeedsLike, sweep_seeds
 from .vectorized import run_vectorized, supports_vectorized
 
 #: Engine names accepted by ``run_ensemble(engine=...)``.
@@ -108,17 +111,7 @@ class EnsembleResult:
         """Across-seed aggregation, same formulas as ``run_repetitions``."""
         from ..experiments.harness import AggregateResult
 
-        results = self.results
-        n = len(results)
-        return AggregateResult(
-            config=self.config,
-            n_reps=n,
-            throughput_avg=sum(r.throughput.avg for r in results) / n,
-            throughput_max=max(r.throughput.peak for r in results),
-            utilization_avg=sum(r.utilization_cores for r in results) / n,
-            makespan_avg=sum(r.makespan for r in results) / n,
-            results=tuple(results),
-        )
+        return AggregateResult.of(self.config, self.results)
 
 
 def _profile_path(profile_dir: str, seed: int) -> str:
@@ -243,13 +236,7 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
 def _run_replay(cfg, seeds: Sequence[int], latencies: LatencyModel,
                 keep_profiles: bool, on_member=None,
                 store=None, digests=None):
-    """Generic engine: sequential per-seed runs, setup hoisted.
-
-    The workload descriptions are built once for the whole batch and
-    handed to every :func:`run_experiment` call — description
-    construction is seed-independent, and the per-run task objects are
-    built *from* the shared descriptions, so sharing them is exactly
-    what :func:`~repro.core.task.build_tasks` does within one run.
+    """Generic engine: one sequential :func:`run_experiment` per seed.
 
     ``store``/``digests`` populate the run store as each seed lands
     (the caller already established these seeds are misses, so no
@@ -257,17 +244,14 @@ def _run_replay(cfg, seeds: Sequence[int], latencies: LatencyModel,
     seed's simulation returns — before the store write, so progress
     telemetry is never delayed behind a disk ``put``.
     """
-    from ..experiments.harness import build_workload, run_experiment
+    from ..experiments.harness import run_experiment
 
-    descriptions = (build_workload(cfg)
-                    if cfg.workload != "impeccable" else None)
     need_session = keep_profiles or store is not None
     results, profilers = [], []
     for seed in seeds:
         member_cfg = cfg.with_seed(seed)
         result = run_experiment(member_cfg, latencies,
-                                keep_session=need_session,
-                                descriptions=descriptions)
+                                keep_session=need_session)
         result.tasks = []
         results.append(result)
         if on_member is not None:
@@ -432,22 +416,14 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         ``keep_profiles`` needs live profilers, so it bypasses cache
         reads while still populating.
     """
-    if seeds is not None and n_reps is not None:
-        raise ConfigurationError("pass seeds= or n_reps=, not both")
-    if seeds is None:
-        reps = 3 if n_reps is None else n_reps
-        if reps < 1:
-            raise ConfigurationError("n_reps must be >= 1")
-        seed_list = [cfg.seed + rep for rep in range(reps)]
-    else:
-        seed_list = resolve_seeds(seeds)
+    seed_list = sweep_seeds(cfg, seeds, n_reps)
     chosen = _select_engine(cfg, latencies, engine)
     if (parallel is None and chosen == ENGINE_REPLAY
             and not keep_profiles
             and len(seed_list) >= _AUTO_REPLAY_MIN_SEEDS):
         # Cohort-sharded parallel replay: configs the recurrences
         # cannot cover still amortize — contiguous seed batches on the
-        # process pool, reusing the salvage/resubmit machinery below.
+        # process pool, with the pool loop's salvage and resubmit.
         parallel = "auto"
     if bundle is not None and profile_dir is None:
         profile_dir = str(bundle)
@@ -468,25 +444,15 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         from ..experiments.parallel import resolve_jobs
 
         n_workers = resolve_jobs(parallel, n_items=len(seed_list))
-    if n_workers > 1 and len(seed_list) > 1:
+    if n_workers > 1:
         if keep_profiles:
             raise ConfigurationError(
                 "keep_profiles does not compose with parallel ensembles; "
                 "use profile_dir to export traces inside the workers")
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        from ..exceptions import HostFailureError
-        from ..experiments.parallel import POOL_RETRIES, POOL_RETRY_BACKOFF
+        from ..experiments.parallel import _fan_out
 
         payloads = [(cfg, batch, latencies, chosen, profile_dir, cache)
                     for batch in _split_batches(seed_list, n_workers)]
-        # submit + as_completed (not pool.map): progress is reported
-        # the moment each batch lands, while the result list is still
-        # restored to input order below.  A pool worker killed by the
-        # OS breaks the pool; landed batches are salvaged and only the
-        # missing ones are resubmitted (each batch is an independent
-        # seeded replay, so a re-run is bit-identical).
         batches: List[Optional[List[EnsembleMember]]] = [None] * len(payloads)
 
         def land(i, batch):
@@ -497,35 +463,11 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
                     telemetry.member_done(r.n_tasks, r.n_done, r.n_failed,
                                           provenance=r.provenance)
 
-        pending = list(range(len(payloads)))
-        retries = 0
-        while pending:
-            broken = None
-            with ProcessPoolExecutor(max_workers=len(pending)) as pool:
-                futures = {pool.submit(_run_batch, payloads[i]): i
-                           for i in pending}
-                for future in as_completed(futures):
-                    try:
-                        batch = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = exc
-                        continue
-                    land(futures[future], batch)
-            if broken is None:
-                break
-            pending = [i for i in pending if batches[i] is None]
-            if not pending:
-                break
-            if retries >= POOL_RETRIES:
-                raise HostFailureError(
-                    f"ensemble pool lost workers {retries + 1} times; "
-                    f"{len(pending)} of {len(payloads)} batches incomplete"
-                ) from broken
-            time.sleep(POOL_RETRY_BACKOFF * (2 ** retries))
-            retries += 1
+        # Batches land in completion order; ``batches`` restores the
+        # input order.
+        _fan_out(_run_batch, payloads, len(payloads), land)
         members = [m for batch in batches for m in batch]
     else:
-        n_workers = 1
         from ..store import RunStore
 
         members = _run_members(cfg, seed_list, latencies, chosen,

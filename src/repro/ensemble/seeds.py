@@ -2,13 +2,14 @@
 
 The CLI exposes explicit seed lists (``run --seeds 1,2,5-20``) next to
 the older ``--reps`` form (which derives ``cfg.seed + rep``).  Parsing
-lives in its own dependency-free module so both the harness and the
-ensemble engine can import it without a circular import.
+and :func:`sweep_seeds` live in their own dependency-free module so
+both the harness and the ensemble engine resolve a sweep's seeds the
+same way without a circular import.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
 
@@ -60,3 +61,22 @@ def resolve_seeds(seeds: SeedsLike) -> List[int]:
     if any(s < 0 for s in out):
         raise ConfigurationError(f"negative seed in {out!r}")
     return out
+
+
+def sweep_seeds(cfg, seeds: Optional[SeedsLike] = None,
+                n_reps: Optional[int] = None) -> List[int]:
+    """The seed list of a multi-run sweep over ``cfg``.
+
+    ``seeds`` names the seeds explicitly (see :func:`resolve_seeds`);
+    otherwise the sweep runs ``cfg.seed + rep`` for ``n_reps``
+    repetitions, 3 when neither is given.  Passing both is an error,
+    not a silent preference for one.
+    """
+    if seeds is not None and n_reps is not None:
+        raise ConfigurationError("pass seeds= or n_reps=, not both")
+    if seeds is not None:
+        return resolve_seeds(seeds)
+    reps = 3 if n_reps is None else n_reps
+    if reps < 1:
+        raise ConfigurationError("n_reps must be >= 1")
+    return [cfg.seed + rep for rep in range(reps)]

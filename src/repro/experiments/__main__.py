@@ -103,7 +103,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cache = getattr(args, "cache", "") or None
     progress = _progress_sink(getattr(args, "progress", ""))
     checkpoint = getattr(args, "checkpoint", "") or None
-    multi = args.reps > 1 or seeds or getattr(args, "ensemble", False)
+    # One run unless told otherwise; an explicit --reps next to --seeds
+    # is passed on so the seed resolver rejects the pair.
+    n_reps = 1 if args.reps is None and not seeds else args.reps
+    multi = seeds or n_reps > 1 or getattr(args, "ensemble", False)
     from ..resilience import parse_resilience
 
     # Multi-run sweeps use the directory as a sweep *ledger* (one doc
@@ -116,8 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if getattr(args, "ensemble", False):
         from .harness import run_ensemble
 
-        ens = run_ensemble(cfg, seeds=seeds,
-                           n_reps=None if seeds else args.reps,
+        ens = run_ensemble(cfg, seeds=seeds, n_reps=n_reps,
                            profile_dir=getattr(args, "profile_dir", "")
                            or None,
                            parallel=args.parallel,
@@ -163,8 +165,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n = save_profile(result.session.profiler, args.profile)
             print(f"wrote {n} trace events to {args.profile}")
         return 0
-    if args.reps > 1 or seeds:
-        agg = run_repetitions(cfg, n_reps=args.reps, parallel=args.parallel,
+    if seeds or n_reps > 1:
+        agg = run_repetitions(cfg, n_reps=n_reps, parallel=args.parallel,
                               seeds=seeds, progress=progress,
                               checkpoint=checkpoint, cache=cache)
         if cache:
@@ -230,17 +232,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         if cfg.n_nodes > args.max_nodes:
             continue
         cfgs.append(cfg)
-    if args.parallel is not None:
-        from .parallel import run_many
+    from .parallel import run_many
 
-        results = run_many(cfgs, jobs=args.parallel)
-    else:
-        results = []
-        for cfg in cfgs:
-            r = run_experiment(cfg)
-            results.append(r)
-            print(f"  done: {cfg.exp_id} @ {cfg.n_nodes} nodes "
-                  f"({r.wall_seconds:.1f}s wall)", file=sys.stderr)
+    def done(_n, _total, r):
+        print(f"  done: {r.config.exp_id} @ {r.config.n_nodes} nodes "
+              f"({r.wall_seconds:.1f}s wall)", file=sys.stderr)
+
+    results = run_many(cfgs, jobs=args.parallel or 1, progress=done)
     rows = [(cfg.exp_id, cfg.launcher, cfg.n_nodes, cfg.n_partitions,
              r.n_tasks, r.throughput.avg, r.throughput.peak,
              r.utilization_cores, r.makespan)
@@ -391,7 +389,7 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--nodes", type=int, default=None)
     p_run.add_argument("--partitions", type=int, default=None)
     p_run.add_argument("--waves", type=int, default=None)
-    p_run.add_argument("--reps", type=int, default=1)
+    p_run.add_argument("--reps", type=int, default=None)
     p_run.add_argument("--parallel", nargs="?", const="auto", default=None,
                        metavar="N",
                        help="fan repetitions out over N worker processes "
@@ -427,7 +425,7 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--seeds", default="", metavar="SPEC",
                        help="explicit seed list, e.g. 1,2,5-20 "
                             "(default: cfg.seed + rep for --reps "
-                            "repetitions)")
+                            "repetitions; not both)")
     p_run.add_argument("--engine", choices=["vectorized", "replay"],
                        default=None,
                        help="with --ensemble: force the member engine "

@@ -5,7 +5,10 @@ submits a pilot with the configured backend partitions, generates the
 workload, executes it, and returns an :class:`ExperimentResult` with
 the paper's three metrics plus the raw task list for time-series
 analysis.  :func:`run_repetitions` aggregates several seeds the way
-the paper reports average and maximum throughput across repetitions.
+the paper reports average and maximum throughput across repetitions;
+it resolves its seeds like :func:`run_ensemble` and runs them through
+:func:`~repro.experiments.parallel.run_many`, the one multi-run path
+(in-process or pooled, with the sweep ledger and run store).
 """
 
 from __future__ import annotations
@@ -176,13 +179,10 @@ def run_experiment(cfg: ExperimentConfig,
                    observe: bool = False,
                    bundle: Optional[str] = None,
                    spill_dir=None,
-                   descriptions: Optional[List[TaskDescription]] = None,
                    progress=None,
                    resilience=None,
                    cache=None,
-                   _resume_verify=None,
-                   _derived_descriptions: bool = False
-                   ) -> ExperimentResult:
+                   _resume_verify=None) -> ExperimentResult:
     """Run one experiment end-to-end and compute its metrics.
 
     ``observe`` enables the session's observability layer (metrics
@@ -193,13 +193,6 @@ def run_experiment(cfg: ExperimentConfig,
     that directory, bounding memory on full-machine runs.  All three
     leave the simulated event order untouched: same-seed runs produce
     byte-identical traces with or without them.
-
-    ``descriptions`` supplies a pre-built synthetic workload, letting
-    sweep callers (:func:`run_repetitions`, the ensemble engine) pay
-    description construction once for all seeds — the descriptions
-    are immutable and seed-independent, so sharing them across runs
-    cannot change any outcome.  Ignored for the IMPECCABLE campaign,
-    which generates tasks adaptively inside the run.
 
     ``progress`` turns on the live telemetry bus (implies
     ``observe``): pass a sink callable, a pre-built ``TelemetryBus``,
@@ -218,17 +211,14 @@ def run_experiment(cfg: ExperimentConfig,
     ``cache`` memoizes the run through a content-addressed store (a
     :class:`~repro.store.RunStore` or a directory path; ``None`` —
     the default — leaves every path exactly as before).  The run is
-    keyed by a digest of (normalized config, seed, workload, code
-    fingerprint); a verified hit returns the stored metrics (and the
+    keyed by a digest of (normalized config, seed, code fingerprint);
+    a verified hit returns the stored metrics (and the
     byte-exact profile, via the store API) in milliseconds without
     building a session, and a miss simulates then populates the
     store.  Hits are task-free (``tasks=[]``, ``session=None``, like
     parallel results), so runs that need live state — ``keep_session``,
     ``bundle``, checkpoint resume — always simulate fresh; they still
-    populate the store on the way out.  ``_derived_descriptions``
-    marks a caller-supplied ``descriptions`` list as the canonical
-    :func:`build_workload` output (sweep callers hoist construction),
-    keeping its digest identical to a derive-it-yourself run.
+    populate the store on the way out.
     """
     wall0 = time.perf_counter()
     store = run_key = None
@@ -236,9 +226,7 @@ def run_experiment(cfg: ExperimentConfig,
         from ..store import RunStore
 
         store = RunStore.resolve(cache)
-        run_key = store.digest_for(
-            cfg, descriptions=descriptions,
-            derived=_derived_descriptions or descriptions is None)
+        run_key = store.digest_for(cfg)
         if keep_session is False and bundle is None and \
                 _resume_verify is None:
             cached = store.load_result(cfg, run_key)
@@ -286,10 +274,8 @@ def run_experiment(cfg: ExperimentConfig,
         tasks = runner.result.tasks
     else:
         with host.phase("workload"):
-            if descriptions is None:
-                descriptions = build_workload(
-                    cfg, session.cluster.cores_per_node)
-            tasks = tmgr.submit_tasks(descriptions)
+            tasks = tmgr.submit_tasks(
+                build_workload(cfg, session.cluster.cores_per_node))
         if telemetry is not None:
             telemetry.sampler.tasks_total = len(tasks)
         with host.phase("run"):
@@ -318,12 +304,12 @@ def run_experiment(cfg: ExperimentConfig,
                     if session.faults is not None else None),
         )
         if store is not None:
-            # Populate on miss (or bypassed read): the profile export is
-            # the same ``save_profile`` bytes a fresh export produces, so
-            # a later hit delivers a byte-identical trace.  Losing a
-            # publication race to a concurrent writer costs nothing — the
-            # winner's entry is byte-identical by the determinism
-            # contract.
+            # Populate on miss (or bypassed read): the put encodes the
+            # profile through ``write_profile``, the writer behind
+            # ``save_profile``, so a later hit delivers a byte-identical
+            # trace.  Losing a publication race to a concurrent writer
+            # costs nothing — the winner's entry is byte-identical by the
+            # determinism contract.
             stored = store.put(run_key, cfg, result,
                                profiler=session.profiler)
             result.cache = {"digest": run_key, "hit": False, "stored": stored}
@@ -409,6 +395,21 @@ class AggregateResult:
     makespan_avg: float
     results: Tuple[ExperimentResult, ...] = field(repr=False, default=())
 
+    @classmethod
+    def of(cls, cfg: ExperimentConfig,
+           results: Sequence[ExperimentResult]) -> "AggregateResult":
+        """Aggregate one sweep's per-seed results."""
+        n = len(results)
+        return cls(
+            config=cfg,
+            n_reps=n,
+            throughput_avg=sum(r.throughput.avg for r in results) / n,
+            throughput_max=max(r.throughput.peak for r in results),
+            utilization_avg=sum(r.utilization_cores for r in results) / n,
+            makespan_avg=sum(r.makespan for r in results) / n,
+            results=tuple(results),
+        )
+
     @property
     def provenance(self) -> dict:
         """Per-seed provenance counts (``fresh``/``cached``/
@@ -421,24 +422,28 @@ class AggregateResult:
         return counts
 
 
-def run_repetitions(cfg: ExperimentConfig, n_reps: int = 3,
+def run_repetitions(cfg: ExperimentConfig, n_reps: Optional[int] = None,
                     latencies: LatencyModel = FRONTIER_LATENCIES,
                     parallel=None, seeds=None,
                     progress=None, checkpoint=None,
-                    resilience=None, cache=None) -> AggregateResult:
+                    cache=None) -> AggregateResult:
     """Run several seeds of one configuration and aggregate.
 
     ``seeds`` names the repetition seeds explicitly — a sequence of
-    ints or a CLI-style spec string (``"1,2,5-20"``); the default
-    derives ``cfg.seed + rep`` for ``n_reps`` repetitions.
+    ints or a CLI-style spec string (``"1,2,5-20"``); otherwise the
+    sweep derives ``cfg.seed + rep`` for ``n_reps`` repetitions (3 by
+    default).  Passing both raises
+    :class:`~repro.exceptions.ConfigurationError`.
 
-    ``parallel`` fans the repetitions out over worker processes
-    (``"auto"``/``0`` = one per core, an int = that many workers; see
-    :mod:`repro.experiments.parallel`).  Each repetition is an
-    independent seeded simulation, so the aggregate is identical to
-    the serial loop's — but parallel results carry no per-task objects
+    The repetitions run through
+    :func:`~repro.experiments.parallel.run_many`.  ``parallel`` fans
+    them out over worker processes (``"auto"``/``0`` = one per core,
+    an int = that many workers).  Each repetition is an independent
+    seeded simulation, so the aggregate is identical to the serial
+    loop's — but pooled results carry no per-task objects
     (``ExperimentResult.tasks`` is empty; tasks cannot cross the
-    process boundary).  The default (``None``) keeps the serial path.
+    process boundary).  The default (``None``) runs in-process and
+    keeps the tasks.
 
     ``progress`` streams sweep telemetry (``source: "parallel"``,
     one record per completed repetition, wall-clock ETA): a callable
@@ -454,11 +459,6 @@ def run_repetitions(cfg: ExperimentConfig, n_reps: int = 3,
     independent seeded run, so skip-and-reload aggregates identically
     to rerunning.
 
-    ``resilience`` is passed to each serial repetition (see
-    :class:`~repro.resilience.ResilienceSpec`); its ``checkpoint_dir``
-    must be unset — per-rep run checkpoints would clobber each other,
-    the sweep ledger is the durable state here.
-
     ``cache`` memoizes each repetition through a content-addressed
     run store at **per-seed granularity** — a 64-seed sweep with 60
     seeds already stored simulates only the missing 4.  Each
@@ -468,83 +468,28 @@ def run_repetitions(cfg: ExperimentConfig, n_reps: int = 3,
     :attr:`~AggregateResult.provenance` counts them, and sweep
     telemetry records carry the same per-member classification.
     """
-    if resilience is not None and resilience.checkpointing:
-        raise ConfigurationError(
-            "run checkpoints do not compose with repetitions; pass "
-            "checkpoint= for a sweep ledger instead")
-    if seeds is not None:
-        from ..ensemble.seeds import resolve_seeds
+    from ..ensemble.seeds import sweep_seeds
+    from .parallel import run_many
 
-        seed_list = resolve_seeds(seeds)
-    else:
-        if n_reps < 1:
-            raise ConfigurationError("n_reps must be >= 1")
-        seed_list = [cfg.seed + rep for rep in range(n_reps)]
-    n_reps = len(seed_list)
-    cfgs = [cfg.with_seed(seed) for seed in seed_list]
-    telemetry = None
+    cfgs = [cfg.with_seed(seed) for seed in sweep_seeds(cfg, seeds, n_reps)]
+    on_result = None
     if progress is not None:
         from ..observability.telemetry import SweepTelemetry
 
-        telemetry = SweepTelemetry.create("parallel", n_reps, progress)
+        telemetry = SweepTelemetry.create("parallel", len(cfgs), progress)
 
-    def rep_done(result):
-        if telemetry is not None:
-            telemetry.member_done(result.n_tasks, result.n_done,
-                                  result.n_failed,
-                                  provenance=result.provenance)
-    # Per-sweep setup is paid once: the synthetic workload is
-    # seed-independent, so every repetition submits the same immutable
-    # descriptions (the campaign workload generates its own tasks).
-    shared = (build_workload(cfg, frontier(max(cfg.n_nodes, 1)).cores_per_node)
-              if cfg.workload != WORKLOAD_IMPECCABLE else None)
+        def on_result(_done, _total, r):
+            telemetry.member_done(r.n_tasks, r.n_done, r.n_failed,
+                                  provenance=r.provenance)
     ledger = None
     if checkpoint is not None:
         from ..resilience.checkpoint import SweepLedger
 
         ledger = SweepLedger(checkpoint)
-    serial = True
-    if parallel is not None:
-        from .parallel import resolve_jobs, run_many
-
-        if resolve_jobs(parallel, n_items=n_reps) > 1:
-            serial = False
-            results = run_many(
-                cfgs, latencies, jobs=parallel,
-                progress=(lambda done, total, r: rep_done(r))
-                if telemetry is not None else None,
-                ledger=ledger, cache=cache)
-    if serial:
-        from ..resilience.checkpoint import result_from_doc
-
-        results = []
-        for c in cfgs:
-            if ledger is not None:
-                doc = ledger.completed(c)
-                if doc is not None:
-                    # Finished before the interruption: rebuild from
-                    # the ledger instead of re-simulating.
-                    result = result_from_doc(c, doc)
-                    result.provenance = "resumed"
-                    results.append(result)
-                    rep_done(result)
-                    continue
-            result = run_experiment(c, latencies, descriptions=shared,
-                                    resilience=resilience, cache=cache,
-                                    _derived_descriptions=True)
-            if ledger is not None:
-                ledger.record(c, result)
-            results.append(result)
-            rep_done(result)
-    return AggregateResult(
-        config=cfg,
-        n_reps=n_reps,
-        throughput_avg=sum(r.throughput.avg for r in results) / n_reps,
-        throughput_max=max(r.throughput.peak for r in results),
-        utilization_avg=sum(r.utilization_cores for r in results) / n_reps,
-        makespan_avg=sum(r.makespan for r in results) / n_reps,
-        results=tuple(results),
-    )
+    results = run_many(cfgs, latencies,
+                       jobs=1 if parallel is None else parallel,
+                       progress=on_result, ledger=ledger, cache=cache)
+    return AggregateResult.of(cfg, results)
 
 
 def run_ensemble(cfg: ExperimentConfig, seeds=None, n_reps=None,

@@ -10,17 +10,21 @@ metrics, same ordering, and byte-identical trace exports — because
 each worker seeds its own simulation from the config and nothing is
 shared between runs.
 
+This module holds the one process-pool loop in the package
+(:func:`_fan_out`): :func:`run_many` drives it with one run per unit,
+and :func:`repro.ensemble.run_ensemble` with one seed batch per unit.
+
 Two things do not survive the trip back from a worker process:
 
 * ``ExperimentResult.tasks`` — task objects hold live generator
   frames and environment references and are not picklable;
 * ``ExperimentResult.session`` — same reason, via the kernel queue.
 
-Both are stripped (``tasks=[]``, ``session=None``) from parallel
-results.  Callers that need the trace pass ``profile_path``: the
-worker then exports the profiler's JSONL *inside* the worker, where
-the session still exists, and the file lands on the shared
-filesystem.
+Both are stripped (``tasks=[]``, ``session=None``) from pooled
+results; in-process runs keep their tasks.  Callers that need the
+trace pass ``profile_paths``: the run then exports the profiler's
+JSONL where the session still exists (inside the worker), and the
+file lands on the shared filesystem.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError, HostFailureError
@@ -72,37 +75,91 @@ def resolve_jobs(jobs: Union[int, str, None] = None,
 
 
 def _run_one(payload):
-    """Worker entry point: run one experiment, return a picklable result.
+    """Run one experiment in this process: the ``run_experiment``
+    result, with the session dropped once its profile is exported.
 
-    Module-level (not a closure) so the pool can pickle it.  The
-    import of the harness is deferred to avoid a circular import —
+    The import of the harness is deferred to avoid a circular import —
     ``harness`` imports :func:`run_many` lazily for the same reason.
     """
-    cfg, latencies, profile_path, bundle_path, cache = payload
-    from ..resilience.crash import crash_point, crash_value
+    cfg, latencies, profile_path, cache = payload
     from .harness import run_experiment
+
+    keep = profile_path is not None
+    result = run_experiment(cfg, latencies, keep_session=keep, cache=cache)
+    if keep:
+        from ..analytics import save_profile
+
+        save_profile(result.session.profiler, profile_path)
+        result.session = None
+    return result
+
+
+def _run_pooled(payload):
+    """Pool worker entry point (module-level so the pool can pickle
+    it): :func:`_run_one` with the unpicklable task objects stripped."""
+    from ..resilience.crash import crash_point, crash_value
 
     # Crash-injection hook (tests only; inert without the env var):
     # ``REPRO_CRASH_AT=pool:<seed>`` hard-kills the pool worker that
     # picked up the first unit with that seed (or later), which the
     # parent sees as a BrokenProcessPool and must recover from.
     if crash_value("pool") is not None:
-        crash_point("pool", float(cfg.seed))
-    keep = profile_path is not None
-    result = run_experiment(cfg, latencies, keep_session=keep,
-                            bundle=bundle_path, cache=cache)
-    if keep:
-        from ..analytics import save_profile
+        crash_point("pool", float(payload[0].seed))
+    result = _run_one(payload)
+    result.tasks = []
+    return result
 
-        save_profile(result.session.profiler, profile_path)
-    return replace(result, tasks=[], session=None)
+
+def _fan_out(worker: Callable, payloads: Sequence, n_workers: int,
+            land: Callable) -> None:
+    """Run ``worker(payload)`` for every payload over a process pool.
+
+    ``land(i, result)`` is called in the parent as each unit lands, in
+    completion order (submit + ``as_completed``, not ``pool.map``, so
+    progress is reported the moment a unit finishes).  A pool worker
+    killed by the OS surfaces as :class:`BrokenProcessPool`; every
+    result that already landed is salvaged, and only the unfinished
+    units are resubmitted to a fresh pool (with backoff, up to
+    :data:`POOL_RETRIES` times) before :class:`HostFailureError`.
+    Each unit is an independent seeded simulation, so a re-run is
+    bit-identical.  A *deterministic* error raised by ``worker`` would
+    fail identically on retry and propagates as-is.
+    """
+    pending = list(range(len(payloads)))
+    retries = 0
+    while pending:
+        broken = None
+        landed = set()
+        with ProcessPoolExecutor(
+                max_workers=min(n_workers, len(pending))) as pool:
+            futures = {pool.submit(worker, payloads[i]): i for i in pending}
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    # This future's worker died (or the pool it needed
+                    # did); keep draining — futures that finished
+                    # before the breakage still hold good results.
+                    broken = exc
+                    continue
+                landed.add(futures[future])
+                land(futures[future], result)
+        pending = [i for i in pending if i not in landed]
+        if broken is None or not pending:
+            return
+        if retries >= POOL_RETRIES:
+            raise HostFailureError(
+                f"process pool lost workers {retries + 1} times; "
+                f"{len(pending)} of {len(payloads)} units incomplete"
+            ) from broken
+        time.sleep(POOL_RETRY_BACKOFF * (2 ** retries))
+        retries += 1
 
 
 def run_many(configs: Sequence[ExperimentConfig],
              latencies: LatencyModel = FRONTIER_LATENCIES,
              jobs: Union[int, str, None] = None,
              profile_paths: Optional[Sequence[Optional[str]]] = None,
-             bundle_paths: Optional[Sequence[Optional[str]]] = None,
              progress: Optional[Callable] = None,
              ledger=None,
              cache=None,
@@ -110,13 +167,10 @@ def run_many(configs: Sequence[ExperimentConfig],
     """Run several independent experiments, fanned out over processes.
 
     Results come back in input order regardless of completion order.
-    With one worker (or one config) the pool is skipped entirely and
-    the runs execute in-process — the serial fallback used by callers
-    that were handed ``--parallel 1`` or run on a single-core box.
-
-    ``bundle_paths`` works like ``profile_paths``: each named run
-    writes its observability bundle inside the worker (spans, metrics,
-    manifest and Perfetto trace do not survive pickling either).
+    With one worker (or one config to run) the pool is skipped
+    entirely and the runs execute in-process, returning exactly what
+    :func:`~repro.experiments.harness.run_experiment` returns (task
+    objects kept) — the serial path of every multi-run caller.
 
     ``progress(n_completed, n_total, result)`` is called in the parent
     process as each run lands, in completion order (the telemetry
@@ -127,12 +181,7 @@ def run_many(configs: Sequence[ExperimentConfig],
     re-run (their metrics documents are rehydrated instead), and every
     unit that lands is durably recorded before the next progress call.
 
-    A pool worker killed by the OS surfaces as
-    :class:`BrokenProcessPool`; every result that already landed is
-    salvaged, and only the unfinished units are resubmitted to a
-    fresh pool (with backoff, up to :data:`POOL_RETRIES` times).
-    A *deterministic* simulation error is never retried — it would
-    fail identically — and propagates as-is.
+    Pooled runs survive killed workers via :func:`_fan_out`.
 
     ``cache`` (a :class:`~repro.store.RunStore` or directory path)
     memoizes each unit through the content-addressed run store: hits
@@ -146,15 +195,7 @@ def run_many(configs: Sequence[ExperimentConfig],
     elif len(profile_paths) != len(configs):
         raise ConfigurationError(
             f"{len(profile_paths)} profile paths for {len(configs)} configs")
-    if bundle_paths is None:
-        bundle_paths = [None] * len(configs)
-    elif len(bundle_paths) != len(configs):
-        raise ConfigurationError(
-            f"{len(bundle_paths)} bundle paths for {len(configs)} configs")
-    payloads = [(cfg, latencies, path, bpath, cache)
-                for cfg, path, bpath in zip(configs, profile_paths,
-                                            bundle_paths)]
-    results: List[Optional["ExperimentResult"]] = [None] * len(payloads)
+    results: List[Optional["ExperimentResult"]] = [None] * len(configs)
     completed = 0
 
     def land(i, result, record=True):
@@ -164,7 +205,7 @@ def run_many(configs: Sequence[ExperimentConfig],
             ledger.record(configs[i], result)
         completed += 1
         if progress is not None:
-            progress(completed, len(payloads), result)
+            progress(completed, len(configs), result)
 
     pending = []
     for i, cfg in enumerate(configs):
@@ -177,42 +218,13 @@ def run_many(configs: Sequence[ExperimentConfig],
             land(i, result, record=False)
         else:
             pending.append(i)
+    payloads = [(configs[i], latencies, profile_paths[i], cache)
+                for i in pending]
     n_workers = resolve_jobs(jobs, n_items=len(pending))
-    if n_workers <= 1 or len(pending) <= 1:
-        for i in pending:
-            land(i, _run_one(payloads[i]))
-        return results
-    # submit + as_completed (not pool.map): the progress callback
-    # fires the moment each run lands; input order is restored via
-    # the futures -> index map.
-    retries = 0
-    while pending:
-        broken = None
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {pool.submit(_run_one, payloads[i]): i
-                       for i in pending}
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    # This future's worker died (or the pool it needed
-                    # did); keep draining — futures that finished
-                    # before the breakage still hold good results.
-                    broken = exc
-                    continue
-                land(futures[future], result)
-        if broken is None:
-            break
-        pending = [i for i in pending if results[i] is None]
-        if not pending:
-            break
-        if retries >= POOL_RETRIES:
-            raise HostFailureError(
-                f"parallel pool lost workers {retries + 1} times; "
-                f"{len(pending)} of {len(payloads)} runs incomplete "
-                f"(seeds {[configs[i].seed for i in pending]})"
-            ) from broken
-        time.sleep(POOL_RETRY_BACKOFF * (2 ** retries))
-        retries += 1
-        n_workers = resolve_jobs(jobs, n_items=len(pending))
+    if n_workers <= 1:
+        for i, payload in zip(pending, payloads):
+            land(i, _run_one(payload))
+    else:
+        _fan_out(_run_pooled, payloads, n_workers,
+                lambda k, result: land(pending[k], result))
     return results

@@ -24,7 +24,6 @@ from .keys import (
     code_fingerprint,
     normalize_config,
     run_digest,
-    workload_digest,
 )
 from .store import (
     STATS,
@@ -43,5 +42,4 @@ __all__ = [
     "code_fingerprint",
     "normalize_config",
     "run_digest",
-    "workload_digest",
 ]

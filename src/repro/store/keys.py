@@ -1,6 +1,7 @@
 """Canonical run identity: what makes two runs *the same run*.
 
-A run digest is a sha256 over four components:
+A run digest is a sha256 over a canonical document of these
+components:
 
 ``config``
     The canonical cache key of the :class:`ExperimentConfig` —
@@ -16,10 +17,11 @@ A run digest is a sha256 over four components:
     missing 4.
 
 ``workload``
-    ``"derived"`` when the task set comes from
-    :func:`~repro.experiments.harness.build_workload` (then it is a
-    pure function of the config and adds no information), otherwise a
-    content digest of the caller-supplied description list.
+    Always the literal ``"derived"``: every run's task set comes from
+    :func:`~repro.experiments.harness.build_workload` (or the
+    campaign runner), a pure function of the config that adds no
+    information.  The field stays in the document so digests keyed
+    under :data:`KEY_SCHEME` 1 remain valid.
 
 ``code``
     A fingerprint of every ``.py`` source file in the installed
@@ -34,7 +36,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 #: Version of the digest scheme itself; bump on any change to the
 #: normalization or fingerprint rules so old stores go stale instead
@@ -77,22 +79,6 @@ def cache_key(cfg) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def workload_digest(descriptions: Sequence) -> str:
-    """Content digest of an explicit task-description list.
-
-    Only needed when a caller hands :func:`run_experiment` a workload
-    that is *not* the config-derived one; the canonical sweeps pass
-    ``build_workload`` output, which the harness marks as derived and
-    which therefore adds nothing beyond the config key.
-    """
-    hasher = hashlib.sha256()
-    for desc in descriptions:
-        hasher.update(canonical_json(
-            dataclasses.asdict(desc)).encode("utf-8"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()
-
-
 # -- code-version fingerprint ------------------------------------------------
 
 _FINGERPRINT_CACHE: Dict[str, str] = {}
@@ -131,26 +117,19 @@ def code_fingerprint(root: Optional[Path] = None,
 
 
 def run_digest(cfg, seed: Optional[int] = None,
-               descriptions: Optional[Sequence] = None,
-               derived: bool = True,
                fingerprint: Optional[str] = None) -> str:
     """The content address of one run.
 
-    ``seed`` defaults to ``cfg.seed``; ``descriptions``/``derived``
-    select the workload component (see module docstring);
-    ``fingerprint`` overrides the code fingerprint (tests).
+    ``seed`` defaults to ``cfg.seed``; ``fingerprint`` overrides the
+    code fingerprint (tests).
     """
     if seed is None:
         seed = cfg.seed
-    if derived or descriptions is None:
-        workload = "derived"
-    else:
-        workload = workload_digest(descriptions)
     payload = canonical_json({
         "scheme": KEY_SCHEME,
         "config": cache_key(cfg),
         "seed": int(seed),
-        "workload": workload,
+        "workload": "derived",
         "code": fingerprint if fingerprint is not None
         else code_fingerprint(),
     })

@@ -234,12 +234,9 @@ class RunStore:
         return cls(cache)
 
     def digest_for(self, cfg, seed: Optional[int] = None,
-                   descriptions: Optional[Sequence] = None,
-                   derived: bool = True,
                    fingerprint: Optional[str] = None) -> str:
         """The run digest this store would file ``cfg`` under."""
-        return run_digest(cfg, seed=seed, descriptions=descriptions,
-                          derived=derived, fingerprint=fingerprint)
+        return run_digest(cfg, seed=seed, fingerprint=fingerprint)
 
     # -- paths and locking -------------------------------------------------
 

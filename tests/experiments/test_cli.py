@@ -31,6 +31,19 @@ class TestCli:
         assert "flux_1" in out
         assert "srun" not in out.replace("flux+dragon", "")
 
+    def test_table1_parallel_matches_serial_and_reports_progress(
+            self, capsys):
+        argv = ["table1", "--waves", "1", "--max-nodes", "2"]
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        assert main(argv + ["--parallel", "2"]) == 0
+        pooled = capsys.readouterr()
+        assert pooled.out == serial.out
+        # One "done" line per configuration as it lands, pooled or not.
+        n_configs = len(serial.out.splitlines()) - 2
+        assert serial.err.count("  done: ") == n_configs
+        assert pooled.err.count("  done: ") == n_configs
+
 
     def test_unknown_exp_is_reported_not_raised(self, capsys):
         # Stack errors surface as a one-line message and a non-zero
@@ -58,6 +71,22 @@ class TestCli:
         assert "must be >= 1" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "srun", "--nodes", "1", "--waves", "1",
+         "--reps", "5", "--seeds", "1-2"],
+        ["run", "srun", "--nodes", "1", "--waves", "1",
+         "--reps", "1", "--seeds", "1-2"],
+        ["run", "srun", "--nodes", "1", "--waves", "1",
+         "--reps", "5", "--seeds", "1-2", "--ensemble"],
+    ], ids=lambda argv: " ".join(argv[6:]))
+    def test_reps_and_seeds_together_are_rejected(self, argv, capsys):
+        # Both name the seed list; running either one silently would
+        # hide the other.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "not both" in captured.err
+        assert captured.out == ""
 
     def test_run_with_summary(self, capsys):
         assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",

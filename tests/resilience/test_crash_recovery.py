@@ -9,10 +9,9 @@ identical to the serial loop's either way.
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import HostFailureError
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.harness import run_repetitions
-from repro.resilience import ResilienceSpec
 
 SRUN = dict(exp_id="poolrec", launcher="srun", workload="null",
             n_nodes=8, duration=30.0, waves=1, seed=0)
@@ -60,8 +59,18 @@ class TestPoolRecovery:
         assert [r.throughput.avg for r in agg.results] == serial_reference
         assert all(r.tasks == [] for r in agg.results)
 
-    def test_run_checkpoints_do_not_compose_with_repetitions(self):
-        spec = ResilienceSpec(checkpoint_dir="somewhere")
-        with pytest.raises(ConfigurationError, match="ledger"):
-            run_repetitions(ExperimentConfig(**SRUN), n_reps=2,
-                            resilience=spec)
+    def test_retry_exhaustion_raises_host_failure(self, monkeypatch):
+        # Without REPRO_CRASH_ONCE the worker holding seed 2 dies on
+        # every attempt, so both fan-outs must give up loudly after
+        # POOL_RETRIES fresh pools instead of returning partial data.
+        from repro.ensemble import run_ensemble
+        from repro.experiments import parallel
+
+        monkeypatch.setenv("REPRO_CRASH_AT", "pool:2")
+        monkeypatch.delenv("REPRO_CRASH_ONCE", raising=False)
+        monkeypatch.setattr(parallel, "POOL_RETRY_BACKOFF", 0)
+        cfg = ExperimentConfig(**SRUN)
+        with pytest.raises(HostFailureError):
+            parallel.run_many([cfg.with_seed(s) for s in range(4)], jobs=2)
+        with pytest.raises(HostFailureError):
+            run_ensemble(cfg, n_reps=4, parallel=2)

@@ -6,14 +6,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.experiments.configs import config_by_id
-from repro.experiments.harness import build_workload
 from repro.store.keys import (
     CACHE_KEY_EXCLUDED,
     cache_key,
     code_fingerprint,
     normalize_config,
     run_digest,
-    workload_digest,
 )
 
 
@@ -84,24 +82,13 @@ class TestRunDigest:
         c = cfg()
         assert run_digest(c, seed=7) == run_digest(c.with_seed(7))
 
-    def test_derived_workload_matches_none(self):
-        c = cfg()
-        descriptions = build_workload(c)
-        assert run_digest(c, descriptions=descriptions, derived=True) \
-            == run_digest(c, descriptions=None)
-
-    def test_custom_workload_changes_digest(self):
-        c = cfg()
-        descriptions = build_workload(c)
-        assert run_digest(c, descriptions=descriptions, derived=False) \
-            != run_digest(c)
-
-    def test_workload_digest_is_content_addressed(self):
-        c = cfg()
-        a = build_workload(c)
-        b = build_workload(c)
-        assert workload_digest(a) == workload_digest(b)
-        assert workload_digest(a[:-1]) != workload_digest(a)
+    def test_golden_digest(self):
+        # Pins the key document (scheme, config key, seed, the literal
+        # "derived" workload field, code fingerprint): any change to it
+        # re-keys every stored run and must bump KEY_SCHEME.
+        assert run_digest(cfg(), seed=0, fingerprint="0" * 64) == (
+            "3c9d4fc54b24fb18a5b588e788bf4dab"
+            "5be88b53eefd4e88b8d936b96045c162")
 
     def test_fingerprint_component(self):
         c = cfg()
