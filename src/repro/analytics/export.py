@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Any, List, Union
 
@@ -38,6 +39,16 @@ _NONFINITE_KEY = "__nonfinite__"
 #: The record encoder, built once: ``json.dumps`` with keyword
 #: arguments constructs a fresh ``JSONEncoder`` on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+#: How the encoder spells a float, subclasses included (the template's
+#: ``time``; ``_encode_str`` is its string spelling).
+_float_repr = float.__repr__
+_INF = float("inf")
+
+#: Entries each of :func:`write_event_lines`' memos (metas, event
+#: names) holds before it starts over; bounds memory when every record
+#: has its own meta.
+_MEMO_LIMIT = 64
 
 
 def _sanitize(value: Any) -> Any:
@@ -84,25 +95,59 @@ def write_event_lines(fh, events) -> int:
     """Serialize trace events to ``fh``, one JSON object per line.
 
     The single point of truth for the record wire format: full-profile
-    export and the streaming profiler's spill chunks both write
-    through here, which is what makes chunk files verbatim slices of a
-    profile.  Returns the number of lines written.
+    export, the streaming profiler's spill chunks, run-store puts and
+    :class:`~repro.sim.monitor.Monitor` all write through here, which
+    is what makes chunk files verbatim slices of a profile.  Returns
+    the number of lines written.
+
+    Every line is byte-identical to ``_ENCODER.encode(record)`` (with
+    the :func:`_sanitize` retry) for ``record = {"time", "entity",
+    "name", "meta"}``: sorted keys, ``", "``/``": "`` separators,
+    ASCII-escaped strings.  A plain record — ``entity`` and ``name``
+    exactly ``str``, ``time`` a finite float (``numpy.float64``
+    included: the C encoder prints float subclasses with
+    ``float.__repr__`` too) — is spelled from a template instead of
+    walking the dict; anything else takes the encoder.  Encoded metas
+    are memoized by identity, so the few meta dicts shared by every
+    task's records are encoded once.  Each memo entry holds its meta,
+    so a freed dict's id cannot alias it, and the memo is cleared
+    every ``_MEMO_LIMIT`` entries, so per-record metas keep memory
+    flat.  Metas must not be mutated while ``events`` is iterated.
     """
     encode = _ENCODER.encode
+    write = fh.write
+    metas: dict = {}
+    names: dict = {}
+    meta_get, name_get = metas.get, names.get
     count = 0
-    for ev in events:
-        record = {
-            "time": ev.time,
-            "entity": ev.entity,
-            "name": ev.name,
-            "meta": ev.meta,
-        }
-        try:
-            line = encode(record)
-        except (ValueError, TypeError):
-            line = encode(_sanitize(record))
-        fh.write(line)
-        fh.write("\n")
+    for time, entity, name, meta in events:
+        if (type(entity) is str and type(name) is str
+                and isinstance(time, float) and -_INF < time < _INF):
+            cached = meta_get(id(meta))
+            if cached is None or cached[0] is not meta:
+                try:
+                    encoded = encode(meta)
+                except (ValueError, TypeError):
+                    encoded = encode(_sanitize(meta))
+                if len(metas) >= _MEMO_LIMIT:
+                    metas.clear()
+                cached = metas[id(meta)] = (meta, ', "meta": ' + encoded)
+            tail = name_get(name)
+            if tail is None:
+                if len(names) >= _MEMO_LIMIT:
+                    names.clear()
+                tail = names[name] = (
+                    ', "name": ' + _encode_str(name) + ', "time": ')
+            write('{"entity": ' + _encode_str(entity) + cached[1]
+                  + tail + _float_repr(time) + '}\n')
+        else:
+            record = {"time": time, "entity": entity, "name": name,
+                      "meta": meta}
+            try:
+                line = encode(record)
+            except (ValueError, TypeError):
+                line = encode(_sanitize(record))
+            write(line + "\n")
         count += 1
     return count
 
@@ -118,8 +163,10 @@ def iter_event_lines(fh, contains: str = None):
     queries over spilled chunks cheap (decoding dominates re-read
     cost).  It may over-match — e.g. the substring appearing inside a
     meta value — so callers still check the decoded field; it must
-    never under-match, so build it from the same ``json.dumps`` the
-    writer used (see :meth:`Profiler._named`).
+    never under-match, so build it in the spelling
+    :func:`write_event_lines` guarantees — ASCII-escaped strings,
+    ``": "`` and ``", "`` separators, sorted keys — e.g.
+    ``'"name": ' + json.dumps(name)`` (see :meth:`Profiler._named`).
     """
     for line in fh:
         if contains is not None and contains not in line:
@@ -136,29 +183,39 @@ def iter_event_lines(fh, contains: str = None):
         )
 
 
-def write_profile(fh, profiler: Profiler) -> int:
-    """Write a whole profile to the text handle ``fh``.
+def write_profile_lines(fh, chunks, events) -> int:
+    """Write a profile: the schema header, then the record lines of
+    the spill ``chunks`` verbatim, then ``events``.
 
-    The single source of the profile wire format: :func:`save_profile`
-    writes through it into a file, and the run store into memory.  The
-    first line is the schema header; it does not count toward the
-    returned number of events written.  A streaming (spill-to-disk)
-    profiler's chunks are copied verbatim — they are already in the
-    record format — so the output is byte-identical to an in-memory
-    profiler's, without materializing the trace.
+    Chunks are already in the record format, so copying them before
+    the in-memory tail is byte-identical to encoding every record.
+    The header does not count toward the returned number of records.
     """
     fh.write(json.dumps({"format": PROFILE_FORMAT,
                          "version": PROFILE_VERSION}, sort_keys=True))
     fh.write("\n")
-    if not getattr(profiler, "spilling", False):
-        return write_event_lines(fh, profiler)
     count = 0
-    for chunk in profiler.spilled_chunks:
+    for chunk in chunks:
         with chunk.open("r", encoding="utf-8") as src:
             for line in src:
                 fh.write(line)
                 count += 1
-    return count + write_event_lines(fh, profiler._events)
+    return count + write_event_lines(fh, events)
+
+
+def write_profile(fh, profiler: Profiler) -> int:
+    """Write a whole profile to the text handle ``fh``.
+
+    The single source of the profile wire format: :func:`save_profile`
+    writes through it into a file, and the run store into memory.  A
+    streaming (spill-to-disk) profiler's chunks are copied verbatim
+    (see :func:`write_profile_lines`), so the output is byte-identical
+    to an in-memory profiler's, without materializing the trace.
+    """
+    if getattr(profiler, "spilling", False):
+        return write_profile_lines(fh, profiler.spilled_chunks,
+                                   profiler._events)
+    return write_profile_lines(fh, (), profiler)
 
 
 def save_profile(profiler: Profiler, path: PathLike) -> int:

@@ -213,9 +213,11 @@ class Profiler:
         if self._n_spilled:
             import json
 
-            # The writer serializes with sort_keys + this exact
-            # spelling, so the needle never under-matches; the field
-            # check below handles needle text inside meta values.
+            # write_event_lines spells every record with sorted keys,
+            # ": " / ", " separators and ASCII-escaped strings, which
+            # is json.dumps' default spelling of this field, so the
+            # needle never under-matches; the field check below
+            # handles needle text inside meta values.
             needle = '"name": ' + json.dumps(name)
             out = [ev for ev in self._iter_spilled(needle)
                    if ev[2] == name]

@@ -397,10 +397,15 @@ def synthesize_profiler(preamble: _Preamble, scheduled: np.ndarray,
     cascade = np.repeat(np.arange(4.0), n_tasks)
     names = (TASK_SCHEDULED, TASK_EXEC_START, TASK_EXEC_STOP, TASK_DONE)
     metas = (meta_sched, meta_exec, meta_exec, meta_exec)
-    for flat in np.lexsort((cascade, emit_times)):
-        kind, i = divmod(int(flat), n_tasks)
-        events.append(TraceEvent(record_times[flat], uids[i], names[kind],
-                                 metas[kind]))
+    order = np.lexsort((cascade, emit_times))
+    kinds = (order // n_tasks).tolist()
+    # ``tolist`` yields Python floats, whose repr (and so the exported
+    # bytes) equals the numpy scalars'.
+    events.extend(map(TraceEvent,
+                      record_times[order].tolist(),
+                      map(uids.__getitem__, (order % n_tasks).tolist()),
+                      map(names.__getitem__, kinds),
+                      map(metas.__getitem__, kinds)))
     profiler = Profiler(None, enabled=True)
     profiler._events = events
     return profiler

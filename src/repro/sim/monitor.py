@@ -9,8 +9,10 @@ says the run is over.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Tuple)
 
+from ..analytics.events import TraceEvent
 from ..exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,37 +61,29 @@ class Monitor:
         """
         if not self._n_buffered:
             return
-        import json
-
-        from ..analytics.export import _sanitize
+        from ..analytics.export import write_event_lines
 
         self._spill_dir.mkdir(parents=True, exist_ok=True)
         path = self._spill_dir / f"monitor-{len(self._chunks):06d}.jsonl"
         with path.open("w", encoding="utf-8") as fh:
-            for t, name, v in self._sorted_tail():
-                record = {"time": t, "entity": f"monitor.{name}",
-                          "name": "sample", "meta": {"value": v}}
-                try:
-                    line = json.dumps(record, sort_keys=True, allow_nan=False)
-                except (ValueError, TypeError):
-                    line = json.dumps(_sanitize(record), sort_keys=True,
-                                      allow_nan=False)
-                fh.write(line)
-                fh.write("\n")
+            write_event_lines(fh, self._sorted_records())
         self._chunks.append(path)
         for name in self._samples:
             self._samples[name] = []
         self._n_buffered = 0
 
-    def _sorted_tail(self) -> List[Tuple[float, str, Any]]:
-        """Buffered samples as (time, probe, value), time-sorted with
-        probe registration order breaking ties (stable sort)."""
-        records: List[Tuple[float, str, Any]] = []
+    def _sorted_records(self) -> Iterator[TraceEvent]:
+        """Buffered samples as profile records (``entity`` =
+        ``monitor.<probe>``, the value under ``meta["value"]``),
+        time-sorted with probe registration order breaking ties
+        (stable sort)."""
+        samples: List[Tuple[float, str, Any]] = []
         for name in self._probes:
             for t, v in self._samples[name]:
-                records.append((t, name, v))
-        records.sort(key=lambda r: r[0])
-        return records
+                samples.append((t, name, v))
+        samples.sort(key=lambda r: r[0])
+        for t, name, v in samples:
+            yield TraceEvent(t, f"monitor.{name}", "sample", {"value": v})
 
     def _spilled_samples(self, name: str) -> List[Tuple[float, Any]]:
         """Lazily re-read one probe's samples from the spill chunks."""
@@ -195,39 +189,13 @@ class Monitor:
         task traces in offline analysis.  Returns the number of
         samples written.
         """
-        import json
         from pathlib import Path
 
-        from ..analytics.export import (
-            PROFILE_FORMAT,
-            PROFILE_VERSION,
-            _sanitize,
-        )
+        from ..analytics.export import write_profile_lines
 
-        count = 0
         with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"format": PROFILE_FORMAT,
-                                 "version": PROFILE_VERSION},
-                                sort_keys=True))
-            fh.write("\n")
             # Chunks hold whole sweeps already in the sorted record
             # order, so concatenating them verbatim before the sorted
             # tail reproduces the in-memory output byte for byte.
-            for chunk in self._chunks:
-                with chunk.open("r", encoding="utf-8") as src:
-                    for line in src:
-                        fh.write(line)
-                        count += 1
-            for t, name, v in self._sorted_tail():
-                record = {"time": t, "entity": f"monitor.{name}",
-                          "name": "sample", "meta": {"value": v}}
-                try:
-                    line = json.dumps(record, sort_keys=True,
-                                      allow_nan=False)
-                except (ValueError, TypeError):
-                    line = json.dumps(_sanitize(record), sort_keys=True,
-                                      allow_nan=False)
-                fh.write(line)
-                fh.write("\n")
-                count += 1
-        return count
+            return write_profile_lines(fh, self._chunks,
+                                       self._sorted_records())

@@ -149,3 +149,33 @@ class TestHardening:
         save_profile(profiler, path)
         (ev,) = load_events(path)
         assert ev.meta["thing"] == "<odd>"
+
+
+class TestEncoderMemory:
+    def test_meta_memo_is_bounded(self):
+        """Encoding per-record metas keeps peak memory flat: the
+        identity memo starts over every few dozen entries instead of
+        holding every meta it has seen."""
+        import tracemalloc
+
+        from repro.analytics.events import TraceEvent
+        from repro.analytics.export import write_event_lines
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        def events(n):
+            for i in range(n):
+                yield TraceEvent(1.0, "task", "task_done", {"cores": i})
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert write_event_lines(Sink(), events(n)) == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10_000), peak(100_000)
+        assert large - small < 32 * 1024, (small, large)
