@@ -34,12 +34,6 @@ class Profiler:
 
     Parameters
     ----------
-    enabled:
-        Off switch for no-trace runs: when ``False``, ``record`` is a
-        near-free no-op.  Metrics computed from :class:`Task` state
-        (throughput, utilization, makespan) still work; only
-        trace-derived data (startup overheads, exported profiles) is
-        empty.
     spill_dir:
         Streaming mode for full-machine runs whose traces do not fit
         in memory: every ``spill_threshold`` records the in-memory
@@ -52,11 +46,10 @@ class Profiler:
         to the in-memory profiler's.
     """
 
-    def __init__(self, env: "Environment", enabled: bool = True,
+    def __init__(self, env: "Environment",
                  spill_dir: Optional[Any] = None,
                  spill_threshold: int = SPILL_THRESHOLD) -> None:
         self._env = env
-        self.enabled = enabled
         self._events: List[TraceEvent] = []
         self._by_name: Dict[str, List[TraceEvent]] = {}
         self._by_entity: Dict[str, List[TraceEvent]] = {}
@@ -85,10 +78,6 @@ class Profiler:
     def spilled_chunks(self) -> List[Path]:
         """Paths of the chunk files written so far (record order)."""
         return list(self._chunks)
-
-    def _maybe_spill(self) -> None:
-        if len(self._events) >= self._spill_threshold:
-            self._spill()
 
     def _spill(self) -> None:
         """Flush the in-memory tail to the next chunk file."""
@@ -130,19 +119,14 @@ class Profiler:
     # -- recording --------------------------------------------------------
 
     def record(self, entity: str, name: str, at: Optional[float] = None,
-               **meta: Any) -> Optional[TraceEvent]:
-        """Record ``name`` for ``entity``.
+               **meta: Any) -> TraceEvent:
+        """Record ``name`` for ``entity`` and return the event.
 
         ``at`` overrides the timestamp (default: current simulated
         time) — used when the observing component learns about an
         event after it physically happened (e.g. completion messages
         arriving over a pipe), so traces carry the true event time.
-
-        Returns the recorded event, or ``None`` when tracing is
-        disabled.
         """
-        if not self.enabled:
-            return None
         ev = TraceEvent(time=self._env._now if at is None else at,
                         entity=entity, name=name, meta=meta)
         self._events.append(ev)
@@ -151,7 +135,7 @@ class Profiler:
         return ev
 
     def record_event(self, entity: str, name: str, meta: Dict[str, Any],
-                     at: Optional[float] = None) -> Optional[TraceEvent]:
+                     at: Optional[float] = None) -> TraceEvent:
         """Like :meth:`record`, but takes the meta dict directly.
 
         The hottest recording sites (task state transitions) build
@@ -159,8 +143,6 @@ class Profiler:
         ``**kwargs`` re-packing of :meth:`record`.  The caller must
         hand over a fresh dict (it is stored, not copied).
         """
-        if not self.enabled:
-            return None
         ev = TraceEvent(self._env._now if at is None else at,
                         entity, name, meta)
         self._events.append(ev)

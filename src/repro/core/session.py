@@ -33,7 +33,6 @@ class Session:
                  latencies: LatencyModel = FRONTIER_LATENCIES,
                  seed: int = 0,
                  env: Optional[Environment] = None,
-                 trace: bool = True,
                  observe: bool = False,
                  faults=None,
                  spill_dir=None) -> None:
@@ -47,8 +46,7 @@ class Session:
         #: ``spill_dir`` bounds profiler RSS by streaming trace events
         #: to chunked JSONL files instead of holding them all in
         #: memory; see :class:`~repro.analytics.profiler.Profiler`.
-        self.profiler = Profiler(self.env, enabled=trace,
-                                 spill_dir=spill_dir)
+        self.profiler = Profiler(self.env, spill_dir=spill_dir)
         from ..observability import Observability
 
         self.obs = Observability(self.env, enabled=observe)

@@ -25,18 +25,20 @@ the correctness contract:
     process pool automatically unless the caller pinned ``parallel``,
     so no launcher is left at 1x per-seed cost.
 
-Either way the results are *identical* to N independent sequential
-runs — same metric floats, byte-identical exported profiles.  The
-determinism tests pin both engines against the real stack.
+:func:`supports_vectorized` alone picks the engine.  Either way the
+results are *identical* to N independent sequential runs — same
+metric floats, byte-identical exported profiles.  The determinism
+tests pin the vectorized engine against per-seed
+:func:`run_experiment` calls, which is exactly what the replay engine
+runs.
 
 ``parallel=`` splits the seed list into contiguous batches, one
 worker process per batch, each running the same engine on its slice
 through the same process-pool loop as
 :func:`~repro.experiments.parallel.run_many` (salvage, resubmit and
-give up after ``POOL_RETRIES``).  Profilers do not survive pickling,
-so parallel ensembles return traces only via ``profile_dir``
-(exported inside the worker), mirroring ``run_many``'s
-``profile_paths`` contract.  Seeds resolve through
+give up after ``POOL_RETRIES``).  Members carry no live profiler on
+any path: traces come back only as ``profile_dir`` exports (written
+inside the worker for parallel runs).  Seeds resolve through
 :func:`~repro.ensemble.seeds.sweep_seeds`, exactly as in
 :func:`~repro.experiments.harness.run_repetitions`.
 """
@@ -45,19 +47,16 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analytics.profiler import Profiler
-from ..exceptions import ConfigurationError
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
 from .seeds import SeedsLike, sweep_seeds
 from .vectorized import run_vectorized, supports_vectorized
 
-#: Engine names accepted by ``run_ensemble(engine=...)``.
+#: Engine names reported in :attr:`EnsembleResult.engine`.
 ENGINE_VECTORIZED = "vectorized"
 ENGINE_REPLAY = "replay"
-_ENGINES = (ENGINE_VECTORIZED, ENGINE_REPLAY)
 
 #: Smallest replay sweep that auto-shards over the process pool when
 #: the caller left ``parallel`` unset.  Below this the pool spawn
@@ -71,7 +70,6 @@ class EnsembleMember:
 
     seed: int
     result: "ExperimentResult"  # noqa: F821 - forward ref, lazy import
-    profiler: Optional[Profiler] = field(repr=False, default=None)
     #: Where the member's profile was exported (``profile_dir`` runs).
     profile_path: Optional[str] = None
 
@@ -118,26 +116,8 @@ def _profile_path(profile_dir: str, seed: int) -> str:
     return os.path.join(profile_dir, f"profile-seed{seed}.jsonl")
 
 
-def _select_engine(cfg, latencies: LatencyModel,
-                   engine: Optional[str]) -> str:
-    if engine is None:
-        return (ENGINE_VECTORIZED
-                if supports_vectorized(cfg, latencies) else ENGINE_REPLAY)
-    if engine not in _ENGINES:
-        raise ConfigurationError(
-            f"unknown ensemble engine {engine!r}; pick from {_ENGINES}")
-    if engine == ENGINE_VECTORIZED and not supports_vectorized(cfg,
-                                                               latencies):
-        raise ConfigurationError(
-            f"config {cfg.exp_id!r} does not qualify for the vectorized "
-            "ensemble engine (single-partition srun/flux/dragon with a "
-            "uniform synthetic workload and stochastic latencies only)")
-    return engine
-
-
 def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
-                 engine: str, keep_profiles: bool,
-                 profile_dir: Optional[str],
+                 engine: str, profile_dir: Optional[str],
                  telemetry=None, store=None) -> List[EnsembleMember]:
     """Run one batch of seeds in-process with the chosen engine.
 
@@ -154,10 +134,8 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
     determinism contract), and only the missing seeds reach the
     engine, which then populates the store with them.  The hits are
     recorded for LRU with one journal line per call, not one per seed.
-    ``keep_profiles`` needs live profiler objects, so it bypasses the
-    cache *read* (every seed simulates) while still populating.
     """
-    need_records = keep_profiles or profile_dir is not None
+    need_records = profile_dir is not None
     on_member = None
     if telemetry is not None:
         def on_member(result):
@@ -169,13 +147,11 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
     if store is not None:
         for seed in seeds:
             digests[seed] = store.digest_for(cfg, seed=seed)
-        if not keep_profiles:
-            for seed in seeds:
-                hit = store.fetch(digests[seed], touch=False)
-                if hit is not None:
-                    cached_runs[seed] = hit
-            # One index record for the whole request's hits.
-            store.touch([digests[seed] for seed in cached_runs])
+            hit = store.fetch(digests[seed], touch=False)
+            if hit is not None:
+                cached_runs[seed] = hit
+        # One index record for the whole request's hits.
+        store.touch([digests[seed] for seed in cached_runs])
     missing = [seed for seed in seeds if seed not in cached_runs]
     results, profilers = [], []
     notified = set()
@@ -214,7 +190,6 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
                 path = _profile_path(profile_dir, seed)
                 atomic_write_bytes(path, hit.profile_bytes())
             members.append(EnsembleMember(seed=seed, result=result,
-                                          profiler=None,
                                           profile_path=path))
         else:
             result, profiler = fresh[seed]
@@ -224,10 +199,8 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
 
                 path = _profile_path(profile_dir, seed)
                 save_profile(profiler, path)
-            members.append(EnsembleMember(
-                seed=seed, result=result,
-                profiler=profiler if keep_profiles else None,
-                profile_path=path))
+            members.append(EnsembleMember(seed=seed, result=result,
+                                          profile_path=path))
         if on_member is not None and seed not in notified:
             on_member(members[-1].result)
     return members
@@ -276,8 +249,7 @@ def _run_replay(cfg, seeds: Sequence[int], latencies: LatencyModel,
 
 def _run_batch(payload):
     """Worker entry point for parallel ensembles (module-level so the
-    pool can pickle it).  Profilers cannot cross the process boundary;
-    traces only come back via ``profile_dir`` exports."""
+    pool can pickle it); traces come back via ``profile_dir`` exports."""
     cfg, seeds, latencies, engine, profile_dir, cache = payload
     from ..resilience.crash import crash_point, crash_value
     from ..store import RunStore
@@ -288,12 +260,8 @@ def _run_batch(payload):
     if crash_value("pool") is not None:
         for seed in seeds:
             crash_point("pool", float(seed))
-    members = _run_members(cfg, seeds, latencies, engine,
-                           keep_profiles=False, profile_dir=profile_dir,
-                           store=RunStore.resolve(cache))
-    for member in members:
-        member.profiler = None
-    return members
+    return _run_members(cfg, seeds, latencies, engine, profile_dir,
+                        store=RunStore.resolve(cache))
 
 
 def _split_batches(seeds: Sequence[int], n_workers: int
@@ -361,14 +329,16 @@ def write_ensemble_bundle(directory, result: EnsembleResult,
 def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
                  n_reps: Optional[int] = None,
                  latencies: LatencyModel = FRONTIER_LATENCIES,
-                 keep_profiles: bool = False,
                  profile_dir: Optional[str] = None,
                  parallel=None,
-                 engine: Optional[str] = None,
                  progress=None,
                  bundle=None,
                  cache=None) -> EnsembleResult:
     """Run ``cfg`` under many seeds and return all members.
+
+    The engine is vectorized whenever :func:`supports_vectorized`
+    holds and replay otherwise; :attr:`EnsembleResult.engine` reports
+    which one ran.
 
     Parameters
     ----------
@@ -377,24 +347,17 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         ``"1,2,5-20"``.  Defaults to ``cfg.seed + rep`` for
         ``n_reps`` repetitions (3 when neither is given), matching
         :func:`~repro.experiments.harness.run_repetitions`.
-    keep_profiles:
-        Attach each member's profiler to its
-        :class:`EnsembleMember` (incompatible with ``parallel``;
-        profilers do not pickle).
     profile_dir:
         Export each member's trace to
         ``<dir>/profile-seed<seed>.jsonl`` — byte-identical to the
         export of an independent ``run_experiment`` at that seed.
+        This is the only way an ensemble hands back traces.
     parallel:
         Fan batches of seeds out over worker processes
         (``"auto"``/``0`` = one per core; an int = that many), via the
         same pool semantics as :mod:`repro.experiments.parallel`.
-        When unset, replay sweeps of ``>= 4`` seeds without
-        ``keep_profiles`` auto-shard (``"auto"``) — pass
-        ``parallel=1`` to force a serial replay.
-    engine:
-        Force ``"vectorized"`` or ``"replay"``; default picks
-        vectorized whenever the config qualifies.
+        When unset, replay sweeps of ``>= 4`` seeds auto-shard
+        (``"auto"``) — pass ``parallel=1`` to force a serial replay.
     progress:
         Stream live telemetry records (``source: "ensemble"``): a
         callable sink, a pre-built
@@ -413,13 +376,11 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         (``result.provenance == "cached"``, profile exports
         byte-identical by the determinism contract); only the missing
         seeds reach the engine, which populates the store with them.
-        ``keep_profiles`` needs live profilers, so it bypasses cache
-        reads while still populating.
     """
     seed_list = sweep_seeds(cfg, seeds, n_reps)
-    chosen = _select_engine(cfg, latencies, engine)
+    chosen = (ENGINE_VECTORIZED if supports_vectorized(cfg, latencies)
+              else ENGINE_REPLAY)
     if (parallel is None and chosen == ENGINE_REPLAY
-            and not keep_profiles
             and len(seed_list) >= _AUTO_REPLAY_MIN_SEEDS):
         # Cohort-sharded parallel replay: configs the recurrences
         # cannot cover still amortize — contiguous seed batches on the
@@ -445,10 +406,6 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
 
         n_workers = resolve_jobs(parallel, n_items=len(seed_list))
     if n_workers > 1:
-        if keep_profiles:
-            raise ConfigurationError(
-                "keep_profiles does not compose with parallel ensembles; "
-                "use profile_dir to export traces inside the workers")
         from ..experiments.parallel import _fan_out
 
         payloads = [(cfg, batch, latencies, chosen, profile_dir, cache)
@@ -471,8 +428,7 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         from ..store import RunStore
 
         members = _run_members(cfg, seed_list, latencies, chosen,
-                               keep_profiles, profile_dir,
-                               telemetry=telemetry,
+                               profile_dir, telemetry=telemetry,
                                store=RunStore.resolve(cache))
     wall = time.perf_counter() - wall0
     per_seed = wall / max(len(members), 1)

@@ -406,7 +406,7 @@ def synthesize_profiler(preamble: _Preamble, scheduled: np.ndarray,
                       map(uids.__getitem__, (order % n_tasks).tolist()),
                       map(names.__getitem__, kinds),
                       map(metas.__getitem__, kinds)))
-    profiler = Profiler(None, enabled=True)
+    profiler = Profiler(None)
     profiler._events = events
     return profiler
 

@@ -54,11 +54,6 @@ class NodeFailureError(ResourceError):
     operation touches a node that is DOWN."""
 
 
-class TaskRetryExhausted(ReproError):
-    """Raised (or recorded as a failure reason) when a task has burned
-    through its per-task retries and the session retry policy."""
-
-
 class RuntimeStartupError(ReproError):
     """Raised when a third-party runtime (Flux/Dragon) fails to bootstrap."""
 

@@ -15,7 +15,7 @@ import sys
 from typing import List
 
 from ..analytics.report import format_table
-from ..exceptions import ReproError
+from ..exceptions import ConfigurationError, ReproError
 from .configs import (
     config_by_id,
     faults_configs,
@@ -88,42 +88,96 @@ def _overrides(args: argparse.Namespace) -> dict:
             if getattr(args, flag, None) is not None}
 
 
+#: The shapes of ``run``: one seed, ``run_repetitions`` or ``run_ensemble``.
+_SINGLE, _SWEEP, _ENSEMBLE = ("single run", "--reps/--seeds sweep",
+                              "--ensemble sweep")
+#: The shapes that honour each shape-specific ``run`` flag (by argparse
+#: dest).  Any other shape rejects it instead of dropping it silently;
+#: flags missing here (--faults, --progress, --cache, ...) apply to all.
+_FLAG_SHAPES = {
+    "summary": (_SINGLE,), "profile": (_SINGLE,), "spill_dir": (_SINGLE,),
+    "checkpoint_every": (_SINGLE,), "checkpoint_wall": (_SINGLE,),
+    "bundle": (_SINGLE, _ENSEMBLE), "checkpoint": (_SINGLE, _SWEEP),
+    "profile_dir": (_ENSEMBLE,), "parallel": (_SWEEP, _ENSEMBLE),
+}
+
+
+def _check_run_flags(args: argparse.Namespace, shape: str) -> None:
+    """Reject every given flag that ``shape`` would not honour."""
+    for dest, shapes in _FLAG_SHAPES.items():
+        value = getattr(args, dest)
+        if value is None or value is False or value == "":
+            continue
+        if shape not in shapes:
+            raise ConfigurationError(
+                f"--{dest.replace('_', '-')} does not apply to a {shape} "
+                f"(only to: {', '.join(shapes)})")
+    if not args.checkpoint and (args.checkpoint_every is not None
+                                or args.checkpoint_wall is not None):
+        raise ConfigurationError(
+            "--checkpoint-every/--checkpoint-wall need --checkpoint")
+
+
+def _report_single(result, args: argparse.Namespace) -> None:
+    """Print one finished run: the ``run`` and ``resume`` report, with
+    the extras their ``--bundle``/``--summary``/``--profile`` asked for."""
+    cfg = result.config
+    _print_cache(result)
+    print(format_table(
+        ["exp", "nodes", "parts", "tasks", "done", "failed",
+         "avg tasks/s", "peak tasks/s", "util", "makespan[s]", "wall[s]"],
+        [(cfg.exp_id, cfg.n_nodes, cfg.n_partitions, result.n_tasks,
+          result.n_done, result.n_failed, result.throughput.avg,
+          result.throughput.peak, result.utilization_cores,
+          result.makespan, result.wall_seconds)]))
+    if args.bundle:
+        print(f"wrote observability bundle to {args.bundle}")
+    if result.faults is not None:
+        print()
+        print(result.faults.to_text())
+    if args.summary:
+        from ..analytics import summarize
+
+        total_cores = cfg.n_nodes * result.session.cluster.cores_per_node
+        print(summarize(result.tasks, total_cores=total_cores).to_text())
+    if args.profile:
+        from ..analytics import save_profile
+
+        n = save_profile(result.session.profiler, args.profile)
+        print(f"wrote {n} trace events to {args.profile}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_by_id(args.exp_id, **_overrides(args))
-    if getattr(args, "faults", ""):
+    if args.faults:
         from dataclasses import replace
 
         from ..faults import FaultSpec
 
         cfg = replace(cfg, faults=FaultSpec.parse(args.faults,
                                                   base=cfg.faults))
-    bundle = getattr(args, "bundle", "") or None
-    spill_dir = getattr(args, "spill_dir", "") or None
-    seeds = getattr(args, "seeds", "") or None
-    cache = getattr(args, "cache", "") or None
-    progress = _progress_sink(getattr(args, "progress", ""))
-    checkpoint = getattr(args, "checkpoint", "") or None
+    bundle = args.bundle or None
+    seeds = args.seeds or None
+    cache = args.cache or None
+    checkpoint = args.checkpoint or None
     # One run unless told otherwise; an explicit --reps next to --seeds
-    # is passed on so the seed resolver rejects the pair.
+    # is passed on so the seed resolver rejects the pair, and so is a
+    # --reps below 1.
     n_reps = 1 if args.reps is None and not seeds else args.reps
-    multi = seeds or n_reps > 1 or getattr(args, "ensemble", False)
-    from ..resilience import parse_resilience
-
-    # Multi-run sweeps use the directory as a sweep *ledger* (one doc
-    # per finished unit), not a per-run checkpoint — per-rep
-    # checkpoints in a shared directory would clobber each other.
-    resilience = parse_resilience(
-        checkpoint=None if multi else checkpoint,
-        checkpoint_every=getattr(args, "checkpoint_every", None),
-        checkpoint_wall=getattr(args, "checkpoint_wall", None))
-    if getattr(args, "ensemble", False):
+    if args.ensemble:
+        shape = _ENSEMBLE
+    elif seeds or n_reps != 1:
+        shape = _SWEEP
+    else:
+        shape = _SINGLE
+    _check_run_flags(args, shape)
+    progress = _progress_sink(args.progress)
+    if shape == _ENSEMBLE:
         from .harness import run_ensemble
 
         ens = run_ensemble(cfg, seeds=seeds, n_reps=n_reps,
-                           profile_dir=getattr(args, "profile_dir", "")
-                           or None,
+                           profile_dir=args.profile_dir or None,
                            parallel=args.parallel,
-                           engine=getattr(args, "engine", None),
                            progress=progress,
                            bundle=bundle,
                            cache=cache)
@@ -139,33 +193,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
               ens.wall_seconds_per_seed * 1e3)]))
         if bundle:
             print(f"wrote ensemble bundle to {bundle}")
-        if ens.members and ens.members[0].profile_path and \
-                getattr(args, "profile_dir", ""):
+        if args.profile_dir:
             print(f"wrote {len(ens.members)} per-seed profiles to "
                   f"{args.profile_dir}")
-        return 0
-    if args.summary or args.profile or bundle:
-        result = run_experiment(cfg, keep_session=True, bundle=bundle,
-                                spill_dir=spill_dir, progress=progress,
-                                resilience=resilience, cache=cache)
-        _print_cache(result)
-        if bundle:
-            print(f"wrote observability bundle to {bundle}")
-        if result.faults is not None:
-            print(result.faults.to_text())
-        if args.summary:
-            from ..analytics import summarize
-
-            total_cores = (cfg.n_nodes
-                           * result.session.cluster.cores_per_node)
-            print(summarize(result.tasks, total_cores=total_cores).to_text())
-        if args.profile:
-            from ..analytics import save_profile
-
-            n = save_profile(result.session.profiler, args.profile)
-            print(f"wrote {n} trace events to {args.profile}")
-        return 0
-    if seeds or n_reps > 1:
+    elif shape == _SWEEP:
+        # --checkpoint is a sweep ledger here (one doc per finished
+        # unit); per-run checkpoints in one directory would clobber.
         agg = run_repetitions(cfg, n_reps=n_reps, parallel=args.parallel,
                               seeds=seeds, progress=progress,
                               checkpoint=checkpoint, cache=cache)
@@ -178,49 +211,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
               agg.throughput_avg, agg.throughput_max, agg.utilization_avg,
               agg.makespan_avg)]))
     else:
-        r = run_experiment(cfg, spill_dir=spill_dir, progress=progress,
-                           resilience=resilience, cache=cache)
-        _print_cache(r)
-        print(format_table(
-            ["exp", "nodes", "parts", "tasks", "done", "failed",
-             "avg tasks/s", "peak tasks/s", "util", "makespan[s]", "wall[s]"],
-            [(cfg.exp_id, cfg.n_nodes, cfg.n_partitions, r.n_tasks, r.n_done,
-              r.n_failed, r.throughput.avg, r.throughput.peak,
-              r.utilization_cores, r.makespan, r.wall_seconds)]))
-        if r.faults is not None:
-            print()
-            print(r.faults.to_text())
+        from ..resilience import parse_resilience
+
+        result = run_experiment(
+            cfg, keep_session=bool(args.summary or args.profile),
+            bundle=bundle, spill_dir=args.spill_dir or None,
+            progress=progress, cache=cache,
+            resilience=parse_resilience(checkpoint, args.checkpoint_every,
+                                        args.checkpoint_wall))
+        _report_single(result, args)
     return 0
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     from .harness import resume_experiment
 
-    bundle = args.bundle or None
-    progress = _progress_sink(args.progress)
-    keep = bool(args.summary or args.profile)
-    result = resume_experiment(args.directory, keep_session=keep,
-                               bundle=bundle, progress=progress)
-    cfg = result.config
-    print(format_table(
-        ["exp", "nodes", "parts", "tasks", "done", "failed",
-         "avg tasks/s", "peak tasks/s", "util", "makespan[s]", "wall[s]"],
-        [(cfg.exp_id, cfg.n_nodes, cfg.n_partitions, result.n_tasks,
-          result.n_done, result.n_failed, result.throughput.avg,
-          result.throughput.peak, result.utilization_cores,
-          result.makespan, result.wall_seconds)]))
-    if bundle:
-        print(f"wrote observability bundle to {bundle}")
-    if args.summary:
-        from ..analytics import summarize
-
-        total_cores = cfg.n_nodes * result.session.cluster.cores_per_node
-        print(summarize(result.tasks, total_cores=total_cores).to_text())
-    if args.profile:
-        from ..analytics import save_profile
-
-        n = save_profile(result.session.profiler, args.profile)
-        print(f"wrote {n} trace events to {args.profile}")
+    result = resume_experiment(
+        args.directory, keep_session=bool(args.summary or args.profile),
+        bundle=args.bundle or None, progress=_progress_sink(args.progress))
+    _report_single(result, args)
     return 0
 
 
@@ -392,8 +401,9 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--reps", type=int, default=None)
     p_run.add_argument("--parallel", nargs="?", const="auto", default=None,
                        metavar="N",
-                       help="fan repetitions out over N worker processes "
-                            "(bare flag = one per core)")
+                       help="fan a --reps/--seeds sweep or an --ensemble "
+                            "out over N worker processes (bare flag = "
+                            "one per core)")
     p_run.add_argument("--faults", default="", metavar="SPEC",
                        help="fault injection spec, key=value pairs "
                             "(e.g. mtbf=1800,p_launch_fail=0.01,"
@@ -426,13 +436,6 @@ def main(argv: List[str] = None) -> int:
                        help="explicit seed list, e.g. 1,2,5-20 "
                             "(default: cfg.seed + rep for --reps "
                             "repetitions; not both)")
-    p_run.add_argument("--engine", choices=["vectorized", "replay"],
-                       default=None,
-                       help="with --ensemble: force the member engine "
-                            "instead of auto-selecting (replay is the "
-                            "generic per-seed fallback; vectorized "
-                            "errors out if the config does not "
-                            "qualify)")
     p_run.add_argument("--profile-dir", default="", metavar="DIR",
                        help="with --ensemble: export each seed's trace "
                             "to DIR/profile-seed<seed>.jsonl")
@@ -443,11 +446,13 @@ def main(argv: List[str] = None) -> int:
                             "never re-run) with --reps/--seeds")
     p_run.add_argument("--checkpoint-every", type=float, default=None,
                        metavar="SIMSECS",
-                       help="simulated seconds between checkpoint ticks "
+                       help="with --checkpoint on a single run: "
+                            "simulated seconds between checkpoint ticks "
                             "(default 60)")
     p_run.add_argument("--checkpoint-wall", type=float, default=None,
                        metavar="SECS",
-                       help="rate-limit checkpoint writes to one per "
+                       help="with --checkpoint on a single run: "
+                            "rate-limit checkpoint writes to one per "
                             "SECS wall seconds (default 1; 0 writes "
                             "at every tick)")
     p_run.add_argument("--cache", default="", metavar="DIR",

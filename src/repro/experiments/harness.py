@@ -341,7 +341,7 @@ def write_run_bundle(directory, cfg: ExperimentConfig, session: Session,
     from ..observability.manifest import write_bundle
 
     spans = None
-    if session.profiler.enabled and len(session.profiler):
+    if len(session.profiler):
         spans = spans_from_profiler(session.profiler, session_uid=session.uid)
         live = [s for s in session.obs.tracer.roots if s.closed]
         live.sort(key=lambda s: (s.start, s.name))

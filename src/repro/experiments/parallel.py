@@ -21,10 +21,11 @@ Two things do not survive the trip back from a worker process:
 * ``ExperimentResult.session`` — same reason, via the kernel queue.
 
 Both are stripped (``tasks=[]``, ``session=None``) from pooled
-results; in-process runs keep their tasks.  Callers that need the
-trace pass ``profile_paths``: the run then exports the profiler's
-JSONL where the session still exists (inside the worker), and the
-file lands on the shared filesystem.
+results; in-process runs keep their tasks.  :func:`run_many` hands
+back metrics only.  A sweep that needs each run's trace uses
+:func:`repro.ensemble.run_ensemble` with ``profile_dir``, which
+exports every profile where its session still exists (inside the
+worker) onto the shared filesystem.
 """
 
 from __future__ import annotations
@@ -75,23 +76,15 @@ def resolve_jobs(jobs: Union[int, str, None] = None,
 
 
 def _run_one(payload):
-    """Run one experiment in this process: the ``run_experiment``
-    result, with the session dropped once its profile is exported.
+    """Run one experiment in this process.
 
     The import of the harness is deferred to avoid a circular import —
     ``harness`` imports :func:`run_many` lazily for the same reason.
     """
-    cfg, latencies, profile_path, cache = payload
+    cfg, latencies, cache = payload
     from .harness import run_experiment
 
-    keep = profile_path is not None
-    result = run_experiment(cfg, latencies, keep_session=keep, cache=cache)
-    if keep:
-        from ..analytics import save_profile
-
-        save_profile(result.session.profiler, profile_path)
-        result.session = None
-    return result
+    return run_experiment(cfg, latencies, cache=cache)
 
 
 def _run_pooled(payload):
@@ -159,7 +152,6 @@ def _fan_out(worker: Callable, payloads: Sequence, n_workers: int,
 def run_many(configs: Sequence[ExperimentConfig],
              latencies: LatencyModel = FRONTIER_LATENCIES,
              jobs: Union[int, str, None] = None,
-             profile_paths: Optional[Sequence[Optional[str]]] = None,
              progress: Optional[Callable] = None,
              ledger=None,
              cache=None,
@@ -190,11 +182,6 @@ def run_many(configs: Sequence[ExperimentConfig],
     resolve to one winner via atomic rename).
     """
     configs = list(configs)
-    if profile_paths is None:
-        profile_paths = [None] * len(configs)
-    elif len(profile_paths) != len(configs):
-        raise ConfigurationError(
-            f"{len(profile_paths)} profile paths for {len(configs)} configs")
     results: List[Optional["ExperimentResult"]] = [None] * len(configs)
     completed = 0
 
@@ -218,8 +205,7 @@ def run_many(configs: Sequence[ExperimentConfig],
             land(i, result, record=False)
         else:
             pending.append(i)
-    payloads = [(configs[i], latencies, profile_paths[i], cache)
-                for i in pending]
+    payloads = [(configs[i], latencies, cache) for i in pending]
     n_workers = resolve_jobs(jobs, n_items=len(pending))
     if n_workers <= 1:
         for i, payload in zip(pending, payloads):

@@ -370,9 +370,6 @@ class FluxInstance:
             self._m_backlog.set(self.outstanding)
         return job
 
-    def get_job(self, job_id: str) -> FluxJob:
-        return self._jobs[job_id]
-
     def cancel(self, job_id: str, reason: str = "canceled") -> bool:
         """Cancel one job (pending or running).
 

@@ -65,9 +65,6 @@ class LogSink:
         self.threshold = LEVELS[level]
         self._stream = stream
 
-    def disable(self) -> None:
-        self.enabled = False
-
     def emit(self, level: str, component: str, msg: str,
              fields: Dict[str, Any]) -> None:
         if LEVELS[level] < self.threshold:

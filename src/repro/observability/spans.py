@@ -154,9 +154,6 @@ class Tracer:
         """``with tracer.span("phase"): ...`` — sim-time scoped."""
         return _SpanContext(self, name, cat, attrs)
 
-    def all_spans(self) -> List[Span]:
-        return [s for root in self.roots for s in root.walk()]
-
 
 class _SpanContext:
     __slots__ = ("_tracer", "_name", "_cat", "_attrs", "_span")

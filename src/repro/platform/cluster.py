@@ -127,10 +127,6 @@ class Allocation:
     def n_down_nodes(self) -> int:
         return self._down_nodes
 
-    def up_nodes(self) -> List[Node]:
-        """The healthy (UP) nodes, in allocation order."""
-        return [n for n in self.nodes if n.is_up]
-
     # -- partitioning ----------------------------------------------------------
 
     def partition(self, n_partitions: int) -> List["Allocation"]:

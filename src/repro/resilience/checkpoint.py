@@ -343,11 +343,14 @@ def unit_key(cfg: "ExperimentConfig") -> str:
 
 
 def result_to_doc(result) -> Dict[str, Any]:
-    """Persistable metrics document for one finished unit.
+    """Persistable metrics document for one finished run.
 
-    Carries everything aggregation needs (throughput, utilization,
-    makespan, counts); per-task objects and live sessions do not
-    survive — exactly the contract parallel repetitions already have.
+    The one codec for sweep-ledger units and run-store entries: it
+    carries everything an
+    :class:`~repro.experiments.harness.ExperimentResult` holds except
+    per-task objects and the live session (the same contract parallel
+    repetitions already have) — counts, throughput, utilization,
+    makespan, startup overheads and the fault report.
     """
     return {
         "n_tasks": result.n_tasks,
@@ -360,18 +363,23 @@ def result_to_doc(result) -> Dict[str, Any]:
         "startup_overheads": [list(pair) for pair in
                               result.startup_overheads],
         "wall_seconds": result.wall_seconds,
-        # Frozen key: ledgers and run stores on disk carry it; readers ignore it.
+        "faults": (dataclasses.asdict(result.faults)
+                   if result.faults is not None else None),
+        # Frozen keys: ledgers and run stores on disk carry them;
+        # readers ignore them.
         "n_shards": 0,
+        "shard_peak_rss_mb": [],
     }
 
 
 def result_from_doc(cfg: "ExperimentConfig", doc: Dict[str, Any]):
     """Rebuild a (task-free) :class:`ExperimentResult` from its
-    ledger document."""
+    document.  Ledgers written before documents carried ``faults``
+    load with ``faults=None``."""
     from ..analytics.metrics import ThroughputStats
     from ..experiments.harness import ExperimentResult
 
-    return ExperimentResult(
+    result = ExperimentResult(
         config=cfg,
         n_tasks=int(doc["n_tasks"]),
         n_done=int(doc["n_done"]),
@@ -384,6 +392,15 @@ def result_from_doc(cfg: "ExperimentConfig", doc: Dict[str, Any]):
                            doc.get("startup_overheads", [])],
         wall_seconds=float(doc.get("wall_seconds", 0.0)),
     )
+    faults = doc.get("faults")
+    if faults is not None:
+        from ..faults import FaultReport
+
+        faults = dict(faults)
+        faults["schedule"] = tuple(
+            tuple(item) for item in faults.get("schedule", ()))
+        result.faults = FaultReport(**faults)
+    return result
 
 
 class SweepLedger:

@@ -66,6 +66,7 @@ from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..exceptions import StoreError
+from ..resilience.checkpoint import result_from_doc, result_to_doc
 from .keys import KEY_SCHEME, cache_key, run_digest
 
 try:  # pragma: no cover - POSIX (the supported platform) has fcntl
@@ -124,43 +125,6 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             hasher.update(chunk)
     return hasher.hexdigest()
-
-
-# -- result (de)serialization ------------------------------------------------
-
-
-def result_to_doc(result) -> Dict[str, Any]:
-    """The store's metrics document for one finished run.
-
-    The sweep ledger's document plus the fault report — everything an
-    :class:`~repro.experiments.harness.ExperimentResult` carries
-    except per-task objects and the live session (the same contract
-    parallel repetitions already have).
-    """
-    from ..resilience.checkpoint import result_to_doc as ledger_doc
-
-    doc = ledger_doc(result)
-    doc["faults"] = (dataclasses.asdict(result.faults)
-                     if result.faults is not None else None)
-    # Frozen key: stores on disk carry it; readers ignore it.
-    doc["shard_peak_rss_mb"] = []
-    return doc
-
-
-def result_from_doc(cfg, doc: Dict[str, Any]):
-    """Rebuild a task-free ``ExperimentResult`` from its document."""
-    from ..resilience.checkpoint import result_from_doc as ledger_result
-
-    result = ledger_result(cfg, doc)
-    faults = doc.get("faults")
-    if faults is not None:
-        from ..faults import FaultReport
-
-        faults = dict(faults)
-        faults["schedule"] = tuple(
-            tuple(item) for item in faults.get("schedule", ()))
-        result.faults = FaultReport(**faults)
-    return result
 
 
 @dataclasses.dataclass

@@ -8,6 +8,7 @@ the generic replay).
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +28,9 @@ def _independent(cfg, seed, tmp_path, tag):
     return result, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _member_digest(member, tmp_path, tag):
-    path = tmp_path / f"{tag}.jsonl"
-    save_profile(member.profiler, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _member_digest(member):
+    return hashlib.sha256(
+        Path(member.profile_path).read_bytes()).hexdigest()
 
 
 def _metrics(r):
@@ -49,7 +49,7 @@ def test_vectorized_matches_independent_runs(tmp_path, overrides):
     cfg = config_by_id("srun", waves=overrides.pop("waves", 1),
                        **overrides)
     assert supports_vectorized(cfg)
-    ens = run_ensemble(cfg, seeds=SEEDS, keep_profiles=True)
+    ens = run_ensemble(cfg, seeds=SEEDS, profile_dir=str(tmp_path / "ens"))
     assert ens.engine == "vectorized"
     assert ens.seeds == tuple(SEEDS)
     for member in ens.members:
@@ -57,8 +57,7 @@ def test_vectorized_matches_independent_runs(tmp_path, overrides):
                                        f"ind-{member.seed}")
         assert _metrics(member.result) == _metrics(ref)
         assert member.result.config.seed == member.seed
-        assert _member_digest(member, tmp_path,
-                              f"ens-{member.seed}") == ref_digest
+        assert _member_digest(member) == ref_digest
 
 
 @pytest.mark.parametrize("exp_id, overrides", [
@@ -80,43 +79,26 @@ def test_vectorized_flux_dragon_match_independent_runs(tmp_path, exp_id,
     if workload is not None:
         cfg = dataclasses.replace(cfg, workload=workload)
     assert supports_vectorized(cfg)
-    ens = run_ensemble(cfg, seeds=[0, 5], keep_profiles=True)
+    ens = run_ensemble(cfg, seeds=[0, 5], profile_dir=str(tmp_path / "ens"))
     assert ens.engine == "vectorized"
     for member in ens.members:
         ref, ref_digest = _independent(
             cfg, member.seed, tmp_path, f"{exp_id}-ind-{member.seed}")
         assert _metrics(member.result) == _metrics(ref)
-        assert _member_digest(
-            member, tmp_path,
-            f"{exp_id}-ens-{member.seed}") == ref_digest
+        assert _member_digest(member) == ref_digest
 
 
 def test_replay_matches_independent_runs(tmp_path):
     # Multi-instance flux interleaves shared session streams across
     # siblings, so flux_n stays on the generic replay engine.
     cfg = config_by_id("flux_n", n_nodes=2, n_partitions=2, waves=1)
-    ens = run_ensemble(cfg, seeds=[0, 5], keep_profiles=True)
+    ens = run_ensemble(cfg, seeds=[0, 5], profile_dir=str(tmp_path / "ens"))
     assert ens.engine == "replay"
     for member in ens.members:
         ref, ref_digest = _independent(
             cfg, member.seed, tmp_path, f"flux_n-ind-{member.seed}")
         assert _metrics(member.result) == _metrics(ref)
-        assert _member_digest(
-            member, tmp_path,
-            f"flux_n-ens-{member.seed}") == ref_digest
-
-
-def test_forced_replay_equals_vectorized(tmp_path):
-    cfg = config_by_id("srun", n_nodes=1, waves=1)
-    replay = run_ensemble(cfg, seeds=[2, 4], keep_profiles=True,
-                          engine="replay")
-    fast = run_ensemble(cfg, seeds=[2, 4], keep_profiles=True,
-                        engine="vectorized")
-    assert replay.engine == "replay" and fast.engine == "vectorized"
-    for mr, mf in zip(replay.members, fast.members):
-        assert _metrics(mr.result) == _metrics(mf.result)
-        assert (_member_digest(mr, tmp_path, f"r{mr.seed}")
-                == _member_digest(mf, tmp_path, f"f{mf.seed}"))
+        assert _member_digest(member) == ref_digest
 
 
 def test_profile_dir_exports_are_byte_identical(tmp_path):
@@ -124,7 +106,6 @@ def test_profile_dir_exports_are_byte_identical(tmp_path):
     ens = run_ensemble(cfg, seeds=[1, 6], profile_dir=str(tmp_path / "out"))
     for member in ens.members:
         assert member.profile_path is not None
-        assert member.profiler is None  # not kept unless asked
         _, ref_digest = _independent(cfg, member.seed, tmp_path,
                                      f"ref-{member.seed}")
         with open(member.profile_path, "rb") as fh:
@@ -135,14 +116,16 @@ def test_seed_grouping_is_irrelevant(tmp_path):
     """Members are independent: any partition of the seed list into
     ensemble calls yields the same per-seed bytes."""
     cfg = config_by_id("srun", n_nodes=1, waves=1)
-    whole = run_ensemble(cfg, seeds=[0, 1, 2, 3], keep_profiles=True)
-    split_a = run_ensemble(cfg, seeds=[0, 1], keep_profiles=True)
-    split_b = run_ensemble(cfg, seeds=[2, 3], keep_profiles=True)
+    whole = run_ensemble(cfg, seeds=[0, 1, 2, 3],
+                         profile_dir=str(tmp_path / "whole"))
+    split_a = run_ensemble(cfg, seeds=[0, 1],
+                           profile_dir=str(tmp_path / "split"))
+    split_b = run_ensemble(cfg, seeds=[2, 3],
+                           profile_dir=str(tmp_path / "split"))
     parts = list(split_a.members) + list(split_b.members)
     for mw, mp in zip(whole.members, parts):
         assert mw.seed == mp.seed
-        assert (_member_digest(mw, tmp_path, f"w{mw.seed}")
-                == _member_digest(mp, tmp_path, f"p{mp.seed}"))
+        assert _member_digest(mw) == _member_digest(mp)
 
 
 @pytest.mark.parametrize("overrides, reason", [

@@ -68,18 +68,6 @@ class TestRunEnsemble:
         with pytest.raises(ConfigurationError):
             run_ensemble(CFG, seeds=[1], n_reps=2)
 
-    def test_bad_engine_name(self):
-        with pytest.raises(ConfigurationError):
-            run_ensemble(CFG, seeds=[0], engine="warp")
-
-    def test_forced_vectorized_rejects_unsupported_config(self):
-        # Multi-instance flux is the canonical ineligible config:
-        # single-instance flux_1 and dragon qualify nowadays.
-        flux_n = config_by_id("flux_n", n_nodes=2, n_partitions=2,
-                              waves=1)
-        with pytest.raises(ConfigurationError):
-            run_ensemble(flux_n, seeds=[0], engine="vectorized")
-
     def test_parallel_equals_serial(self, tmp_path):
         serial = run_ensemble(CFG, seeds="0-5",
                               profile_dir=str(tmp_path / "ser"))
@@ -93,10 +81,6 @@ class TestRunEnsemble:
             with open(ms.profile_path, "rb") as a, \
                     open(mp.profile_path, "rb") as b:
                 assert a.read() == b.read()
-
-    def test_parallel_rejects_keep_profiles(self):
-        with pytest.raises(ConfigurationError):
-            run_ensemble(CFG, seeds="0-3", parallel=2, keep_profiles=True)
 
     def test_results_property_and_wall_accounting(self):
         ens = run_ensemble(CFG, seeds=[0, 1])

@@ -88,6 +88,49 @@ class TestCli:
         assert "not both" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("extra", [
+        ["--reps", "3", "--profile", "p.jsonl"],
+        ["--seeds", "0,1", "--summary"],
+        ["--reps", "2", "--bundle", "b"],
+        ["--reps", "2", "--spill-dir", "s"],
+        ["--ensemble", "--seeds", "0,1", "--spill-dir", "s"],
+        ["--ensemble", "--checkpoint", "c"],
+        ["--ensemble", "--checkpoint", "c", "--checkpoint-every", "5"],
+        ["--checkpoint-every", "5"],
+        ["--checkpoint-wall", "0"],
+        ["--reps", "2", "--checkpoint", "c", "--checkpoint-wall", "1"],
+        ["--profile-dir", "d"],
+        ["--reps", "2", "--profile-dir", "d"],
+        ["--parallel", "2"],
+        ["--reps", "0"],
+    ], ids=" ".join)
+    def test_flags_the_run_shape_ignores_are_rejected(
+            self, extra, capsys, tmp_path, monkeypatch):
+        # A flag the run shape would not honour fails the run before it
+        # simulates or writes anything, instead of being dropped.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "srun", "--nodes", "1", "--waves", "1"] + extra
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_run_reports_table_then_extras(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        bundle = tmp_path / "bundle"
+        assert main(["run", "srun", "--nodes", "1", "--waves", "1",
+                     "--faults", "p_launch_fail=0.05", "--summary",
+                     "--profile", str(path), "--bundle", str(bundle)]) == 0
+        out = capsys.readouterr().out
+        order = [out.index("makespan[s]"),
+                 out.index(f"wrote observability bundle to {bundle}"),
+                 out.index("\n\nfault report\n"),
+                 out.index("core utilization"),
+                 out.index(f"trace events to {path}")]
+        assert order == sorted(order)
+        assert path.exists() and (bundle / "manifest.json").is_file()
+
     def test_run_with_summary(self, capsys):
         assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
                      "--summary"]) == 0

@@ -76,22 +76,38 @@ def test_resolve_jobs_oversubscription_allowed():
 
 # -- run_many ---------------------------------------------------------------
 
-def test_run_many_parallel_matches_serial(tmp_path):
+def test_run_many_parallel_matches_serial():
     cfgs = [CFG.with_seed(CFG.seed + i) for i in range(3)]
-    ser_paths = [str(tmp_path / f"ser_{i}.jsonl") for i in range(3)]
-    par_paths = [str(tmp_path / f"par_{i}.jsonl") for i in range(3)]
 
-    serial = run_many(cfgs, jobs=1, profile_paths=ser_paths)
-    parallel = run_many(cfgs, jobs=2, profile_paths=par_paths)
+    serial = run_many(cfgs, jobs=1)
+    parallel = run_many(cfgs, jobs=2)
 
     assert len(serial) == len(parallel) == 3
     for s, p in zip(serial, parallel):
         assert _metrics(s) == _metrics(p)
         # Parallel results are stripped of unpicklable state.
         assert p.tasks == [] and p.session is None
-    # The trace a worker exported is byte-identical to the serial one.
-    for sp, pp in zip(ser_paths, par_paths):
-        with open(sp, "rb") as f_s, open(pp, "rb") as f_p:
+
+
+def test_pooled_replay_exports_match_serial(tmp_path):
+    # Traces of pooled runs come back through ``run_ensemble``'s
+    # ``profile_dir``: a worker's export is byte-identical to the
+    # in-process one.  Multi-instance flux stays on the replay engine,
+    # so every member is a full ``run_experiment`` inside the worker.
+    from repro.ensemble import run_ensemble
+    from repro.experiments.configs import config_by_id
+
+    cfg = config_by_id("flux_n", n_nodes=2, n_partitions=2, waves=1)
+    serial = run_ensemble(cfg, seeds=[0, 1, 2], parallel=1,
+                          profile_dir=str(tmp_path / "ser"))
+    pooled = run_ensemble(cfg, seeds=[0, 1, 2], parallel=2,
+                          profile_dir=str(tmp_path / "par"))
+    assert serial.engine == pooled.engine == "replay"
+    assert (serial.n_workers, pooled.n_workers) == (1, 2)
+    for ms, mp in zip(serial.members, pooled.members):
+        assert _metrics(ms.result) == _metrics(mp.result)
+        with open(ms.profile_path, "rb") as f_s, \
+                open(mp.profile_path, "rb") as f_p:
             assert f_s.read() == f_p.read()
 
 
@@ -99,11 +115,6 @@ def test_run_many_preserves_input_order():
     cfgs = [CFG.with_seed(10), CFG.with_seed(20)]
     results = run_many(cfgs, jobs=2)
     assert [r.config.seed for r in results] == [10, 20]
-
-
-def test_run_many_rejects_mismatched_profile_paths(tmp_path):
-    with pytest.raises(ConfigurationError):
-        run_many([CFG], jobs=1, profile_paths=[None, None])
 
 
 # -- run_repetitions --------------------------------------------------------

@@ -4,8 +4,8 @@ For any small config across the three single-backend launchers, any
 random seed list, and any grouping of that list into separate
 ensemble calls (batch boundaries must be invisible), every member's
 exported profile must be byte-identical to an independent sequential
-``run_experiment`` at that seed — on the vectorized engine all three
-launchers now select, and on the replay engine when forced.
+``run_experiment`` at that seed, on the vectorized engine all three
+launchers select.  (The replay engine *is* those independent runs.)
 """
 
 import hashlib
@@ -54,37 +54,16 @@ class TestEnsembleTraceEquivalence:
         # Any grouping of the seed list into ensemble calls must be
         # invisible in the per-seed bytes.
         members = []
-        for batch in _split(seeds, batch_size):
-            ens = run_ensemble(cfg, seeds=batch, keep_profiles=True)
+        for i, batch in enumerate(_split(seeds, batch_size)):
+            ens = run_ensemble(cfg, seeds=batch,
+                               profile_dir=str(tmp_dir / f"batch-{i}"))
             assert ens.engine == "vectorized", launcher
             members.extend(ens.members)
         for member, seed in zip(members, seeds):
             assert member.seed == seed
-            path = tmp_dir / f"member-{seed}.jsonl"
-            save_profile(member.profiler, path)
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            with open(member.profile_path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             assert digest == _independent_digest(
                 cfg, seed, tmp_dir, f"ind-{seed}"), (
                 f"{launcher} seed={seed} batch={batch_size}: ensemble "
                 f"member trace drifted from the independent run")
-
-    @settings(max_examples=6, deadline=None)
-    @given(launcher=launchers, seeds=seed_lists)
-    def test_forced_replay_matches_vectorized(self, tmp_path_factory,
-                                              launcher, seeds):
-        tmp_dir = tmp_path_factory.mktemp("ens-replay-prop")
-        cfg = ExperimentConfig(exp_id="prop", launcher=launcher,
-                               workload="null", n_nodes=1,
-                               n_partitions=1, duration=0.0, waves=1,
-                               seed=0)
-        fast = run_ensemble(cfg, seeds=seeds, keep_profiles=True,
-                            engine="vectorized")
-        replay = run_ensemble(cfg, seeds=seeds, keep_profiles=True,
-                              engine="replay")
-        for mf, mr in zip(fast.members, replay.members):
-            pf = tmp_dir / f"fast-{mf.seed}.jsonl"
-            pr = tmp_dir / f"replay-{mr.seed}.jsonl"
-            save_profile(mf.profiler, pf)
-            save_profile(mr.profiler, pr)
-            assert pf.read_bytes() == pr.read_bytes(), (
-                f"seed={mf.seed}: vectorized and replay engines disagree")

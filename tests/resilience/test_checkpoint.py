@@ -239,6 +239,32 @@ class TestSweepLedger:
         assert ledger.completed(cfg.with_seed(cfg.seed + 1)) is not None
         assert ledger.completed(cfg.with_seed(cfg.seed + 2)) is None
 
+    def test_resumed_faulty_unit_keeps_its_fault_report(self, tmp_path):
+        from repro.experiments import run_many
+        from repro.faults import FaultSpec
+
+        cfg = replace(ExperimentConfig(**SRUN),
+                      faults=FaultSpec(p_launch_fail=0.05))
+        cfgs = [cfg, cfg.with_seed(cfg.seed + 1)]
+        fresh = run_many(cfgs, jobs=1, ledger=SweepLedger(tmp_path))
+        resumed = run_many(cfgs, jobs=1, ledger=SweepLedger(tmp_path))
+        for a, b in zip(fresh, resumed):
+            assert b.provenance == "resumed"
+            assert a.faults is not None
+            assert b.faults == a.faults
+
+    def test_ledger_without_faults_key_still_loads(self, tmp_path):
+        cfg = ExperimentConfig(**SRUN)
+        SweepLedger(tmp_path).record(cfg, run_experiment(cfg))
+        ledger_path = SweepLedger(tmp_path).path
+        doc = json.loads(ledger_path.read_text())
+        for unit in doc["units"].values():
+            del unit["faults"]
+        ledger_path.write_text(json.dumps(doc))
+        unit = SweepLedger(tmp_path).completed(cfg)
+        assert "faults" not in unit
+        assert result_from_doc(cfg, unit).faults is None
+
     def test_unit_key_distinguishes_config_and_seed(self):
         cfg = ExperimentConfig(**SRUN)
         assert unit_key(cfg) != unit_key(cfg.with_seed(cfg.seed + 1))

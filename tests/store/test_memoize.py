@@ -175,15 +175,6 @@ class TestEnsemble:
                     open(original.profile_path, "rb") as want:
                 assert got.read() == want.read()
 
-    def test_keep_profiles_bypasses_read(self, tmp_path):
-        cfg = quick_cfg()
-        store = tmp_path / "store"
-        run_ensemble(cfg, seeds=[0, 1], cache=store)
-        live = run_ensemble(cfg, seeds=[0, 1], cache=store,
-                            keep_profiles=True)
-        assert live.provenance == {"fresh": 2}
-        assert all(m.profiler is not None for m in live.members)
-
     def test_parallel_ensemble_workers_share_store(self, tmp_path):
         cfg = quick_cfg()
         store = tmp_path / "store"
