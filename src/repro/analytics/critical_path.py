@@ -6,17 +6,18 @@ went; the critical path answers *what actually gated the makespan*:
 the chain of spans ending latest at every level, from the session
 root down to the leaf phase whose completion released the final
 result.  On a healthy run that is the last-finishing task's collect
-phase; on a degraded one it may be a backend that bootstrapped late
-or a pilot that stalled in startup — the chain makes the blocker and
-its per-level contribution explicit.
+phase; on a degraded one it may be a backend that bootstrapped late,
+or a pilot that came up late, which shows as the session root's
+exclusive time — the chain makes the blocker and its per-level
+contribution explicit.
 
 Spans are consumed duck-typed (``name``/``cat``/``start``/``end``/
-``children`` attributes), so this module works on live
-:class:`~repro.observability.spans.Span` trees, on trees rebuilt from
-a bundle's ``spans.json`` via
-:func:`~repro.observability.spans.span_from_dict`, and on anything
-shaped like them — without importing the observability package (the
-dependency points the other way: observability builds on analytics).
+``children`` attributes), so this module works on the
+:class:`~repro.observability.spans.Span` trees that
+:func:`~repro.observability.spans.spans_from_events` rebuilds from a
+profile, and on anything shaped like them — without importing the
+observability package (the dependency points the other way:
+observability builds on analytics).
 
 The walk is deterministic: a child qualifies for the chain only if it
 ends at-or-after its parent (earlier-ending children cannot gate the

@@ -56,7 +56,6 @@ class Agent:
         self.latencies = session.latencies
         self.rng = session.rng
         self.profiler = session.profiler
-        self.obs = session.obs
         self.metrics = session.obs.registry
         self.uid = session.ids.next("agent")
         self.log = session.obs.logger(self.uid)
@@ -139,8 +138,6 @@ class Agent:
 
     def bootstrap(self):
         """Generator: bring up the agent and all backend executors."""
-        span = self.obs.tracer.begin(f"{self.uid}.bootstrap",
-                                     cat="bootstrap", agent=self.uid)
         yield self.env.timeout(self.latencies.agent_startup)
         allocation = self.pilot.allocation
         assert allocation is not None, "agent bootstraps after allocation"
@@ -163,7 +160,6 @@ class Agent:
         self._alive = True
         self.log.info("agent ready",
                       backends=",".join(sorted(self.executors)))
-        self.obs.tracer.end(span)
         if self.faults is not None:
             # Arm the fault clocks only once the stack is fully up, so
             # the injection schedule is a pure function of the seed and

@@ -40,8 +40,7 @@ class FluxExecutor(ExecutorBase):
             self.env, allocation, self.latencies, self.rng,
             n_instances=n_instances, policy=policy,
             name=f"{agent.uid}.flux", profiler=self.profiler,
-            metrics=self.metrics, faults=agent.faults,
-            tracer=agent.obs.tracer if agent.obs.enabled else None)
+            metrics=self.metrics, faults=agent.faults)
         #: flux job id -> RP task, for event correlation.
         self._job_to_task: Dict[str, "Task"] = {}
         #: RP task uid -> (instance, flux job id), for cancellation.

@@ -259,11 +259,40 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_source(path: str):
+    """``(manifest, span tree)`` of a bundle directory or profile JSONL.
+
+    The tree is always rebuilt from the profile (``spans.json`` is a
+    pure function of it).  ``manifest`` is ``None`` for a bare profile,
+    the tree ``None`` for a bundle without one; unreadable input
+    raises :class:`ReproError`.
+    """
+    from pathlib import Path
+
+    from ..analytics import load_events
+    from ..observability import read_manifest, spans_from_events
+
+    target = Path(path)
+    try:
+        if not target.is_dir():
+            return None, spans_from_events(load_events(target))
+        manifest = read_manifest(target)
+        profile = manifest.get("files", {}).get("profile")
+        root = spans_from_events(
+            load_events(target / profile),
+            session_uid=manifest.get("session_uid", "session")
+        ) if profile else None
+        return manifest, root
+    except OSError as exc:
+        raise ReproError(f"{exc.filename or path}: "
+                         f"{exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ReproError(str(exc)) from exc
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from ..observability import (
         phase_rollup,
-        read_manifest,
-        spans_from_events,
         validate_chrome_trace,
         write_chrome_trace,
     )
@@ -276,7 +305,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.trace_command == "inspect":
-        manifest = read_manifest(args.bundle)
+        manifest, root = _trace_source(args.bundle)
+        if manifest is None:
+            raise ReproError(f"{args.bundle}: not a bundle directory")
         print(f"bundle:   {args.bundle} (v{manifest.get('bundle_version')})")
         print(f"session:  {manifest.get('session_uid', '?')}  "
               f"seed {manifest.get('seed', '?')}")
@@ -290,15 +321,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"{res.get('throughput_avg', 0.0):.1f} tasks/s avg, "
                   f"makespan {res.get('makespan', 0.0):.1f}s")
         print(f"files:    {', '.join(sorted(manifest.get('files', {})))}")
-        profile = manifest.get("files", {}).get("profile")
-        if profile:
-            from pathlib import Path
-
-            from ..analytics import load_events
-
-            events = load_events(Path(args.bundle) / profile)
-            root = spans_from_events(
-                events, session_uid=manifest.get("session_uid", "session"))
+        if root is not None:
             print("phases:   " + "  ".join(
                 f"{name}={stats['mean']:.3f}s×{int(stats['count'])}"
                 for name, stats in phase_rollup(root).items()))
@@ -325,35 +348,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.trace_command == "critical":
-        import json as _json
-        from pathlib import Path
-
         from ..analytics import critical_path, format_critical_path
-        from ..observability import span_from_dict
 
-        target = Path(args.bundle)
-        root = None
-        if target.is_dir():
-            spans_path = target / "spans.json"
-            if spans_path.exists():
-                root = span_from_dict(_json.loads(
-                    spans_path.read_text(encoding="utf-8")))
-            else:
-                manifest = read_manifest(target)
-                profile = manifest.get("files", {}).get("profile")
-                if not profile:
-                    print(f"error: {target} has neither spans.json nor "
-                          "a profile", file=sys.stderr)
-                    return 1
-                from ..analytics import load_events
-
-                root = spans_from_events(
-                    load_events(target / profile),
-                    session_uid=manifest.get("session_uid", "session"))
-        else:
-            from ..analytics import load_events
-
-            root = spans_from_events(load_events(target))
+        _manifest, root = _trace_source(args.bundle)
+        if root is None:
+            raise ReproError(f"{args.bundle}: bundle has no profile")
         steps = critical_path(root)
         print(format_critical_path(steps))
         if steps:
@@ -367,10 +366,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "export":
         import json
 
-        from ..analytics import load_events
-
-        events = load_events(args.profile)
-        root = spans_from_events(events)
+        _manifest, root = _trace_source(args.profile)
+        if root is None:
+            raise ReproError(f"{args.profile}: bundle has no profile")
         path = write_chrome_trace(root, args.out)
         doc = json.loads(path.read_text(encoding="utf-8"))
         problems = validate_chrome_trace(doc)
@@ -521,8 +519,8 @@ def main(argv: List[str] = None) -> int:
     tr_watch.add_argument("bundle",
                           help="bundle directory or telemetry.jsonl file")
     tr_crit = tr_sub.add_parser(
-        "critical", help="extract the critical path from a bundle's "
-                         "span tree (or reconstruct it from a profile)")
+        "critical", help="extract the critical path from the span tree "
+                         "rebuilt from a bundle's (or a bare) profile")
     tr_crit.add_argument("bundle",
                          help="bundle directory or profile JSONL file")
 

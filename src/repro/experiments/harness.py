@@ -185,10 +185,10 @@ def run_experiment(cfg: ExperimentConfig,
                    _resume_verify=None) -> ExperimentResult:
     """Run one experiment end-to-end and compute its metrics.
 
-    ``observe`` enables the session's observability layer (metrics
-    registry + online tracer); ``bundle`` names a directory to write
-    the run's observability bundle into (manifest, metrics, spans,
-    Perfetto trace, raw profile) and implies ``observe``.
+    ``observe`` enables the session's metrics registry; ``bundle``
+    names a directory to write the run's observability bundle into
+    (manifest, metrics, spans, Perfetto trace, raw profile) and
+    implies ``observe``.
     ``spill_dir`` streams the profiler's trace to chunked files under
     that directory, bounding memory on full-machine runs.  All three
     leave the simulated event order untouched: same-seed runs produce
@@ -252,9 +252,6 @@ def run_experiment(cfg: ExperimentConfig,
     # ``trace watch`` always has something to replay from the bundle.
     telemetry = (_attach_telemetry(session, cfg, latencies, progress, host)
                  if progress is not None or bundle is not None else None)
-    span = session.obs.tracer.begin(
-        "experiment", cat="experiment",
-        launcher=cfg.launcher, workload=cfg.workload, seed=cfg.seed)
     with host.phase("setup"):
         pmgr = session.pilot_manager()
         tmgr = session.task_manager()
@@ -280,7 +277,6 @@ def run_experiment(cfg: ExperimentConfig,
             telemetry.sampler.tasks_total = len(tasks)
         with host.phase("run"):
             session.run(tmgr.wait_tasks())
-    session.obs.tracer.end(span)
     if telemetry is not None:
         telemetry.sampler.tasks_total = len(tasks)
     with host.phase("metrics"):
@@ -332,10 +328,10 @@ def write_run_bundle(directory, cfg: ExperimentConfig, session: Session,
                      result: Optional[ExperimentResult] = None):
     """Write the observability bundle for a finished run.
 
-    Spans are reconstructed offline from the session's profiler (the
-    authoritative record); live tracer spans — e.g. the harness's
-    ``experiment`` span and agent bootstrap spans — ride along under
-    the session root.  Returns ``{artifact name: path}``.
+    Spans are rebuilt from the session's profiler, the one record of
+    the run, so ``spans.json`` and ``trace.json`` are pure functions
+    of the bundle's ``profile.jsonl``.  Returns
+    ``{artifact name: path}``.
     """
     from ..observability import build_manifest, spans_from_profiler
     from ..observability.manifest import write_bundle
@@ -343,9 +339,6 @@ def write_run_bundle(directory, cfg: ExperimentConfig, session: Session,
     spans = None
     if len(session.profiler):
         spans = spans_from_profiler(session.profiler, session_uid=session.uid)
-        live = [s for s in session.obs.tracer.roots if s.closed]
-        live.sort(key=lambda s: (s.start, s.name))
-        spans.children.extend(live)
     manifest = build_manifest(config=cfg, session=session, result=result)
     return write_bundle(directory, manifest,
                         registry=session.obs.registry,

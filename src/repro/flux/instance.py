@@ -69,7 +69,7 @@ class FluxInstance:
                  latencies: LatencyModel, rng: RngStreams,
                  instance_id: str = "", policy: str = "fcfs",
                  profiler: Optional["Profiler"] = None,
-                 metrics=None, faults=None, tracer=None) -> None:
+                 metrics=None, faults=None) -> None:
         from .scheduler import make_policy
 
         self.env = env
@@ -77,9 +77,6 @@ class FluxInstance:
         self.latencies = latencies
         self.rng = rng
         self.profiler = profiler
-        #: Optional live :class:`~repro.observability.spans.Tracer`;
-        #: records one bootstrap span per (re)start.
-        self.tracer = tracer
         #: Optional :class:`~repro.faults.FaultModel` consulted once
         #: per dispatch for injected launch failures.
         self._faults = faults
@@ -215,11 +212,6 @@ class FluxInstance:
         if self.profiler is not None:
             self.profiler.record(self.instance_id, "backend_start",
                                  kind="flux", nodes=self.n_nodes)
-        boot_span = None
-        if self.tracer is not None:
-            boot_span = self.tracer.begin(
-                f"{self.instance_id}.bootstrap", cat="bootstrap",
-                kind="flux", nodes=self.n_nodes)
         yield self.env.timeout(self.startup_delay())
         lat = self.latencies
         load_mean = 1.0 / (1.0 + lat.flux_load_degradation * self.n_nodes)
@@ -232,8 +224,6 @@ class FluxInstance:
                                 lat.flux_load_max)
         self.state = InstanceState.READY
         self._alive = True
-        if boot_span is not None:
-            self.tracer.end(boot_span)
         self.env.process(self._ingest_loop())
         self.env.process(self._sched_loop())
         if self.profiler is not None:

@@ -4,8 +4,8 @@ One :class:`Observability` object per session bundles the four
 instruments this package provides:
 
 * a **span model** (:mod:`~repro.observability.spans`) — hierarchical
-  sim-time spans over the task lifecycle, built online (tracer) or
-  offline from recorded trace events;
+  sim-time spans over the task lifecycle, rebuilt from the recorded
+  trace events;
 * a **metrics registry** (:mod:`~repro.observability.metrics`) —
   labeled counters/gauges/histograms updated live by the kernel,
   executors, Flux instances, the Dragon pool and the srun facility;
@@ -55,9 +55,7 @@ from .metrics import (
 from .spans import (
     PHASES,
     Span,
-    Tracer,
     phase_rollup,
-    span_from_dict,
     spans_from_events,
     spans_from_profiler,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "SweepTelemetry",
     "TELEMETRY_SCHEMA",
     "TelemetryBus",
-    "Tracer",
     "build_manifest",
     "chrome_trace",
     "metrics_json",
@@ -108,7 +105,6 @@ __all__ = [
     "read_manifest",
     "read_telemetry",
     "render_progress_line",
-    "span_from_dict",
     "spans_from_events",
     "spans_from_profiler",
     "validate_chrome_trace",
@@ -122,7 +118,7 @@ __all__ = [
 class Observability:
     """Per-session observability facade.
 
-    ``enabled`` gates the metrics registry and tracer; components
+    ``enabled`` gates the metrics registry; components
     receive ``obs.registry`` (``None`` when disabled) and guard their
     updates on it, so a disabled session pays nothing beyond object
     construction.  Logging has its own switch
@@ -135,7 +131,6 @@ class Observability:
         self.enabled = enabled
         self.registry: Optional[MetricsRegistry] = (
             MetricsRegistry() if enabled else None)
-        self.tracer = Tracer(env, enabled=enabled)
         self.sink = LogSink(env)
 
     def logger(self, component: str) -> SimLogger:

@@ -1,15 +1,13 @@
 """Hierarchical sim-time spans over the runtime's task lifecycle.
 
 A :class:`Span` is a named sim-time interval with a parent, children
-and attributes.  Spans come from two sources:
-
-* **online** — code under a running simulation opens spans through a
-  :class:`Tracer` (context manager or explicit ``begin``/``end``),
-  e.g. the harness wrapping a whole experiment;
-* **offline** — :func:`spans_from_events` reconstructs the full
-  session → pilot → backend → task → state-phase hierarchy from the
-  flat :class:`~repro.analytics.events.TraceEvent` stream the
-  :class:`~repro.analytics.profiler.Profiler` already records.
+and attributes.  Spans have one source: :func:`spans_from_events`
+reconstructs the session → pilot → backend → task → phase hierarchy
+from the flat :class:`~repro.analytics.events.TraceEvent` stream the
+:class:`~repro.analytics.profiler.Profiler` records.  Every span is
+therefore a pure function of the profile — a bundle's ``spans.json``
+can always be rebuilt from its ``profile.jsonl`` — and observing a
+run never touches the simulation.
 
 The per-task phase taxonomy maps the four intervals the trace makes
 observable (cf. RADICAL-Analytics' state-transition durations):
@@ -40,7 +38,6 @@ from ..analytics import events as tev
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analytics.events import TraceEvent
-    from ..sim.kernel import Environment
 
 #: Span categories, used as Perfetto track/categorisation keys.
 CAT_SESSION = "session"
@@ -80,10 +77,6 @@ class Span:
         """Length [s]; open spans report 0 until closed."""
         return (self.end - self.start) if self.end is not None else 0.0
 
-    @property
-    def closed(self) -> bool:
-        return self.end is not None
-
     def child(self, name: str, cat: str, start: float,
               end: Optional[float] = None, **attrs: Any) -> "Span":
         return Span(name, cat, start, end, parent=self, attrs=attrs)
@@ -112,83 +105,6 @@ class Span:
     def __repr__(self) -> str:
         end = f"{self.end:.4f}" if self.end is not None else "..."
         return f"<Span {self.cat}:{self.name} [{self.start:.4f}, {end}]>"
-
-
-class Tracer:
-    """Online span construction against a live simulation clock.
-
-    ``span`` is the context-manager form for sequential code; use
-    ``begin``/``end`` from interleaved simulation processes, passing
-    the parent explicitly.  Parenting for context-managed spans is the
-    span active at *enter* time; exits remove by identity, so
-    non-LIFO closing (concurrent processes) cannot corrupt the stack.
-
-    Disabled tracers hand out a shared dummy span and record nothing.
-    """
-
-    def __init__(self, env: "Environment", enabled: bool = True) -> None:
-        self._env = env
-        self.enabled = enabled
-        self.roots: List[Span] = []
-        self._stack: List[Span] = []
-        self._noop = Span("noop", "noop", 0.0, 0.0)
-
-    def begin(self, name: str, cat: str = "span",
-              parent: Optional[Span] = None, **attrs: Any) -> Span:
-        """Open a span now; close it with :meth:`end`."""
-        if not self.enabled:
-            return self._noop
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        span = Span(name, cat, self._env.now, parent=parent, attrs=attrs)
-        if parent is None:
-            self.roots.append(span)
-        return span
-
-    def end(self, span: Span, at: Optional[float] = None) -> None:
-        if span is self._noop or not self.enabled:
-            return
-        span.end = self._env.now if at is None else at
-
-    def span(self, name: str, cat: str = "span", **attrs: Any):
-        """``with tracer.span("phase"): ...`` — sim-time scoped."""
-        return _SpanContext(self, name, cat, attrs)
-
-
-class _SpanContext:
-    __slots__ = ("_tracer", "_name", "_cat", "_attrs", "_span")
-
-    def __init__(self, tracer: Tracer, name: str, cat: str,
-                 attrs: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._attrs = attrs
-        self._span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        self._span = tracer.begin(self._name, self._cat, **self._attrs)
-        if tracer.enabled:
-            tracer._stack.append(self._span)
-        return self._span
-
-    def __exit__(self, *exc) -> None:
-        tracer = self._tracer
-        span = self._span
-        if span is None or not tracer.enabled:
-            return
-        tracer.end(span)
-        # Remove by identity; tolerate out-of-order exits.
-        for i in range(len(tracer._stack) - 1, -1, -1):
-            if tracer._stack[i] is span:
-                del tracer._stack[i]
-                break
-
-
-# ---------------------------------------------------------------------------
-# Offline reconstruction from trace events
-# ---------------------------------------------------------------------------
 
 
 def _task_boundaries(events: List["TraceEvent"]
@@ -280,7 +196,6 @@ def spans_from_events(events: Iterable["TraceEvent"],
         active = [ev for ev in evs if ev.name == tev.PILOT_ACTIVE]
         span = root.child(entity, CAT_PILOT, start, end)
         if active:
-            span.child("startup", CAT_PHASE, start, active[0].time)
             span.attrs["nodes"] = active[0].meta.get("nodes")
         pilots.append(span)
     anchor = pilots[0] if len(pilots) == 1 else root
@@ -311,8 +226,10 @@ def spans_from_events(events: Iterable["TraceEvent"],
         ready = [ev for ev in bevs if ev.name == tev.BACKEND_READY]
         if ready:
             span.child("bootstrap", CAT_PHASE, start, ready[0].time)
-            span.attrs.update({k: v for k, v in ready[0].meta.items()
-                               if k != "kind"})
+            # Sorted, as the profile file stores metas, so a tree built
+            # from live events equals one built from the saved profile.
+            span.attrs.update(sorted(
+                (k, v) for k, v in ready[0].meta.items() if k != "kind"))
         if any(ev.name == tev.BACKEND_FAILED for ev in bevs):
             span.attrs["failed"] = True
 
@@ -340,21 +257,6 @@ def spans_from_events(events: Iterable["TraceEvent"],
 def spans_from_profiler(profiler, session_uid: str = "session") -> Span:
     """Convenience wrapper: reconstruct spans from a live profiler."""
     return spans_from_events(iter(profiler), session_uid=session_uid)
-
-
-def span_from_dict(doc: Dict[str, Any],
-                   parent: Optional[Span] = None) -> Span:
-    """Rebuild a span (and its subtree) from its ``to_dict`` form.
-
-    The inverse of :meth:`Span.to_dict`, used by offline consumers
-    loading a bundle's ``spans.json``.
-    """
-    span = Span(doc["name"], doc.get("cat", "span"), doc["start"],
-                doc.get("end"), parent=parent,
-                attrs=dict(doc.get("attrs") or {}))
-    for child in doc.get("children", ()):
-        span_from_dict(child, parent=span)
-    return span
 
 
 def phase_rollup(root: Span) -> Dict[str, Dict[str, float]]:

@@ -191,3 +191,44 @@ class TestTraceCli:
         assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
                      "--bundle", str(out)]) == 0
         assert (out / "metrics.json").is_file()
+
+    def test_trace_critical_pins_the_srun_chain(self, capsys, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["run", "srun", "--waves", "1", "--bundle",
+                     str(out)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "critical", str(out)]) == 0
+        assert capsys.readouterr().out == SRUN_W1_CHAIN
+
+    @pytest.mark.parametrize("command", ["inspect", "critical"])
+    @pytest.mark.parametrize("files", [
+        {}, {"manifest.json": '{"kind": "other"}'}, None,
+    ], ids=["empty-dir", "foreign-manifest", "missing-path"])
+    def test_bad_bundle_paths_fail_cleanly(self, command, files, capsys,
+                                           tmp_path):
+        target = tmp_path / "target"
+        if files is not None:
+            target.mkdir()
+            for name, text in files.items():
+                (target / name).write_text(text)
+        assert main(["trace", command, str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(target) in captured.err
+        assert captured.out == ""
+
+
+#: ``trace critical`` on ``run srun --waves 1 --bundle``: the chain the
+#: profile-derived span tree yields.
+SRUN_W1_CHAIN = (
+    "             span            cat  start[s]  end[s]  dur[s]  excl[s]\n"
+    "-----------------  -------------  --------  ------  ------  -------\n"
+    "   session.000000        session         0   6.539   6.539    2.000\n"
+    "     pilot.000000          pilot     2.000   6.539   4.539        0\n"
+    "             srun  backend_group         0   6.539   6.539        0\n"
+    "      task.000222           task         0   6.539   6.539    6.539\n"
+    "             exec          phase     6.539   6.539       0        0\n"
+    "\n"
+    "critical path: 5 levels, 6.539s end to end; largest exclusive "
+    "contribution 6.539s at task:task.000222\n"
+)

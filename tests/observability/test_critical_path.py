@@ -4,8 +4,8 @@ The fixture tests pin the walk's full rule set — gating requires
 ending at-or-after the parent, latest end wins, ties fall to the
 longest continuing chain, then latest start, then name — and the
 exclusive-time attribution.  The real-run tests check the chain a
-live span tree produces is well-formed, deterministic, and survives
-the ``spans.json`` round trip.
+span tree rebuilt from a run's profile produces is well-formed and
+deterministic.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from repro.analytics import critical_path, format_critical_path
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.harness import run_experiment
-from repro.observability import Span, span_from_dict, spans_from_events
+from repro.observability import Span, spans_from_events
 
 CFG = ExperimentConfig(exp_id="flux_1", launcher="flux", workload="null",
                        n_nodes=2, duration=5.0, waves=1)
@@ -135,7 +135,3 @@ class TestRealRun:
         other = spans_from_events(iter(result.session.profiler))
         result.session.close()
         assert critical_path(root) == critical_path(other)
-
-    def test_round_trips_through_span_dicts(self, root):
-        rebuilt = span_from_dict(root.to_dict())
-        assert critical_path(rebuilt) == critical_path(root)

@@ -4,13 +4,16 @@ import json
 
 import pytest
 
-from repro.experiments.configs import ExperimentConfig
+from repro.analytics import load_events
+from repro.experiments.configs import ExperimentConfig, config_by_id
 from repro.experiments.harness import run_experiment
 from repro.observability import (
     BUNDLE_VERSION,
     build_manifest,
+    chrome_trace,
     package_versions,
     read_manifest,
+    spans_from_events,
     validate_chrome_trace,
 )
 
@@ -71,8 +74,6 @@ class TestBundle:
 
     def test_profile_artifact_loads(self, bundle):
         out, result = bundle
-        from repro.analytics import load_events
-
         events = load_events(out / "profile.jsonl")
         assert len(events) > result.n_tasks
 
@@ -85,9 +86,6 @@ class TestBundle:
             return n + sum(count_tasks(c) for c in node["children"])
 
         assert count_tasks(spans) == result.n_tasks
-        # The harness's live "experiment" span rides along.
-        cats = {c["cat"] for c in spans["children"]}
-        assert "experiment" in cats
 
     def test_metrics_artifact_has_kernel_series(self, bundle):
         out, _ = bundle
@@ -99,3 +97,21 @@ class TestBundle:
         (tmp_path / "manifest.json").write_text('{"kind": "other"}')
         with pytest.raises(ValueError, match="not a repro run manifest"):
             read_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("exp_id,overrides", [
+    ("srun", {"waves": 1}),
+    ("flux_n", {"n_nodes": 8, "n_partitions": 2}),
+    ("flux+dragon", {"n_nodes": 4}),
+    ("faults", {"n_nodes": 16, "n_partitions": 4}),
+], ids=["srun-w1", "flux_n-8n2p", "flux+dragon-4n", "faults-16n4p"])
+def test_bundle_spans_come_only_from_its_profile(tmp_path, exp_id,
+                                                 overrides):
+    run_experiment(config_by_id(exp_id, **overrides), bundle=str(tmp_path))
+    manifest = read_manifest(tmp_path)
+    root = spans_from_events(load_events(tmp_path / "profile.jsonl"),
+                             session_uid=manifest["session_uid"])
+    assert (tmp_path / "spans.json").read_text(encoding="utf-8") == \
+        json.dumps(root.to_dict(), sort_keys=True) + "\n"
+    assert (tmp_path / "trace.json").read_text(encoding="utf-8") == \
+        json.dumps(chrome_trace(root))

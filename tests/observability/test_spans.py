@@ -1,4 +1,4 @@
-"""Span-model tests: tracer, offline reconstruction, phase invariants."""
+"""Span-model tests: reconstruction from the profile, phase invariants."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.core import (
 )
 from repro.observability import (
     Span,
-    Tracer,
     phase_rollup,
     spans_from_events,
     spans_from_profiler,
@@ -18,7 +17,6 @@ from repro.observability import (
 from repro.observability.spans import CAT_PHASE, CAT_TASK, PHASES
 from repro.platform import generic
 from repro.platform.spec import ResourceSpec
-from repro.sim import Environment
 
 
 class TestSpan:
@@ -37,40 +35,6 @@ class TestSpan:
         d = root.to_dict()
         assert d["attrs"] == {"seed": 3}
         assert d["children"][0]["name"] == "c"
-
-
-class TestTracer:
-    def test_context_manager_nesting(self):
-        env = Environment()
-        tracer = Tracer(env, enabled=True)
-        with tracer.span("outer", cat="a"):
-            env._now = 2.0
-            with tracer.span("inner", cat="b"):
-                env._now = 3.0
-        assert len(tracer.roots) == 1
-        outer = tracer.roots[0]
-        assert outer.start == 0.0 and outer.end == 3.0
-        assert outer.children[0].name == "inner"
-        assert outer.children[0].start == 2.0
-
-    def test_begin_end_non_lifo(self):
-        env = Environment()
-        tracer = Tracer(env, enabled=True)
-        s1 = tracer.begin("one")
-        s2 = tracer.begin("two")
-        env._now = 5.0
-        tracer.end(s1)
-        env._now = 7.0
-        tracer.end(s2)
-        assert s1.end == 5.0 and s2.end == 7.0
-
-    def test_disabled_tracer_records_nothing(self):
-        env = Environment()
-        tracer = Tracer(env, enabled=False)
-        with tracer.span("x"):
-            pass
-        tracer.end(tracer.begin("y"))
-        assert tracer.roots == []
 
 
 def _hybrid_session():
@@ -137,6 +101,17 @@ class TestReconstruction:
             execs = [c for c in span.children if c.name == "exec"]
             assert len(execs) == 1
             assert execs[0].duration == pytest.approx(3.0, abs=1e-6)
+
+    def test_pilot_span_starts_at_pilot_active_without_phases(self, hybrid):
+        session, _tasks = hybrid
+        root = spans_from_profiler(session.profiler, session_uid=session.uid)
+        (pilot,) = root.find("pilot")
+        (active,) = [ev for ev in session.profiler
+                     if ev.entity == pilot.name and ev.name == "pilot_active"]
+        assert pilot.start == active.time
+        assert pilot.attrs["nodes"] == 8
+        # The backend groups hang off the lone pilot; no phase does.
+        assert {c.cat for c in pilot.children} == {"backend_group"}
 
     def test_rollup_counts_every_task(self, hybrid):
         session, tasks = hybrid
