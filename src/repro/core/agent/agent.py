@@ -58,7 +58,6 @@ class Agent:
         self.profiler = session.profiler
         self.metrics = session.obs.registry
         self.uid = session.ids.next("agent")
-        self.log = session.obs.logger(self.uid)
         self._m_dispatched = self._m_intake = None
         if self.metrics is not None:
             self._m_dispatched = self.metrics.counter(
@@ -147,19 +146,13 @@ class Agent:
         if procs:
             yield self.env.all_of(procs)
         # Drop executors that failed to bootstrap (Dragon watchdog etc.).
-        dropped = [name for name, ex in self.executors.items()
-                   if not ex.ready]
         self.executors = {
             name: ex for name, ex in self.executors.items() if ex.ready
         }
-        for name in dropped:
-            self.log.warning("backend failed to bootstrap", backend=name)
         if not self.executors:
             raise ConfigurationError(f"{self.uid}: no backend came up")
         self._router = self._make_router()
         self._alive = True
-        self.log.info("agent ready",
-                      backends=",".join(sorted(self.executors)))
         if self.faults is not None:
             # Arm the fault clocks only once the stack is fully up, so
             # the injection schedule is a pure function of the seed and
@@ -516,8 +509,6 @@ class Agent:
         self.faults.note_blacklisted(backend)
         self.profiler.record(f"{self.uid}.{backend}", BACKEND_BLACKLISTED,
                              strikes=strikes)
-        self.log.warning("backend blacklisted", backend=backend,
-                         strikes=strikes)
 
     # -- fault-model hooks ---------------------------------------------------
 

@@ -14,7 +14,7 @@ the correctness contract:
     :mod:`repro.ensemble.vec_flux` / :mod:`repro.ensemble.vec_dragon`),
     sharing the captured bootstrap preamble, the workload descriptions
     and the platform topology.  Per-seed cost is an order of magnitude
-    below a kernel run (gated by ``benchmarks/test_perf_ensemble.py``).
+    below a kernel run (gated by ``benchmarks/test_cost_gates.py``).
 
 ``replay``
     Generic fallback: one real :func:`run_experiment` per seed.  Used

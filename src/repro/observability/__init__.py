@@ -1,6 +1,6 @@
-"""Unified observability: spans, metrics, structured logs, manifests.
+"""Unified observability: spans, metrics, manifests.
 
-One :class:`Observability` object per session bundles the four
+One :class:`Observability` object per session bundles the three
 instruments this package provides:
 
 * a **span model** (:mod:`~repro.observability.spans`) — hierarchical
@@ -9,8 +9,6 @@ instruments this package provides:
 * a **metrics registry** (:mod:`~repro.observability.metrics`) —
   labeled counters/gauges/histograms updated live by the kernel,
   executors, Flux instances, the Dragon pool and the srun facility;
-* **structured logging** (:mod:`~repro.observability.log`) —
-  sim-clock-stamped, component-scoped records, off by default;
 * **run manifests** (:mod:`~repro.observability.manifest`) — the
   machine-readable bundle (manifest + metrics + spans + Perfetto
   trace + profile) the harness writes per run.
@@ -26,7 +24,7 @@ observe the simulation, they never perturb it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, TextIO
+from typing import TYPE_CHECKING, Optional
 
 from .export import (
     chrome_trace,
@@ -36,7 +34,6 @@ from .export import (
     write_chrome_trace,
     write_metrics,
 )
-from .log import LogRecord, LogSink, SimLogger
 from .manifest import (
     BUNDLE_VERSION,
     build_manifest,
@@ -83,15 +80,12 @@ __all__ = [
     "Histogram",
     "HostProfiler",
     "KernelInstrument",
-    "LogRecord",
-    "LogSink",
     "MetricFamily",
     "MetricsRegistry",
     "Observability",
     "PHASES",
     "RunTelemetry",
     "SessionSampler",
-    "SimLogger",
     "Span",
     "SweepTelemetry",
     "TELEMETRY_SCHEMA",
@@ -121,9 +115,7 @@ class Observability:
     ``enabled`` gates the metrics registry; components
     receive ``obs.registry`` (``None`` when disabled) and guard their
     updates on it, so a disabled session pays nothing beyond object
-    construction.  Logging has its own switch
-    (:meth:`enable_logging`) because log volume is a separate decision
-    from metric collection.
+    construction.
     """
 
     def __init__(self, env: "Environment", enabled: bool = False) -> None:
@@ -131,16 +123,6 @@ class Observability:
         self.enabled = enabled
         self.registry: Optional[MetricsRegistry] = (
             MetricsRegistry() if enabled else None)
-        self.sink = LogSink(env)
-
-    def logger(self, component: str) -> SimLogger:
-        """A component-scoped structured logger (cheap; make freely)."""
-        return SimLogger(self.sink, component)
-
-    def enable_logging(self, level: str = "info",
-                       stream: Optional[TextIO] = None) -> None:
-        """Turn structured logging on (independently of metrics)."""
-        self.sink.enable(level=level, stream=stream)
 
     def attach_kernel(self, env: Optional["Environment"] = None) -> None:
         """Instrument a simulation kernel with event/queue metrics.

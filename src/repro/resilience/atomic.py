@@ -1,7 +1,7 @@
 """Atomic file writes: a crash never leaves a torn artifact.
 
 Every durable artifact the simulator emits — profiles, bundle files,
-``BENCH_*.json`` numbers, checkpoints — goes through one of these
+store entries, checkpoints — goes through one of these
 helpers.  The recipe is the classic one:
 
 1. write the full content to a temporary file *in the target

@@ -91,9 +91,9 @@ JOURNAL_NAME = "index.jsonl"
 class StoreStats:
     """Hit/miss/write counters (per store instance and process-wide).
 
-    The process-wide instance (:data:`STATS`) is what the benchmark
-    harness snapshots to prove its numbers were produced cache-cold
-    (see ``benchmarks/conftest.rate_stats``).
+    The process-wide instance (:data:`STATS`) is what the Zipf cost
+    gate snapshots to count a request stream's hits, misses and puts
+    exactly (see ``benchmarks/test_cost_gates.py``).
     """
 
     hits: int = 0
