@@ -9,7 +9,8 @@ to numpy arrays for the metric functions.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional)
 
 import numpy as np
 
@@ -22,6 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: writes a chunk to disk (~40 MB of records at typical meta sizes).
 SPILL_THRESHOLD = 200_000
 
+#: Records between firings of an attached telemetry probe (see
+#: :meth:`Profiler.attach_probe`).  The probe rate-limits on wall time
+#: itself; the stride only bounds how often that check runs.
+PROBE_STRIDE = 4096
+
 
 class Profiler:
     """Append-only trace store keyed by event name and entity.
@@ -30,7 +36,10 @@ class Profiler:
     it does the minimum possible work: construct the record and append
     it to one list.  The by-name / by-entity indexes that the query
     methods need are built lazily, catching up on the un-indexed tail
-    the first time a query runs after new records arrived.
+    the first time a query runs after new records arrived.  Spilling
+    and the telemetry probe share one per-record compare against
+    ``_mark``, the in-memory length at which :meth:`_tick` next has
+    work; with neither armed it is infinity.
 
     Parameters
     ----------
@@ -60,12 +69,43 @@ class Profiler:
         self._indexed_name = 0
         self._indexed_entity = 0
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
-        # Infinity when not spilling: the per-record threshold compare
-        # then never passes, keeping the hot path one int comparison.
-        self._spill_threshold = (max(1, int(spill_threshold))
-                                 if spill_dir is not None else float("inf"))
+        self._spill_at = (max(1, int(spill_threshold))
+                          if spill_dir is not None else float("inf"))
         self._chunks: List[Path] = []
         self._n_spilled = 0
+        self._probe: Optional[Callable[[], None]] = None
+        #: Record count (spilled included) at which the probe next fires.
+        self._probe_due = 0
+        self._mark = self._spill_at
+
+    # -- threshold --------------------------------------------------------
+
+    def attach_probe(self, probe: Callable[[], None]) -> None:
+        """Call ``probe()`` once every :data:`PROBE_STRIDE` records.
+
+        The probe must be read-only (no scheduling, no RNG, no clock
+        writes), so a run's trace is byte-identical with it attached.
+        """
+        self._probe = probe
+        self._probe_due = len(self) + PROBE_STRIDE
+        self._arm()
+
+    def _arm(self) -> None:
+        mark = self._spill_at
+        if self._probe is not None:
+            mark = min(mark, self._probe_due - self._n_spilled)
+        self._mark = mark
+
+    def _tick(self) -> None:
+        """The in-memory tail reached ``_mark``: spill and/or probe."""
+        if len(self._events) >= self._spill_at:
+            self._spill()
+        if self._probe is not None:
+            n = len(self)
+            if n >= self._probe_due:
+                self._probe_due = n + PROBE_STRIDE
+                self._probe()
+        self._arm()
 
     # -- spilling ---------------------------------------------------------
 
@@ -103,6 +143,7 @@ class Profiler:
         """Force any in-memory tail out to disk (spilling mode only)."""
         if self._spill_dir is not None:
             self._spill()
+            self._arm()
 
     def _iter_spilled(self, contains: str = None) -> Iterator[TraceEvent]:
         """Lazily re-read spilled chunks as trace events.
@@ -130,8 +171,8 @@ class Profiler:
         ev = TraceEvent(time=self._env._now if at is None else at,
                         entity=entity, name=name, meta=meta)
         self._events.append(ev)
-        if len(self._events) >= self._spill_threshold:
-            self._spill()
+        if len(self._events) >= self._mark:
+            self._tick()
         return ev
 
     def record_event(self, entity: str, name: str, meta: Dict[str, Any],
@@ -146,8 +187,8 @@ class Profiler:
         ev = TraceEvent(self._env._now if at is None else at,
                         entity, name, meta)
         self._events.append(ev)
-        if len(self._events) >= self._spill_threshold:
-            self._spill()
+        if len(self._events) >= self._mark:
+            self._tick()
         return ev
 
     def _index_names(self) -> None:

@@ -56,18 +56,7 @@ class Agent:
         self.latencies = session.latencies
         self.rng = session.rng
         self.profiler = session.profiler
-        self.metrics = session.obs.registry
         self.uid = session.ids.next("agent")
-        self._m_dispatched = self._m_intake = None
-        if self.metrics is not None:
-            self._m_dispatched = self.metrics.counter(
-                "repro_agent_dispatched_total",
-                "tasks through the serialized dispatch stage",
-                labels=("agent",)).labels(self.uid)
-            self._m_intake = self.metrics.gauge(
-                "repro_agent_intake_depth",
-                "tasks waiting in the agent admission queue",
-                labels=("agent",)).labels(self.uid)
         #: The admission queue: tasks waiting for the serialized
         #: dispatch stage, in FIFO order.  While the agent is alive and
         #: the queue is not empty, the head's admission is pending as
@@ -279,9 +268,6 @@ class Agent:
         queue = self._admission
         task = queue.popleft()
         self.n_dispatched += 1
-        if self._m_dispatched is not None:
-            self._m_dispatched.inc()
-            self._m_intake.set(len(queue))
         if task.description.input_staging > 0:
             self.env.process(self._handle(task))
         else:

@@ -32,8 +32,6 @@ class ExecutorBase:
         self.latencies = agent.latencies
         self.rng = agent.rng
         self.profiler = agent.profiler
-        #: Metrics registry (``None`` when observability is disabled).
-        self.metrics = agent.metrics
         self.allocation = allocation
         self.ready = False
         self.failed = False

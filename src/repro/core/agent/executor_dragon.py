@@ -37,7 +37,7 @@ class DragonExecutor(ExecutorBase):
             DragonRuntime(self.env, part, self.latencies, self.rng,
                           instance_id=f"{agent.uid}.dragon.{i:03d}",
                           profiler=self.profiler, fail_startup=fail_startup,
-                          metrics=self.metrics, faults=agent.faults)
+                          faults=agent.faults)
             for i, part in enumerate(partitions)
         ]
         self._task_map: Dict[str, "Task"] = {}

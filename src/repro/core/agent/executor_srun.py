@@ -29,8 +29,7 @@ class SrunExecutor(ExecutorBase):
         super().__init__(agent, allocation)
         self.srun = agent.session.srun
         self.scheduler = PartitionScheduler(
-            self.env, allocation, name=f"{agent.uid}.srun.sched",
-            metrics=self.metrics)
+            self.env, allocation, name=f"{agent.uid}.srun.sched")
         self._alive = False
         self._procs = {}
         self._steps = {}

@@ -9,7 +9,7 @@ schedule internally; tasks routed there bypass this component.)
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from ...platform.cluster import Allocation
 from ...platform.node import Placement
@@ -21,24 +21,12 @@ class PartitionScheduler:
     """FIFO slot scheduler over one partition allocation."""
 
     def __init__(self, env: Environment, allocation: Allocation,
-                 name: str = "sched", metrics=None) -> None:
+                 name: str = "sched") -> None:
         self.env = env
         self.allocation = allocation
         self.name = name
         self._pending: Deque[Tuple[ResourceSpec, Event]] = deque()
         self.n_placed = 0
-        # Optional observability: placement-queue depth and grant count
-        # labeled by scheduler name (one scheduler per partition).
-        self._m_queue = self._m_placed = None
-        if metrics is not None:
-            self._m_queue = metrics.gauge(
-                "repro_agent_sched_queue_depth",
-                "placement requests waiting for partition slots",
-                labels=("scheduler",)).labels(name)
-            self._m_placed = metrics.counter(
-                "repro_agent_sched_placements_total",
-                "slot placements granted",
-                labels=("scheduler",)).labels(name)
 
     @property
     def queue_depth(self) -> int:
@@ -68,13 +56,9 @@ class PartitionScheduler:
             placements = self.allocation.try_place(spec)
             if placements is not None:
                 self.n_placed += 1
-                if self._m_placed is not None:
-                    self._m_placed.inc()
                 ev.succeed(placements)
                 return ev
         self._pending.append((spec, ev))
-        if self._m_queue is not None:
-            self._m_queue.set(len(self._pending))
         return ev
 
     def free(self, placements: List[Placement]) -> None:
@@ -90,11 +74,7 @@ class PartitionScheduler:
                 break
             self._pending.popleft()
             self.n_placed += 1
-            if self._m_placed is not None:
-                self._m_placed.inc()
             ev.succeed(placements)
-        if self._m_queue is not None:
-            self._m_queue.set(len(self._pending))
 
     def cancel_pending(self) -> None:
         """Fail all queued placement requests (partition shutdown)."""

@@ -33,7 +33,6 @@ class Session:
                  latencies: LatencyModel = FRONTIER_LATENCIES,
                  seed: int = 0,
                  env: Optional[Environment] = None,
-                 observe: bool = False,
                  faults=None,
                  spill_dir=None) -> None:
         self.env = env if env is not None else Environment()
@@ -47,15 +46,10 @@ class Session:
         #: to chunked JSONL files instead of holding them all in
         #: memory; see :class:`~repro.analytics.profiler.Profiler`.
         self.profiler = Profiler(self.env, spill_dir=spill_dir)
-        from ..observability import Observability
-
-        self.obs = Observability(self.env, enabled=observe)
-        if observe:
-            self.obs.attach_kernel(self.env)
         #: Live telemetry plumbing for this run, when progress
         #: streaming is on (see
         #: :class:`~repro.observability.telemetry.RunTelemetry`).  The
-        #: harness attaches it; the kernel probe reaches it here.
+        #: harness attaches it and hangs its probe on the profiler.
         #: ``None`` = off.
         self.telemetry = None
         from ..platform.filesystem import SharedFilesystem
@@ -63,8 +57,7 @@ class Session:
         self.filesystem = SharedFilesystem(self.env)
         self.slurm = SlurmController(self.env, self.cluster, latencies,
                                      self.rng, profiler=self.profiler)
-        self.srun = SrunLauncher(self.env, self.slurm, latencies, self.rng,
-                                 metrics=self.obs.registry)
+        self.srun = SrunLauncher(self.env, self.slurm, latencies, self.rng)
         #: Fault model, built from an optional
         #: :class:`~repro.faults.FaultSpec`.  ``None`` (the default)
         #: keeps every fault-instrumented code path inert: no fault
@@ -76,8 +69,7 @@ class Session:
             from ..faults import FaultModel
 
             self.faults = FaultModel(self.env, self.rng, faults,
-                                     profiler=self.profiler,
-                                     metrics=self.obs.registry)
+                                     profiler=self.profiler)
         self._closed = False
 
     def pilot_manager(self):

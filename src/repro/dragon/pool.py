@@ -26,8 +26,7 @@ class WorkerPool:
 
     def __init__(self, env: Environment, allocation: Allocation,
                  warm_start_cost: float = WARM_START_COST,
-                 cold_start_cost: float = COLD_START_COST,
-                 metrics=None, instance_id: str = "dragon") -> None:
+                 cold_start_cost: float = COLD_START_COST) -> None:
         self.env = env
         self.allocation = allocation
         self.warm_start_cost = warm_start_cost
@@ -37,19 +36,6 @@ class WorkerPool:
         self._warm_workers = 0
         self.n_warm_dispatch = 0
         self.n_cold_dispatch = 0
-        # Optional observability: warm/cold dispatch split + busy-slot
-        # watermark, labeled by owning runtime instance.
-        self._m_dispatch = self._m_busy = None
-        if metrics is not None:
-            fam = metrics.counter(
-                "repro_dragon_dispatch_total",
-                "pool dispatches by temperature",
-                labels=("instance", "kind"))
-            self._m_dispatch = (fam.labels(instance_id, "warm"),
-                                fam.labels(instance_id, "cold"))
-            self._m_busy = metrics.gauge(
-                "repro_dragon_pool_busy", "busy worker slots",
-                labels=("instance",)).labels(instance_id)
 
     @property
     def capacity(self) -> int:
@@ -91,22 +77,14 @@ class WorkerPool:
         Function tasks reuse pooled interpreters once they exist;
         executables always pay the cold fork+exec cost.
         """
-        if self._m_busy is not None:
-            self._m_busy.set(self.busy)
         if mode == "function":
             if self._warm_workers > self.busy - 1:
                 self.n_warm_dispatch += 1
-                if self._m_dispatch is not None:
-                    self._m_dispatch[0].inc()
                 return self.warm_start_cost
             self._warm_workers += 1
             self.n_cold_dispatch += 1
-            if self._m_dispatch is not None:
-                self._m_dispatch[1].inc()
             return self.cold_start_cost
         if mode == "executable":
             self.n_cold_dispatch += 1
-            if self._m_dispatch is not None:
-                self._m_dispatch[1].inc()
             return self.cold_start_cost
         raise DragonError(f"unknown task mode {mode!r}")

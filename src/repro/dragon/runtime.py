@@ -125,8 +125,7 @@ class DragonRuntime:
     def __init__(self, env: Environment, allocation: Allocation,
                  latencies: LatencyModel, rng: RngStreams,
                  instance_id: str = "dragon", profiler=None,
-                 fail_startup: bool = False, metrics=None,
-                 faults=None) -> None:
+                 fail_startup: bool = False, faults=None) -> None:
         self.env = env
         self.allocation = allocation
         self.latencies = latencies
@@ -145,8 +144,7 @@ class DragonRuntime:
 
         self.task_pipe = ZmqPipe(env, name=f"{instance_id}.tasks")
         self.completion_pipe = ZmqPipe(env, name=f"{instance_id}.events")
-        self.pool = WorkerPool(env, allocation, metrics=metrics,
-                               instance_id=instance_id)
+        self.pool = WorkerPool(env, allocation)
         #: Optional hook invoked with the task id when its payload starts.
         self.on_task_start = None
         self._canceled: set = set()

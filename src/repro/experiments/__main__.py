@@ -413,8 +413,8 @@ def main(argv: List[str] = None) -> int:
                        help="write the trace profile to this JSONL file")
     p_run.add_argument("--bundle", default="",
                        help="write the observability bundle (manifest, "
-                            "metrics, spans, Perfetto trace) to this "
-                            "directory")
+                            "spans, Perfetto trace, profile, telemetry) "
+                            "to this directory")
     p_run.add_argument("--progress", nargs="?", const="line", default="",
                        choices=["line", "jsonl"], metavar="FMT",
                        help="stream live telemetry to stderr while the "
@@ -500,7 +500,9 @@ def main(argv: List[str] = None) -> int:
         "trace", help="observability bundles and Perfetto traces")
     tr_sub = p_tr.add_subparsers(dest="trace_command", required=True)
     tr_run = tr_sub.add_parser(
-        "run", help="run one experiment and write its bundle")
+        "run", help="run one experiment and write its bundle "
+                    "(manifest, spans, Perfetto trace, profile, "
+                    "telemetry)")
     tr_run.add_argument("exp_id", help="experiment id (see 'list')")
     tr_run.add_argument("--out", required=True,
                         help="bundle output directory")

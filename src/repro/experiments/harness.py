@@ -169,14 +169,13 @@ def _attach_telemetry(session: Session, cfg: ExperimentConfig,
                              host=host)
     telemetry = RunTelemetry(bus, sampler)
     session.telemetry = telemetry
-    session.env._probe = telemetry.probe()
+    session.profiler.attach_probe(telemetry.probe())
     return telemetry
 
 
 def run_experiment(cfg: ExperimentConfig,
                    latencies: LatencyModel = FRONTIER_LATENCIES,
                    keep_session: bool = False,
-                   observe: bool = False,
                    bundle: Optional[str] = None,
                    spill_dir=None,
                    progress=None,
@@ -185,20 +184,18 @@ def run_experiment(cfg: ExperimentConfig,
                    _resume_verify=None) -> ExperimentResult:
     """Run one experiment end-to-end and compute its metrics.
 
-    ``observe`` enables the session's metrics registry; ``bundle``
-    names a directory to write the run's observability bundle into
-    (manifest, metrics, spans, Perfetto trace, raw profile) and
-    implies ``observe``.
-    ``spill_dir`` streams the profiler's trace to chunked files under
-    that directory, bounding memory on full-machine runs.  All three
-    leave the simulated event order untouched: same-seed runs produce
-    byte-identical traces with or without them.
+    ``bundle`` names a directory to write the run's observability
+    bundle into (manifest, spans, Perfetto trace, raw profile,
+    telemetry).  ``spill_dir`` streams the profiler's trace to chunked
+    files under that directory, bounding memory on full-machine runs.
+    Both leave the simulated event order untouched: same-seed runs
+    produce byte-identical traces with or without them.
 
-    ``progress`` turns on the live telemetry bus (implies
-    ``observe``): pass a sink callable, a pre-built ``TelemetryBus``,
-    or ``True``.  Sampling is read-only and wall-clock rate-limited,
-    so — like the other switches — same-seed traces stay
-    byte-identical with it on or off.
+    ``progress`` turns on the live telemetry bus: pass a sink
+    callable, a pre-built ``TelemetryBus``, or ``True``.  The profiler
+    fires its probe every few thousand records; sampling is read-only
+    and wall-clock rate-limited, so — like the other switches —
+    same-seed traces stay byte-identical with it on or off.
 
     ``resilience`` is an optional
     :class:`~repro.resilience.ResilienceSpec`: a checkpoint directory
@@ -233,7 +230,6 @@ def run_experiment(cfg: ExperimentConfig,
             if cached is not None:
                 cached.wall_seconds = time.perf_counter() - wall0
                 return cached
-    observe = observe or bundle is not None or progress is not None
     checkpointer = None
     if resilience is not None and resilience.checkpointing:
         from ..resilience.checkpoint import RunCheckpointer
@@ -241,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig,
         checkpointer = RunCheckpointer(resilience.checkpoint_dir, cfg,
                                        resilience, verify=_resume_verify)
     session = Session(cluster=frontier(max(cfg.n_nodes, 1)),
-                      latencies=latencies, seed=cfg.seed, observe=observe,
+                      latencies=latencies, seed=cfg.seed,
                       faults=cfg.faults, spill_dir=spill_dir)
     if checkpointer is not None:
         checkpointer.attach(session)
@@ -341,7 +337,6 @@ def write_run_bundle(directory, cfg: ExperimentConfig, session: Session,
         spans = spans_from_profiler(session.profiler, session_uid=session.uid)
     manifest = build_manifest(config=cfg, session=session, result=result)
     return write_bundle(directory, manifest,
-                        registry=session.obs.registry,
                         spans=spans,
                         profiler=session.profiler,
                         telemetry=(session.telemetry.records

@@ -70,8 +70,7 @@ class FaultModel:
 
     def __init__(self, env: "Environment", rng: "RngStreams",
                  spec: FaultSpec,
-                 profiler: Optional["Profiler"] = None,
-                 metrics: Any = None) -> None:
+                 profiler: Optional["Profiler"] = None) -> None:
         self.env = env
         self.rng = rng
         self.spec = spec
@@ -102,28 +101,12 @@ class FaultModel:
         self.recovery_latencies: List[float] = []
         self.n_retries = 0
         self._n_node_failures = 0
-        self._m_injections = None
-        self._m_retries = None
-        self._m_recovery = None
-        if metrics is not None:
-            self._m_injections = metrics.counter(
-                "repro_fault_injections_total",
-                "Faults injected by the fault model", labels=("kind",))
-            self._m_retries = metrics.counter(
-                "repro_task_retries_total",
-                "Task execution attempts retried after a failure")
-            self._m_recovery = metrics.histogram(
-                "repro_fault_recovery_seconds",
-                "Latency from first infra failure to successful restart",
-                buckets=(1.0, 5.0, 15.0, 60.0, 300.0, 1800.0))
 
     # -- bookkeeping helpers ---------------------------------------------------
 
     def _log(self, kind: str, target: str) -> None:
         self.injected[kind] += 1
         self.schedule_log.append((self.env.now, kind, target))
-        if self._m_injections is not None:
-            self._m_injections.labels(kind=kind).inc()
         if self.profiler is not None:
             self.profiler.record(target, FAULT_INJECTED, kind=kind)
 
@@ -315,8 +298,6 @@ class FaultModel:
     def retry_delay(self, attempts: int) -> float:
         """Backoff before resubmitting a task with ``attempts`` failures."""
         self.n_retries += 1
-        if self._m_retries is not None:
-            self._m_retries.inc()
         return self.retry.delay(attempts, self.rng)
 
     def note_attempt_failed(self, task: "Task", infra: bool,
@@ -334,8 +315,6 @@ class FaultModel:
             return
         latency = self.env.now - t0
         self.recovery_latencies.append(latency)
-        if self._m_recovery is not None:
-            self._m_recovery.observe(latency)
 
     def note_blacklisted(self, backend: str) -> None:
         """The agent stopped routing to ``backend``."""

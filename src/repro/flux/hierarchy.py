@@ -28,7 +28,7 @@ class FluxHierarchy:
                  latencies: LatencyModel, rng: RngStreams,
                  n_instances: int = 1, policy: str = "fcfs",
                  name: str = "flux", profiler: Optional["Profiler"] = None,
-                 metrics=None, faults=None) -> None:
+                 faults=None) -> None:
         self.env = env
         self.allocation = allocation
         self.name = name
@@ -36,7 +36,7 @@ class FluxHierarchy:
         self.instances: List[FluxInstance] = [
             FluxInstance(env, part, latencies, rng,
                          instance_id=f"{name}.{i:03d}", policy=policy,
-                         profiler=profiler, metrics=metrics, faults=faults)
+                         profiler=profiler, faults=faults)
             for i, part in enumerate(partitions)
         ]
         self._rr = 0

@@ -69,7 +69,7 @@ class FluxInstance:
                  latencies: LatencyModel, rng: RngStreams,
                  instance_id: str = "", policy: str = "fcfs",
                  profiler: Optional["Profiler"] = None,
-                 metrics=None, faults=None) -> None:
+                 faults=None) -> None:
         from .scheduler import make_policy
 
         self.env = env
@@ -115,33 +115,6 @@ class FluxInstance:
         self.n_started = 0
         self.n_completed = 0
         self.n_failed = 0
-
-        # Optional observability: per-partition queue/backlog gauges
-        # and job counters, labeled by instance id.  ``None`` (the
-        # default) keeps every update site a single identity check.
-        self._m_queue = self._m_backlog = self._m_running = None
-        self._m_jobs_completed = self._m_jobs_failed = None
-        if metrics is not None:
-            self._m_queue = metrics.gauge(
-                "repro_flux_queue_depth",
-                "jobs pending in the instance scheduler queue",
-                labels=("instance",)).labels(self.instance_id)
-            self._m_backlog = metrics.gauge(
-                "repro_flux_backlog",
-                "jobs submitted but not yet retired",
-                labels=("instance",)).labels(self.instance_id)
-            self._m_running = metrics.gauge(
-                "repro_flux_running",
-                "jobs currently holding resources",
-                labels=("instance",)).labels(self.instance_id)
-            # Pre-bind per-outcome children: retiring a job is a hot
-            # path at full-machine scale, and resolving labels there
-            # would pay a dict lookup plus tuple hashing per job.
-            fam = metrics.counter(
-                "repro_flux_jobs_total", "jobs retired by outcome",
-                labels=("instance", "outcome"))
-            self._m_jobs_completed = fam.labels(self.instance_id, "completed")
-            self._m_jobs_failed = fam.labels(self.instance_id, "failed")
 
     # -- properties -------------------------------------------------------
 
@@ -312,8 +285,6 @@ class FluxInstance:
                 keep.append(job)
         if len(keep) != len(self._pending):
             self._pending = keep
-            if self._m_queue is not None:
-                self._m_queue.set(len(keep))
 
     def _flush_pending(self, reason: str, infra: bool = False) -> None:
         for job in list(self._pending):
@@ -330,9 +301,6 @@ class FluxInstance:
         job.exception = reason
         job.state = FluxJobState.INACTIVE
         self.n_failed += 1
-        if self._m_jobs_failed is not None:
-            self._m_jobs_failed.inc()
-            self._m_backlog.set(self.outstanding)
         self.events.publish(job.job_id, EV_EXCEPTION, reason=reason,
                             infra=infra)
         self._jobs.pop(job.job_id, None)
@@ -356,8 +324,6 @@ class FluxInstance:
         self._jobs[job.job_id] = job
         self.n_submitted += 1
         self._ingest_queue.put(job)
-        if self._m_backlog is not None:
-            self._m_backlog.set(self.outstanding)
         return job
 
     def cancel(self, job_id: str, reason: str = "canceled") -> bool:
@@ -441,8 +407,6 @@ class FluxInstance:
             if pending and job.spec.urgency > pending[-1].spec.urgency:
                 self._pending_dirty = True
             pending.append(job)
-            if self._m_queue is not None:
-                self._m_queue.set(len(pending))
             self.events.publish(job.job_id, EV_SUBMIT)
             self._kick()
 
@@ -495,9 +459,6 @@ class FluxInstance:
             else:
                 matched = {id(job) for job, _ in matches}
                 self._pending = [j for j in pending if id(j) not in matched]
-            if self._m_queue is not None:
-                self._m_queue.set(len(self._pending))
-                self._m_running.set(len(self._running))
 
     def _dispatch(self, job: FluxJob):
         """Spawn the job shell through a dispatch lane, then run it."""
@@ -550,9 +511,6 @@ class FluxInstance:
         job.finish_time = self.env.now
         job.state = FluxJobState.CLEANUP
         self.n_completed += 1
-        if self._m_jobs_completed is not None:
-            self._m_jobs_completed.inc()
-            self._m_backlog.set(self.outstanding)
         # Real flux event order: finish, then release/free.
         self.events.publish(job.job_id, EV_FINISH, status=0)
         self._retire(job, canceled=False)
@@ -564,8 +522,6 @@ class FluxInstance:
         self._release(job)
         if job in self._running:
             self._running.remove(job)
-            if self._m_running is not None:
-                self._m_running.set(len(self._running))
         self._run_procs.pop(job.job_id, None)
         if had_placements:
             # Mirror flux's resource-release event so subscribers can

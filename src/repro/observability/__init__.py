@@ -1,38 +1,29 @@
-"""Unified observability: spans, metrics, manifests.
+"""Observability: spans, run manifests, live telemetry.
 
-One :class:`Observability` object per session bundles the three
-instruments this package provides:
+Every instrument in this package reads the run's one record, the task
+profile, or live state the stack already keeps:
 
 * a **span model** (:mod:`~repro.observability.spans`) — hierarchical
   sim-time spans over the task lifecycle, rebuilt from the recorded
   trace events;
-* a **metrics registry** (:mod:`~repro.observability.metrics`) —
-  labeled counters/gauges/histograms updated live by the kernel,
-  executors, Flux instances, the Dragon pool and the srun facility;
 * **run manifests** (:mod:`~repro.observability.manifest`) — the
-  machine-readable bundle (manifest + metrics + spans + Perfetto
-  trace + profile) the harness writes per run.
+  machine-readable bundle (manifest + spans + Perfetto trace +
+  profile + telemetry) the harness writes per run;
+* a **telemetry bus** (:mod:`~repro.observability.telemetry`) — rate-
+  limited progress snapshots, fired by the profiler's per-record
+  threshold every :data:`~repro.analytics.profiler.PROBE_STRIDE`
+  records.
 
-Observability is **disabled by default** and engineered to be
-near-free when off: components hold ``None`` instead of metric
-handles and guard each update with one identity check, the kernel's
-plain dispatch loop is untouched (its instrumented twin is a separate
-code path selected once per ``run()`` call), and same-seed traces are
-byte-identical with observability on, off, or absent — instruments
-observe the simulation, they never perturb it.
+All of them only read: same-seed traces are byte-identical with any
+of them on or off.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from .export import (
     chrome_trace,
-    metrics_json,
-    prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
-    write_metrics,
 )
 from .manifest import (
     BUNDLE_VERSION,
@@ -40,14 +31,6 @@ from .manifest import (
     package_versions,
     read_manifest,
     write_bundle,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    KernelInstrument,
-    MetricFamily,
-    MetricsRegistry,
 )
 from .spans import (
     PHASES,
@@ -69,20 +52,10 @@ from .telemetry import (
     validate_telemetry,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.kernel import Environment
-
 __all__ = [
     "BUNDLE_VERSION",
-    "Counter",
     "EtaEstimator",
-    "Gauge",
-    "Histogram",
     "HostProfiler",
-    "KernelInstrument",
-    "MetricFamily",
-    "MetricsRegistry",
-    "Observability",
     "PHASES",
     "RunTelemetry",
     "SessionSampler",
@@ -92,10 +65,8 @@ __all__ = [
     "TelemetryBus",
     "build_manifest",
     "chrome_trace",
-    "metrics_json",
     "package_versions",
     "phase_rollup",
-    "prometheus_text",
     "read_manifest",
     "read_telemetry",
     "render_progress_line",
@@ -105,33 +76,4 @@ __all__ = [
     "validate_telemetry",
     "write_bundle",
     "write_chrome_trace",
-    "write_metrics",
 ]
-
-
-class Observability:
-    """Per-session observability facade.
-
-    ``enabled`` gates the metrics registry; components
-    receive ``obs.registry`` (``None`` when disabled) and guard their
-    updates on it, so a disabled session pays nothing beyond object
-    construction.
-    """
-
-    def __init__(self, env: "Environment", enabled: bool = False) -> None:
-        self.env = env
-        self.enabled = enabled
-        self.registry: Optional[MetricsRegistry] = (
-            MetricsRegistry() if enabled else None)
-
-    def attach_kernel(self, env: Optional["Environment"] = None) -> None:
-        """Instrument a simulation kernel with event/queue metrics.
-
-        Selects the kernel's instrumented dispatch loop; a no-op when
-        observability is disabled (the plain loop stays in place).
-        """
-        if not self.enabled:
-            return
-        target = env if env is not None else self.env
-        assert self.registry is not None
-        target._instrument = KernelInstrument(self.registry)

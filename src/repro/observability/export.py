@@ -1,4 +1,4 @@
-"""Exporters: Perfetto/Chrome ``trace_event`` JSON and metric snapshots.
+"""Exporters: Perfetto/Chrome ``trace_event`` JSON and telemetry JSONL.
 
 ``chrome_trace`` turns a span tree into the Trace Event Format that
 both ``chrome://tracing`` and https://ui.perfetto.dev open directly:
@@ -6,11 +6,8 @@ complete (``"ph": "X"``) events with microsecond timestamps, one
 process per backend group and one thread per task, plus metadata
 records naming them.  ``validate_chrome_trace`` is the schema check
 the tests (and the CLI's ``trace inspect``) run against any produced
-document.
-
-Metrics export in two shapes: ``prometheus_text`` (the plain-text
-exposition format, scrape-compatible) and ``metrics_json`` (the
-bundle's ``metrics.json``).
+document.  ``write_telemetry`` writes the bundle's
+``telemetry.jsonl``.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..resilience.atomic import atomic_write_text, atomic_writer
-from .metrics import MetricsRegistry
 from .spans import CAT_PHASE, CAT_TASK, Span
 
 PathLike = Union[str, Path]
@@ -152,70 +148,6 @@ def write_chrome_trace(root: Span, path: PathLike) -> Path:
     if problems:  # pragma: no cover - internal consistency guard
         raise ValueError(f"invalid trace produced: {problems[:3]}")
     atomic_write_text(path, json.dumps(doc))
-    return path
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-
-def _fmt_labels(names, values) -> str:
-    if not names:
-        return ""
-    inner = ",".join(f'{n}="{v}"' for n, v in zip(names, values))
-    return "{" + inner + "}"
-
-
-def _fmt_value(v: float) -> str:
-    return repr(v) if isinstance(v, float) and not v.is_integer() \
-        else str(int(v))
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Render the registry in the Prometheus exposition format."""
-    lines: List[str] = []
-    for fam in sorted(registry.families(), key=lambda f: f.name):
-        if fam.help:
-            lines.append(f"# HELP {fam.name} {fam.help}")
-        lines.append(f"# TYPE {fam.name} {fam.kind}")
-        for values, child in fam.items():
-            labels = _fmt_labels(fam.label_names, values)
-            if fam.kind == "histogram":
-                cumulative = child.cumulative()
-                for bound, count in zip([*child.bounds, float("inf")],
-                                        cumulative):
-                    le = "+Inf" if bound == float("inf") else repr(bound)
-                    extra = (labels[:-1] + f',le="{le}"}}' if labels
-                             else f'{{le="{le}"}}')
-                    lines.append(f"{fam.name}_bucket{extra} {count}")
-                lines.append(f"{fam.name}_sum{labels} {child.sum!r}")
-                lines.append(f"{fam.name}_count{labels} {child.count}")
-            elif fam.kind == "gauge":
-                lines.append(
-                    f"{fam.name}{labels} {_fmt_value(child.value)}")
-            else:
-                lines.append(
-                    f"{fam.name}{labels} {_fmt_value(child.value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def metrics_json(registry: MetricsRegistry) -> Dict[str, Any]:
-    """The registry snapshot used for the bundle's ``metrics.json``."""
-    return registry.snapshot()
-
-
-def write_metrics(registry: MetricsRegistry, path: PathLike,
-                  fmt: str = "json") -> Path:
-    """Write a metrics snapshot (``fmt``: ``"json"`` or ``"prom"``)."""
-    path = Path(path)
-    if fmt == "json":
-        atomic_write_text(path, json.dumps(metrics_json(registry), indent=2,
-                                           sort_keys=True) + "\n")
-    elif fmt == "prom":
-        atomic_write_text(path, prometheus_text(registry))
-    else:
-        raise ValueError(f"unknown metrics format {fmt!r}")
     return path
 
 

@@ -8,7 +8,6 @@ that produced it:
 
     <bundle>/
       manifest.json   config, seed, platform, package versions, results
-      metrics.json    metrics-registry snapshot
       spans.json      nested span tree (sim-time)
       trace.json      Perfetto / chrome://tracing export of the spans
       profile.jsonl   raw trace events (loadable via analytics.load_events)
@@ -29,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 #: Bundle format version, bumped on layout changes.
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -146,6 +145,11 @@ def build_manifest(config: Optional["ExperimentConfig"] = None,
             manifest["result"]["provenance"] = provenance
             if cache is not None:
                 manifest["result"]["cache"] = dict(cache)
+        # The fault report, only on faulty runs: faultless manifests
+        # carry no key for it.
+        faults = getattr(result, "faults", None)
+        if faults is not None:
+            manifest["result"]["faults"] = dataclasses.asdict(faults)
     if extra:
         manifest.update(extra)
     return manifest
@@ -153,7 +157,6 @@ def build_manifest(config: Optional["ExperimentConfig"] = None,
 
 def write_bundle(directory: PathLike,
                  manifest: Dict[str, Any],
-                 registry=None,
                  spans: Optional["Span"] = None,
                  profiler=None,
                  telemetry=None,
@@ -162,7 +165,7 @@ def write_bundle(directory: PathLike,
     """Write a bundle; returns ``{artifact name: path}``.
 
     Only the artifacts whose source was passed are written — the
-    manifest always; metrics/spans/trace/profile/telemetry when
+    manifest always; spans/trace/profile/telemetry when
     available — and the manifest's ``files`` section lists exactly
     what landed.  ``telemetry`` is a sequence of live progress records
     (see :mod:`repro.observability.telemetry`).  ``extra_files`` names
@@ -171,15 +174,12 @@ def write_bundle(directory: PathLike,
     """
     from ..analytics.export import save_profile
     from ..resilience.atomic import atomic_write_text
-    from .export import write_chrome_trace, write_metrics, write_telemetry
+    from .export import write_chrome_trace, write_telemetry
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: Dict[str, Path] = {}
 
-    if registry is not None:
-        written["metrics"] = write_metrics(
-            registry, directory / "metrics.json")
     if spans is not None:
         spans_path = directory / "spans.json"
         atomic_write_text(

@@ -14,9 +14,10 @@ off (pinned by ``tests/observability/test_telemetry.py``).
 Emission points, one per execution shape, all speaking the same
 record schema (:data:`TELEMETRY_SCHEMA`):
 
-* plain runs — the kernel's instrumented dispatch loop fires a probe
-  every :data:`~repro.sim.kernel.PROBE_STRIDE` events
-  (:meth:`TelemetryBus.probe`);
+* plain runs — the profiler fires a probe every
+  :data:`~repro.analytics.profiler.PROBE_STRIDE` records
+  (:meth:`TelemetryBus.probe`, :meth:`~repro.analytics.profiler.
+  Profiler.attach_probe`);
 * ensembles — the engines report per-seed / per-cohort progress;
 * ``run_repetitions(parallel=)`` — the parent process emits one
   record per completed repetition.
@@ -237,8 +238,8 @@ class TelemetryBus:
 
     def probe(self, sampler: Callable[[], Dict[str, Any]]
               ) -> Callable[[], None]:
-        """A zero-argument closure for the kernel's heartbeat hook
-        (:attr:`~repro.sim.kernel.Environment._probe`)."""
+        """A zero-argument closure for the profiler's heartbeat hook
+        (:meth:`~repro.analytics.profiler.Profiler.attach_probe`)."""
         def fire() -> None:
             self.poll(sampler)
         return fire
@@ -302,8 +303,8 @@ class SessionSampler:
 class RunTelemetry:
     """One run's telemetry plumbing: a bus bound to its sampler.
 
-    The harness hangs this on ``session.telemetry``; the kernel probe
-    reaches it there.
+    The harness hangs this on ``session.telemetry`` and its
+    :meth:`probe` on the session's profiler.
     """
 
     def __init__(self, bus: TelemetryBus, sampler: SessionSampler) -> None:

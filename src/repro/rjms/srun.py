@@ -25,26 +25,12 @@ class SrunLauncher:
     """Machine-wide srun facility: concurrency ceiling + launch path."""
 
     def __init__(self, env: Environment, controller: SlurmController,
-                 latencies: LatencyModel, rng: RngStreams,
-                 metrics=None) -> None:
+                 latencies: LatencyModel, rng: RngStreams) -> None:
         self.env = env
         self.controller = controller
         self.latencies = latencies
         self.rng = rng
         self._ceiling = Resource(env, capacity=latencies.srun_ceiling)
-        # Optional observability (a MetricsRegistry); ``None`` keeps
-        # the launch path check-free beyond one identity test.
-        self._m_active = self._m_waiting = self._m_launches = None
-        if metrics is not None:
-            self._m_active = metrics.gauge(
-                "repro_srun_active",
-                "live srun invocations (ceiling saturation at "
-                f"{latencies.srun_ceiling})")
-            self._m_waiting = metrics.gauge(
-                "repro_srun_waiting",
-                "launches blocked on the srun concurrency ceiling")
-            self._m_launches = metrics.counter(
-                "repro_srun_launches_total", "task launches through srun")
 
     # -- introspection ---------------------------------------------------------
 
@@ -81,8 +67,6 @@ class SrunLauncher:
             slot bookkeeping).
         """
         slot = self._ceiling.request()
-        if self._m_waiting is not None:
-            self._m_waiting.set(self._ceiling.queued)
         try:
             # The acquisition must sit inside the try: a step killed
             # while queued for the ceiling (cancellation, node failure)
@@ -91,9 +75,6 @@ class SrunLauncher:
             # can ever proceed.  release() on an ungranted request
             # just cancels the wait.
             yield slot
-            if self._m_active is not None:
-                self._m_active.set(self._ceiling.count)
-                self._m_launches.inc()
             yield from self.controller.process_launch_rpc(alloc_nodes)
             setup = self.rng.lognormal_latency(
                 "srun.setup", self.latencies.srun_step_setup,
@@ -108,6 +89,3 @@ class SrunLauncher:
                 on_stop()
         finally:
             slot.release()
-            if self._m_active is not None:
-                self._m_active.set(self._ceiling.count)
-                self._m_waiting.set(self._ceiling.queued)

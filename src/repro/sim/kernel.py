@@ -19,10 +19,10 @@ Performance
 -----------
 ``run`` is the hottest function in the whole codebase (every
 simulated event passes through it).  It normalises ``until`` to a
-``(horizon, stop)`` pair once, then one loop — plus its metered twin
-under observability — inlines the single-event dispatch instead of
-calling :meth:`step`, binds ``heapq.heappop`` and the queue to locals,
-and branches on the queue-entry shape directly.  ``step`` remains the
+``(horizon, stop)`` pair once, then its one loop inlines the
+single-event dispatch instead of calling :meth:`step`, binds
+``heapq.heappop`` and the queue to locals, and branches on the
+queue-entry shape directly.  ``step`` remains the
 readable, fully-checked reference implementation used by external
 callers and tests.  See ``docs/MODEL.md`` ("Performance model of the
 simulator itself") for the full picture.
@@ -31,7 +31,6 @@ simulator itself") for the full picture.
 from __future__ import annotations
 
 from heapq import heappop
-from time import perf_counter
 from typing import Any, List, Optional, Tuple
 
 from ..exceptions import SimulationError
@@ -54,12 +53,6 @@ from .process import Process, ProcessGenerator, _INIT
 #: callbacks (marker ``False``, see ``schedule_callback``).
 _QueueItem = Tuple[float, int, int, Event]
 
-#: Dispatch count between firings of the telemetry probe
-#: (``Environment._probe``) inside the instrumented loop.  The probe
-#: itself rate-limits on wall time; the stride only bounds how often
-#: that wall-clock check runs, so it can stay coarse.
-PROBE_STRIDE = 4096
-
 _INF = float("inf")
 #: The ``stop`` of runs that await no event: it is never processed.
 _NEVER = Event(None)
@@ -79,18 +72,6 @@ class Environment:
         self._queue: List[_QueueItem] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: Optional kernel instrumentation (see
-        #: :class:`repro.observability.metrics.KernelInstrument`).
-        #: ``None`` selects the plain dispatch loop; the check happens
-        #: once per :meth:`run` call, not per event.
-        self._instrument = None
-        #: Optional zero-argument telemetry heartbeat, called every
-        #: :data:`PROBE_STRIDE` dispatches by the *instrumented* loop
-        #: only (telemetry implies observability).  The probe must be
-        #: read-only: no scheduling, no RNG, no clock writes — the
-        #: determinism tests pin that instrumented runs with a probe
-        #: attached stay byte-identical.
-        self._probe = None
 
     # -- clock -------------------------------------------------------------
 
@@ -235,12 +216,10 @@ class Environment:
         number (run until that simulated time) or an :class:`Event` (run
         until it is processed, returning its value).
         """
-        # The dispatch body is inlined here and in _run_instrumented
-        # (and must match step() semantically): calling self.step() per
-        # event instead runs a kernel-only microbenchmark 4-7% slower
-        # (EXPERIMENTS.md, "One dispatch loop per mode").
-        if self._instrument is not None:
-            return self._run_instrumented(until)
+        # The dispatch body is inlined here (and must match step()
+        # semantically): calling self.step() per event instead runs a
+        # kernel-only microbenchmark 4-7% slower (EXPERIMENTS.md, "One
+        # dispatch loop").
         horizon, stop = self._bounds(until)
         queue = self._queue
         pop = heappop
@@ -263,8 +242,8 @@ class Environment:
         return self._finish(horizon, stop)
 
     def _bounds(self, until: Optional[Any]) -> Tuple[float, Event]:
-        """Normalise ``until`` to ``(horizon, stop)``: the dispatch loops
-        run while the next event is due by ``horizon`` and ``stop`` is
+        """Normalise ``until`` to ``(horizon, stop)``: the dispatch loop
+        runs while the next event is due by ``horizon`` and ``stop`` is
         unprocessed."""
         if until is None:
             return _INF, _NEVER
@@ -280,7 +259,7 @@ class Environment:
         return horizon, _NEVER
 
     def _finish(self, horizon: float, stop: Event) -> Any:
-        """The dispatch loops' shared epilogue: the awaited event's
+        """The dispatch loop's epilogue: the awaited event's
         value (or failure, or deadlock), else the clock moved forward
         to a finite horizon."""
         if stop is _NEVER:
@@ -297,59 +276,3 @@ class Environment:
         if isinstance(stop._value, BaseException):
             raise stop._value
         raise SimulationError(f"awaited event failed: {stop._value!r}")
-
-    def _run_instrumented(self, until: Optional[Any]) -> Any:
-        """The metered twin of :meth:`run` (observability enabled): the
-        same loop, so traces stay byte-identical.  Kind counts and
-        queue-depth extremes accumulate in locals and are folded in once
-        by :meth:`KernelInstrument.flush`; errors and the move to the
-        horizon fall inside the metered window."""
-        ins = self._instrument
-        queue = self._queue
-        pop = heappop
-        n_events = n_bootstraps = n_callbacks = 0
-        depth_max = depth_last = 0
-        depth_min = -1  # -1 = no event dispatched yet
-        sim0 = self._now
-        wall0 = perf_counter()
-        probe = self._probe
-        # inf sentinel: with no probe the countdown never reaches zero,
-        # so the per-event cost is one subtract and one compare.
-        stride = PROBE_STRIDE if probe is not None else _INF
-        tick = stride
-        try:
-            horizon, stop = self._bounds(until)
-            while (queue and queue[0][0] <= horizon
-                   and stop.callbacks is not None):
-                tick -= 1.0
-                if tick <= 0.0:
-                    probe()
-                    tick = stride
-                depth_last = len(queue)
-                if depth_last > depth_max:
-                    depth_max = depth_last
-                if depth_min < 0 or depth_last < depth_min:
-                    depth_min = depth_last
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                if len(entry) == 5:
-                    if entry[4]:
-                        n_bootstraps += 1
-                        event._resume(_INIT)
-                    else:
-                        n_callbacks += 1
-                        event(None)
-                    continue
-                n_events += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if event._ok is False and not callbacks and not event._defused:
-                    raise event._value
-            return self._finish(horizon, stop)
-        finally:
-            ins.flush(n_events, n_bootstraps, n_callbacks,
-                      depth_max, depth_min, depth_last)
-            ins.account(self._now - sim0, perf_counter() - wall0)

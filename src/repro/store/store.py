@@ -39,9 +39,11 @@ Correctness properties, each pinned by ``tests/store``:
   line to ``index.jsonl`` under the lock; it never parses or rewrites
   the snapshot.  Readers fold the journal into the snapshot.  ``gc``
   compacts the two, and so does any write that finds the journal
-  larger than the snapshot, so compaction costs O(1) amortized per
-  write.  Every record starts with a newline, so a torn last line (a
-  crash mid-append) is skipped and never swallows the next append.
+  larger than both the snapshot and :data:`COMPACT_FLOOR`, so
+  compaction costs O(1) amortized per write and a small store's warm
+  hits do not rewrite its index every few touches.  Every record
+  starts with a newline, so a torn last line (a crash mid-append) is
+  skipped and never swallows the next append.
   The snapshot records the journal generation and byte offset it
   holds and only later bytes are replayed, so a crash between a
   compaction's two writes neither double-counts nor loses a record.
@@ -78,6 +80,10 @@ PathLike = Union[str, Path]
 
 STORE_FORMAT = "repro-run-store"
 STORE_VERSION = 1
+
+#: Journal size [bytes] below which a write never compacts, however
+#: small the snapshot: about 1,500 touch records.
+COMPACT_FLOOR = 64 * 1024
 
 #: Artifact names every complete entry carries.
 ARTIFACT_RESULT = "result.json"
@@ -297,12 +303,14 @@ class RunStore:
         """Record index updates: one fsynced journal append (lock held).
 
         Compacts instead when the journal is missing or has outgrown
-        the snapshot, which bounds both replay cost and journal size.
+        both the snapshot and :data:`COMPACT_FLOOR`, which bounds both
+        replay cost and journal size.
         """
         journal = self.root / JOURNAL_NAME
         try:
             due = (journal.stat().st_size
-                   > (self.root / INDEX_NAME).stat().st_size)
+                   > max((self.root / INDEX_NAME).stat().st_size,
+                         COMPACT_FLOOR))
         except FileNotFoundError:
             due = True
         if due:

@@ -10,7 +10,7 @@ counts, iteration order, and — most strictly — the bytes
 import pytest
 
 from repro.analytics.export import load_events, save_profile
-from repro.analytics.profiler import Profiler
+from repro.analytics.profiler import PROBE_STRIDE, Profiler
 from repro.sim import Environment
 
 
@@ -132,3 +132,31 @@ class TestExportEquivalence:
             p.record("e", "n", at=0.0, walltime=float("inf"))
         assert spill.events_named("n") == mem.events_named("n")
         assert spill.events_named("n")[0].meta["walltime"] == float("inf")
+
+
+class TestProbe:
+    """The telemetry probe rides the spill threshold's one compare."""
+
+    @pytest.mark.parametrize("spill_threshold", [None, 1, 1000, 5000])
+    def test_fires_once_per_stride(self, tmp_path, spill_threshold):
+        kwargs = ({} if spill_threshold is None else
+                  {"spill_dir": tmp_path, "spill_threshold": spill_threshold})
+        p = Profiler(Environment(), **kwargs)
+        fired = []
+        p.attach_probe(lambda: fired.append(len(p)))
+        _fill(p, 3 * PROBE_STRIDE + 5)
+        assert fired == [PROBE_STRIDE, 2 * PROBE_STRIDE, 3 * PROBE_STRIDE]
+        if spill_threshold is not None:
+            assert len(p.spilled_chunks) == len(p) // spill_threshold
+
+    def test_flush_keeps_the_stride(self, tmp_path):
+        p = Profiler(Environment(), spill_dir=tmp_path, spill_threshold=64)
+        fired = []
+        p.attach_probe(lambda: fired.append(len(p)))
+        _fill(p, 100)
+        p.flush()
+        _fill(p, PROBE_STRIDE)
+        assert fired == [PROBE_STRIDE]
+
+    def test_unarmed_threshold_is_infinite(self):
+        assert Profiler(Environment())._mark == float("inf")

@@ -71,19 +71,6 @@ class TestBulkSubmission:
         assert all(t.succeeded for t in tasks)
         assert not pilot.agent._admission
 
-    def test_intake_gauge_reports_queue_depth(self, small_cluster):
-        """One wave of N tasks queued before bootstrap: the first
-        admission leaves N-1 waiting, the last leaves none."""
-        session = Session(cluster=small_cluster, seed=42, observe=True)
-        pilot, tmgr = launch(session)
-        n = 40
-        tmgr.submit_tasks([TaskDescription(duration=1.0)] * n)
-        session.run(tmgr.wait_tasks())
-        fam = session.obs.registry.get("repro_agent_intake_depth")
-        gauge = fam.labels(pilot.agent.uid)
-        assert gauge.max == n - 1
-        assert gauge.value == 0
-
     def test_bulk_staging_path(self, session):
         """Tasks with input staging must still route through the
         staging handler, not straight to the executor."""

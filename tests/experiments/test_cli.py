@@ -190,7 +190,8 @@ class TestTraceCli:
         out = tmp_path / "b2"
         assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
                      "--bundle", str(out)]) == 0
-        assert (out / "metrics.json").is_file()
+        assert (out / "profile.jsonl").is_file()
+        assert not (out / "metrics.json").exists()
 
     def test_trace_critical_pins_the_srun_chain(self, capsys, tmp_path):
         out = tmp_path / "bundle"

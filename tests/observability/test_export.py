@@ -1,18 +1,14 @@
-"""Exporter tests: Perfetto trace format, Prometheus text, JSON."""
+"""Exporter tests: the Perfetto trace format."""
 
 import json
 
 import pytest
 
 from repro.observability import (
-    MetricsRegistry,
     Span,
     chrome_trace,
-    metrics_json,
-    prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
-    write_metrics,
 )
 
 
@@ -72,36 +68,3 @@ class TestChromeTrace:
         problems = validate_chrome_trace(doc)
         assert len(problems) >= 3
 
-
-class TestMetricsExport:
-    def _registry(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x_total", "xs seen",
-                    labels=("backend",)).labels("flux").inc(3)
-        reg.gauge("repro_depth", "queue depth").set(4)
-        h = reg.histogram("repro_lat", "latency", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(5.0)
-        return reg
-
-    def test_prometheus_text(self):
-        text = prometheus_text(self._registry())
-        assert '# TYPE repro_x_total counter' in text
-        assert 'repro_x_total{backend="flux"} 3' in text
-        assert 'repro_depth 4' in text
-        assert 'repro_lat_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_bucket{le="+Inf"} 2' in text
-        assert 'repro_lat_count 2' in text
-
-    def test_json_snapshot(self):
-        snap = metrics_json(self._registry())
-        assert snap["repro_x_total"]["series"][0]["value"] == 3
-
-    def test_write_metrics_formats(self, tmp_path):
-        reg = self._registry()
-        jpath = write_metrics(reg, tmp_path / "m.json")
-        assert json.loads(jpath.read_text())["repro_depth"]
-        ppath = write_metrics(reg, tmp_path / "m.prom", fmt="prom")
-        assert "# TYPE" in ppath.read_text()
-        with pytest.raises(ValueError, match="unknown metrics format"):
-            write_metrics(reg, tmp_path / "m.x", fmt="xml")

@@ -47,9 +47,10 @@ class TestBundle:
 
     def test_all_artifacts_written(self, bundle):
         out, _result = bundle
-        for name in ("manifest.json", "metrics.json", "spans.json",
-                     "trace.json", "profile.jsonl"):
+        for name in ("manifest.json", "spans.json", "trace.json",
+                     "profile.jsonl"):
             assert (out / name).is_file(), name
+        assert not (out / "metrics.json").exists()
 
     def test_manifest_is_complete(self, bundle):
         out, result = bundle
@@ -65,7 +66,8 @@ class TestBundle:
         assert manifest["result"]["makespan"] == \
             pytest.approx(result.makespan)
         assert set(manifest["files"]) == \
-            {"metrics", "spans", "trace", "profile", "telemetry"}
+            {"spans", "trace", "profile", "telemetry"}
+        assert "faults" not in manifest["result"]  # a faultless run
 
     def test_trace_artifact_validates(self, bundle):
         out, _ = bundle
@@ -86,12 +88,6 @@ class TestBundle:
             return n + sum(count_tasks(c) for c in node["children"])
 
         assert count_tasks(spans) == result.n_tasks
-
-    def test_metrics_artifact_has_kernel_series(self, bundle):
-        out, _ = bundle
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert "repro_kernel_events_total" in metrics
-        assert "repro_flux_jobs_total" in metrics
 
     def test_read_manifest_rejects_foreign_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"kind": "other"}')
@@ -115,3 +111,14 @@ def test_bundle_spans_come_only_from_its_profile(tmp_path, exp_id,
         json.dumps(root.to_dict(), sort_keys=True) + "\n"
     assert (tmp_path / "trace.json").read_text(encoding="utf-8") == \
         json.dumps(chrome_trace(root))
+
+
+def test_faulty_bundle_manifest_carries_the_fault_report(tmp_path):
+    result = run_experiment(config_by_id("faults", n_nodes=16,
+                                         n_partitions=4),
+                            bundle=str(tmp_path))
+    assert result.faults is not None and result.faults.n_retries > 0
+    faults = read_manifest(tmp_path)["result"]["faults"]
+    assert faults["injected"] == result.faults.injected
+    assert faults["n_retries"] == result.faults.n_retries
+    assert faults["n_recovered"] == result.faults.n_recovered

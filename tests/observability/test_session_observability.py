@@ -1,13 +1,15 @@
-"""End-to-end observability behaviour of instrumented runs.
+"""End-to-end observability behaviour read from the task profile.
 
-Covers the ISSUE's acceptance gates: the srun saturation gauge hits
-the 112 ceiling on the fig4 configuration, live metrics populate
-across backends, and observability (on or off) never perturbs the
-simulated event order — same-seed profiles are byte-identical.
+The questions the deleted metrics registry used to answer live are
+answered by the profile and by counters the stack keeps anyway; the
+srun concurrency ceiling shows in the profile's exec intervals (peak
+concurrent srun executions is exactly 112 on a config that saturates
+it); and observing a run never perturbs its profile.
 """
 
 import pytest
 
+from repro.analytics import events as tev
 from repro.analytics import save_profile
 from repro.core import (
     PartitionSpec,
@@ -21,32 +23,34 @@ from repro.platform import generic
 from repro.platform.spec import ResourceSpec
 
 
-def _value(registry, name, **labels):
-    fam = registry.get(name)
-    assert fam is not None, f"metric {name} never registered"
-    if labels:
-        values = tuple(labels[n] for n in fam.label_names)
-        return dict(fam.items())[tuple(str(v) for v in values)]
-    return next(iter(dict(fam.items()).values()))
+def peak_concurrent_srun_execs(profiler) -> int:
+    """Peak number of open srun exec intervals (sweep line; a stop
+    sorts before a start at the same instant)."""
+    deltas = []
+    for ev in profiler:
+        if ev.meta.get("backend") != "srun":
+            continue
+        if ev.name == tev.TASK_EXEC_START:
+            deltas.append((ev.time, 1))
+        elif ev.name == tev.TASK_EXEC_STOP:
+            deltas.append((ev.time, -1))
+    peak = running = 0
+    for _time, delta in sorted(deltas):
+        running += delta
+        peak = max(peak, running)
+    assert running == 0  # every interval closed
+    return peak
 
 
-class TestDisabledByDefault:
-    def test_registry_absent(self):
-        session = Session(cluster=generic(2, 4), seed=0)
-        assert session.obs.registry is None
-        assert not session.obs.enabled
-        assert session.env._instrument is None
-
-    def test_disabled_components_hold_none(self):
-        session = Session(cluster=generic(2, 4), seed=0)
-        assert session.srun._m_active is None
+def exec_starts(profiler, backend):
+    return [ev for ev in profiler.events_named(tev.TASK_EXEC_START)
+            if ev.meta.get("backend") == backend]
 
 
 class TestLiveMetrics:
     @pytest.fixture(scope="class")
     def observed(self):
-        session = Session(cluster=generic(8, cores_per_node=8), seed=11,
-                          observe=True)
+        session = Session(cluster=generic(8, cores_per_node=8), seed=11)
         pmgr, tmgr = session.pilot_manager(), session.task_manager()
         pilot = pmgr.submit_pilots(PilotDescription(nodes=8, partitions=(
             PartitionSpec("srun", nodes=2),
@@ -62,73 +66,55 @@ class TestLiveMetrics:
                 resources=ResourceSpec(cores=1), backend=backend))
         tasks = tmgr.submit_tasks(tds)
         session.run(tmgr.wait_tasks())
-        return session, tasks
+        return session, pilot.agent, tasks
 
     def test_kernel_counters(self, observed):
-        session, _ = observed
-        reg = session.obs.registry
-        events = _value(reg, "repro_kernel_events_total", kind="event")
-        assert events.value > 0
-        assert _value(reg, "repro_kernel_runs_total").value == 1
-        assert _value(reg, "repro_kernel_sim_seconds_total").value == \
-            pytest.approx(session.now)
-        assert _value(reg, "repro_kernel_queue_depth").max > 0
+        session, _, _ = observed
+        kernel = session.env.snapshot()
+        assert kernel["seq"] > 0  # bench's sim.queue_entries
+        assert kernel["now"] == session.now > 0
 
     def test_agent_dispatch_counts_all_tasks(self, observed):
-        session, tasks = observed
-        reg = session.obs.registry
-        fam = reg.get("repro_agent_dispatched_total")
-        total = sum(c.value for _k, c in fam.items())
-        assert total == len(tasks)
+        _, agent, tasks = observed
+        assert agent.n_dispatched == len(tasks)
 
     def test_srun_metrics(self, observed):
-        session, _ = observed
-        reg = session.obs.registry
-        assert _value(reg, "repro_srun_launches_total").value == 10
-        active = _value(reg, "repro_srun_active")
-        assert active.max >= 1
-        assert active.value == 0  # everything drained
+        session, _, _ = observed
+        assert len(exec_starts(session.profiler, "srun")) == 10
+        assert 1 <= peak_concurrent_srun_execs(session.profiler)
+        assert session.srun.active == 0  # everything drained
 
     def test_flux_metrics(self, observed):
-        session, _ = observed
-        reg = session.obs.registry
-        fam = reg.get("repro_flux_jobs_total")
-        done = sum(c.value for k, c in fam.items() if k[-1] == "completed")
-        assert done == 10
-        backlog = reg.get("repro_flux_backlog")
-        assert all(g.value == 0 for _k, g in backlog.items())
+        session, agent, _ = observed
+        instances = agent.executors["flux"].hierarchy.instances
+        assert sum(inst.n_completed for inst in instances) == 10
+        assert all(inst.outstanding == 0 for inst in instances)
+        assert len(exec_starts(session.profiler, "flux")) == 10
 
     def test_dragon_metrics(self, observed):
-        session, _ = observed
-        reg = session.obs.registry
-        fam = reg.get("repro_dragon_dispatch_total")
-        total = sum(c.value for _k, c in fam.items())
-        assert total == 10
+        _, agent, _ = observed
+        pools = [rt.pool for rt in agent.executors["dragon"].runtimes]
+        assert sum(p.n_warm_dispatch + p.n_cold_dispatch
+                   for p in pools) == 10
 
     def test_scheduler_placements(self, observed):
-        session, _ = observed
-        reg = session.obs.registry
-        fam = reg.get("repro_agent_sched_placements_total")
-        # srun (10 tasks) and dragon placements flow through the agent
-        # scheduler; flux schedules internally.
-        total = sum(c.value for _k, c in fam.items())
-        assert total >= 10
+        _, agent, _ = observed
+        # srun placements flow through the agent scheduler; flux
+        # schedules internally.
+        assert agent.executors["srun"].scheduler.n_placed == 10
 
 
 class TestSrunCeilingSaturation:
     def test_fig4_config_saturates_at_112(self):
+        # 448 ten-second tasks on 4 nodes (224 cores) contend for the
+        # machine-wide ceiling of 112 live sruns.
         cfg = ExperimentConfig(exp_id="srun", launcher="srun",
                                workload="dummy", n_nodes=4,
-                               duration=30.0, waves=1)
-        result = run_experiment(cfg, keep_session=True, observe=True)
-        reg = result.session.obs.registry
-        active = _value(reg, "repro_srun_active")
-        # 224 concurrent tasks contend for the machine-wide ceiling.
-        assert active.max == 112
-        waiting = _value(reg, "repro_srun_waiting")
-        assert waiting.max > 0
-        assert _value(reg, "repro_srun_launches_total").value == \
-            result.n_tasks
+                               duration=10.0, waves=2)
+        result = run_experiment(cfg, keep_session=True)
+        assert result.n_tasks == 448
+        assert result.session.srun.ceiling == 112
+        assert peak_concurrent_srun_execs(result.session.profiler) == 112
 
 
 class TestDeterminism:
@@ -144,10 +130,13 @@ class TestDeterminism:
 
     def test_observe_does_not_perturb_trace(self, tmp_path):
         plain = self._profile_bytes(tmp_path, "plain")
-        observed = self._profile_bytes(tmp_path, "observed", observe=True)
+        observed = self._profile_bytes(tmp_path, "observed",
+                                       bundle=tmp_path / "bundle",
+                                       progress=lambda record: None)
         assert plain == observed
+        assert (tmp_path / "bundle" / "profile.jsonl").read_bytes() == plain
 
     def test_same_seed_same_trace(self, tmp_path):
-        a = self._profile_bytes(tmp_path, "a", observe=True)
-        b = self._profile_bytes(tmp_path, "b", observe=True)
+        a = self._profile_bytes(tmp_path, "a")
+        b = self._profile_bytes(tmp_path, "b")
         assert a == b

@@ -39,8 +39,7 @@ class TestSpan:
 
 def _hybrid_session():
     """8 nodes split srun/flux, half the tasks pinned to each backend."""
-    session = Session(cluster=generic(8, cores_per_node=8), seed=5,
-                      observe=True)
+    session = Session(cluster=generic(8, cores_per_node=8), seed=5)
     pmgr, tmgr = session.pilot_manager(), session.task_manager()
     pilot = pmgr.submit_pilots(PilotDescription(nodes=8, partitions=(
         PartitionSpec("srun", nodes=4), PartitionSpec("flux", nodes=4))))

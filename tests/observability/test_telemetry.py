@@ -16,11 +16,13 @@ assert *at least* the final flushed record and validate everything
 that was emitted.
 """
 
+import functools
 import json
 
 import pytest
 
 from repro.analytics import save_profile
+from repro.analytics.profiler import PROBE_STRIDE, Profiler
 from repro.ensemble import run_ensemble
 from repro.experiments.__main__ import main
 from repro.experiments.configs import ExperimentConfig
@@ -44,6 +46,10 @@ FLUX = ExperimentConfig(exp_id="flux_n", launcher="flux", workload="null",
 DRAGON = ExperimentConfig(exp_id="dragon", launcher="dragon",
                           workload="null", n_nodes=2, duration=5.0,
                           waves=1)
+#: Big enough for the profiler's probe to fire twice (> 2 strides).
+FLUX_BIG = ExperimentConfig(exp_id="flux_n", launcher="flux",
+                            workload="null", n_nodes=16, n_partitions=2,
+                            duration=5.0, waves=2)
 
 
 class FakeClock:
@@ -307,6 +313,49 @@ class TestDeterminism:
                                    progress=lambda record: None)
         assert plain.throughput_avg == streamed.throughput_avg
         assert plain.makespan_avg == streamed.makespan_avg
+
+
+# ---------------------------------------------------------------------------
+# The probe: fired by the profiler's per-record threshold
+# ---------------------------------------------------------------------------
+
+
+class TestProfilerProbe:
+    def test_probe_emits_once_per_stride(self):
+        bus = TelemetryBus("plain", interval=0.0)
+        result = run_experiment(FLUX_BIG, keep_session=True, progress=bus)
+        n_records = len(result.session.profiler)
+        assert n_records > 2 * PROBE_STRIDE
+        # Every probe firing emits (no rate limit); the last record is
+        # the final flush.
+        assert len(bus.records) - 1 == n_records // PROBE_STRIDE
+        done = [record["tasks_done"] for record in bus.records]
+        assert done == sorted(done)
+        assert done[-1] == result.n_tasks
+        for record in bus.records:
+            assert validate_telemetry(record) == [], record
+
+    @pytest.mark.parametrize("spill_threshold", [1000, 5000])
+    def test_progress_with_spill_keeps_profile_bytes(
+            self, tmp_path, monkeypatch, spill_threshold):
+        def profile_bytes(tag, **kwargs):
+            result = run_experiment(FLUX_BIG, keep_session=True, **kwargs)
+            path = tmp_path / f"{tag}.jsonl"
+            save_profile(result.session.profiler, path)
+            return result, path.read_bytes()
+
+        _, plain = profile_bytes("plain")
+        monkeypatch.setattr(
+            "repro.core.session.Profiler",
+            functools.partial(Profiler, spill_threshold=spill_threshold))
+        bus = TelemetryBus("plain", interval=0.0)
+        result, both = profile_bytes("both", progress=bus,
+                                     spill_dir=tmp_path / "spill")
+        profiler = result.session.profiler
+        assert len(profiler.spilled_chunks) == \
+            len(profiler) // spill_threshold
+        assert len(bus.records) - 1 == len(profiler) // PROBE_STRIDE
+        assert both == plain
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability import Observability
 from repro.sim import Environment
 
 delays = st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -138,18 +137,14 @@ def _seeded_schedule(env, seed):
 
 class TestRunShapesAgree:
     """One ``run()``, horizon slices then ``run()``, and ``step()`` to
-    exhaustion dispatch the same schedule identically, with the
-    instrumented loop or the plain one."""
+    exhaustion dispatch the same schedule identically."""
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.lists(st.floats(min_value=0.0, max_value=12.0), max_size=8),
-           st.booleans())
+           st.lists(st.floats(min_value=0.0, max_value=12.0), max_size=8))
     @settings(max_examples=60, deadline=None)
-    def test_dispatch_trace_independent_of_drive(self, seed, cuts, observe):
+    def test_dispatch_trace_independent_of_drive(self, seed, cuts):
         def drive(how):
             env = Environment()
-            if observe:
-                Observability(env, enabled=True).attach_kernel(env)
             trace = _seeded_schedule(env, seed)
             if how == "slices":
                 for t in sorted(cuts):

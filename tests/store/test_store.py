@@ -376,13 +376,29 @@ class TestJournal:
         assert {row["digest"]: row["hits"]
                 for row in store.entries()} == {d0: 2, d1: 2}
 
-    def test_concurrent_touches_are_never_lost(self, tmp_path, donor):
+    def test_warm_hits_do_not_compact_a_small_store(self, tmp_path, donor,
+                                                    monkeypatch):
+        store = RunStore(tmp_path / "store")
+        (digest,) = populate(store, donor)
+        generation, _ = store._read_journal()
+        rewrites = spy_rewrites(monkeypatch)
+        for _ in range(200):
+            assert store.fetch(digest) is not None
+        assert store._read_journal()[0] == generation
+        assert rewrites == []
+        (row,) = store.entries()
+        assert row["hits"] == 200
+
+    def test_concurrent_touches_are_never_lost(self, tmp_path, donor,
+                                               monkeypatch):
         """More writers than cores, each with its own store handle and
         a short switch interval: every touch lands, across the
-        compactions the writers trigger."""
+        compactions the writers trigger (no floor, so they compact as
+        soon as the journal outgrows the one-entry snapshot)."""
         import sys
         import threading
 
+        monkeypatch.setattr(store_mod, "COMPACT_FLOOR", 0)
         root = tmp_path / "store"
         (digest,) = populate(RunStore(root), donor)
         n_threads, n_touches = 6, 20
