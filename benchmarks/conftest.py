@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-#: Worker-process count for the sweep helpers below, taken from the
+#: Worker-process count for :func:`repetitions` below, taken from the
 #: ``REPRO_BENCH_PARALLEL`` environment variable (``auto`` = one per
 #: core, an integer = that many workers).  Unset means serial — the
 #: benchmarks time identically to the paper-reproduction runs unless
@@ -38,18 +38,6 @@ def repetitions(cfg, n_reps):
     from repro.experiments import run_repetitions
 
     return run_repetitions(cfg, n_reps=n_reps, parallel=BENCH_PARALLEL)
-
-
-def sweep_configs(cfgs):
-    """Run a list of configs, fanned out when ``REPRO_BENCH_PARALLEL``
-    is set; returns results in input order."""
-    from repro.experiments import run_many
-
-    if BENCH_PARALLEL is None:
-        from repro.experiments import run_experiment
-
-        return [run_experiment(c) for c in cfgs]
-    return run_many(cfgs, jobs=BENCH_PARALLEL)
 
 
 @pytest.fixture

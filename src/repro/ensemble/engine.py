@@ -93,18 +93,6 @@ class EnsembleResult:
     def wall_seconds_per_seed(self) -> float:
         return self.wall_seconds / max(len(self.members), 1)
 
-    @property
-    def provenance(self) -> Dict[str, int]:
-        """How each member was obtained: counts by ``fresh`` /
-        ``cached`` / ``resumed`` (same shape as
-        :attr:`~repro.experiments.harness.AggregateResult.provenance`).
-        """
-        counts: Dict[str, int] = {}
-        for member in self.members:
-            kind = member.result.provenance
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts
-
     def aggregate(self) -> "AggregateResult":  # noqa: F821
         """Across-seed aggregation, same formulas as ``run_repetitions``."""
         from ..experiments.harness import AggregateResult
@@ -138,10 +126,7 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
     need_records = profile_dir is not None
     on_member = None
     if telemetry is not None:
-        def on_member(result):
-            telemetry.member_done(result.n_tasks, result.n_done,
-                                  result.n_failed,
-                                  provenance=result.provenance)
+        on_member = telemetry.member_done
     cached_runs = {}
     digests = {}
     if store is not None:
@@ -416,9 +401,7 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
             batches[i] = batch
             if telemetry is not None:
                 for member in batch:
-                    r = member.result
-                    telemetry.member_done(r.n_tasks, r.n_done, r.n_failed,
-                                          provenance=r.provenance)
+                    telemetry.member_done(member.result)
 
         # Batches land in completion order; ``batches`` restores the
         # input order.

@@ -181,9 +181,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                            progress=progress,
                            bundle=bundle,
                            cache=cache)
-        if cache:
-            _print_cache_summary(ens.provenance)
         agg = ens.aggregate()
+        if cache:
+            _print_cache_summary(agg.provenance)
         print(format_table(
             ["exp", "nodes", "parts", "seeds", "engine", "avg tasks/s",
              "max tasks/s", "util", "makespan[s]", "ms/seed"],
@@ -296,13 +296,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         validate_chrome_trace,
         write_chrome_trace,
     )
-
-    if args.trace_command == "run":
-        cfg = config_by_id(args.exp_id, **_overrides(args))
-        result = run_experiment(cfg, keep_session=True, bundle=args.out)
-        print(f"wrote observability bundle to {args.out} "
-              f"({result.n_tasks} tasks, makespan {result.makespan:.1f}s)")
-        return 0
 
     if args.trace_command == "inspect":
         manifest, root = _trace_source(args.bundle)
@@ -499,15 +492,6 @@ def main(argv: List[str] = None) -> int:
     p_tr = sub.add_parser(
         "trace", help="observability bundles and Perfetto traces")
     tr_sub = p_tr.add_subparsers(dest="trace_command", required=True)
-    tr_run = tr_sub.add_parser(
-        "run", help="run one experiment and write its bundle "
-                    "(manifest, spans, Perfetto trace, profile, "
-                    "telemetry)")
-    tr_run.add_argument("exp_id", help="experiment id (see 'list')")
-    tr_run.add_argument("--out", required=True,
-                        help="bundle output directory")
-    tr_run.add_argument("--nodes", type=int, default=None)
-    tr_run.add_argument("--waves", type=int, default=None)
     tr_ins = tr_sub.add_parser(
         "inspect", help="summarize a bundle's manifest and phases")
     tr_ins.add_argument("bundle", help="bundle directory")

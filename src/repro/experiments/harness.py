@@ -31,7 +31,7 @@ from ..core.description import (
 )
 from ..core.session import Session
 from ..core.task import Task
-from ..exceptions import ConfigurationError
+from ..exceptions import CheckpointError, ConfigurationError
 from ..faults import FaultReport
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
 from ..platform.profiles import FRONTIER_CORES_PER_NODE, frontier
@@ -353,22 +353,32 @@ def resume_experiment(directory,
     config (seed included), and re-executes the run deterministically;
     when the replayed clock reaches the checkpoint's watermark the
     live kernel/RNG/profile state is compared against the snapshot and
-    a mismatch raises :class:`~repro.exceptions.CheckpointError`.  The
-    returned result — and any profile written from it — is
-    byte-identical to the uninterrupted run's, which is the whole
-    point: resume never invents a state the original run would not
-    have reached.  ``kwargs`` pass through to :func:`run_experiment`
-    (``keep_session``, ``bundle``, ...).
+    a mismatch raises :class:`~repro.exceptions.CheckpointError`,
+    naming any package/code version that differs from the
+    checkpoint's (the usual cause).  The returned result — and any
+    profile written from it — is byte-identical to the uninterrupted
+    run's, which is the whole point: resume never invents a state the
+    original run would not have reached.  ``kwargs`` pass through to
+    :func:`run_experiment` (``keep_session``, ``bundle``, ...).
     """
-    from ..resilience.checkpoint import config_from_doc, load_checkpoint
+    from ..resilience.checkpoint import (code_drift, config_from_doc,
+                                         load_checkpoint)
     from ..resilience.spec import ResilienceSpec
 
     doc = load_checkpoint(directory)
     cfg = config_from_doc(doc["config"])
     spec = ResilienceSpec.from_doc(
         dict(doc.get("spec", {}), checkpoint_dir=str(directory)))
-    return run_experiment(cfg, latencies, resilience=spec,
-                          _resume_verify=doc.get("state"), **kwargs)
+    try:
+        return run_experiment(cfg, latencies, resilience=spec,
+                              _resume_verify=doc.get("state"), **kwargs)
+    except CheckpointError as exc:
+        drift = code_drift(doc)
+        if not drift:
+            raise
+        raise CheckpointError(
+            f"{exc}; code differs from the checkpoint's: "
+            + "; ".join(drift)) from exc
 
 
 @dataclass(frozen=True)
@@ -466,9 +476,8 @@ def run_repetitions(cfg: ExperimentConfig, n_reps: Optional[int] = None,
 
         telemetry = SweepTelemetry.create("parallel", len(cfgs), progress)
 
-        def on_result(_done, _total, r):
-            telemetry.member_done(r.n_tasks, r.n_done, r.n_failed,
-                                  provenance=r.provenance)
+        def on_result(_done, _total, result):
+            telemetry.member_done(result)
     ledger = None
     if checkpoint is not None:
         from ..resilience.checkpoint import SweepLedger

@@ -392,24 +392,25 @@ class SweepTelemetry:
             "rss_mb": round(host_rss_mb(), 3),
         }
 
-    def member_done(self, n_tasks: int = 0, n_done: int = 0,
-                    n_failed: int = 0,
-                    provenance: str = "fresh") -> Optional[Dict[str, Any]]:
-        """Record one completed member; emits unconditionally when it
-        is the last one so every sweep produces at least one record.
+    def member_done(self, result) -> Optional[Dict[str, Any]]:
+        """Record one completed member's
+        :class:`~repro.experiments.harness.ExperimentResult`; emits
+        unconditionally when it is the last one so every sweep
+        produces at least one record.
 
-        ``provenance`` mirrors ``ExperimentResult.provenance`` —
         ``"cached"`` (run-store hit) and ``"resumed"`` (sweep-ledger
-        rehydration) members are counted separately so the stream
-        shows how much of a sweep was actually simulated."""
+        rehydration) members, by ``result.provenance``, are counted
+        separately so the stream shows how much of a sweep was
+        actually simulated."""
         self.members_done += 1
+        provenance = result.provenance
         if provenance == "cached":
             self.members_cached += 1
         elif provenance == "resumed":
             self.members_resumed += 1
-        self.tasks_total = (self.tasks_total or 0) + int(n_tasks)
-        self.tasks_done += int(n_done)
-        self.tasks_failed += int(n_failed)
+        self.tasks_total = (self.tasks_total or 0) + int(result.n_tasks)
+        self.tasks_done += int(result.n_done)
+        self.tasks_failed += int(result.n_failed)
         if self.members_done >= self.members_total:
             return self.bus.emit(self._sample())
         return self.bus.poll(self._sample)

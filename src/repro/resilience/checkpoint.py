@@ -338,8 +338,13 @@ LEDGER_NAME = "sweep.json"
 
 
 def unit_key(cfg: "ExperimentConfig") -> str:
-    """Stable identity of one sweep unit (config + seed)."""
-    return f"{cfg.exp_id}-seed{cfg.seed}-{config_digest(cfg)[:16]}"
+    """Identity of one sweep unit: the run store's digest over config,
+    seed and code fingerprint, so a unit recorded by other code is
+    re-run, not rehydrated."""
+    # Lazy: repro.store.store imports this module at load time.
+    from ..store.keys import run_digest
+
+    return run_digest(cfg)
 
 
 def result_to_doc(result) -> Dict[str, Any]:
@@ -409,9 +414,9 @@ class SweepLedger:
     Each :meth:`record` call atomically rewrites the ledger file, so a
     sweep killed at any instant leaves a readable ledger listing every
     unit that *finished*; :meth:`completed` lets the restarted sweep
-    skip them.  The ledger is keyed by config+seed digest, so a
-    changed config silently invalidates old entries instead of
-    serving stale results.
+    skip them.  The ledger is keyed by :func:`unit_key` (config, seed
+    and code version), so a changed config or source tree invalidates
+    old entries instead of serving stale results.
     """
 
     def __init__(self, directory: PathLike) -> None:

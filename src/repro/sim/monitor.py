@@ -9,10 +9,9 @@ says the run is over.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Optional, Tuple)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..analytics.events import TraceEvent
+from ..analytics.profiler import Profiler
 from ..exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -22,13 +21,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Monitor:
     """Samples named probes every ``interval`` simulated seconds.
 
-    ``spill_dir`` turns on streaming mode for long full-machine runs:
-    whole sweeps are flushed to chunked JSONL files (profile record
-    format) once ``spill_threshold`` samples are buffered, bounding
-    RSS; queries lazily re-read the chunks and :meth:`export` output
-    is byte-identical to the in-memory monitor's.  Values must be
-    JSON-representable to round-trip exactly (numbers — the typical
-    probe output — always do).
+    Each sample is one record in the monitor's own
+    :class:`~repro.analytics.profiler.Profiler`: ``entity`` is
+    ``monitor.<probe>``, ``name`` is ``"sample"`` and the value sits
+    under ``meta["value"]``.  Sweeps append in time order, then probe
+    registration order, so the record order is the export order.
+
+    ``spill_dir``/``spill_threshold`` pass straight to that profiler:
+    streaming mode for long full-machine runs, where queries re-read
+    the spilled chunks and :meth:`export` is byte-identical to the
+    in-memory monitor's.  Values must be JSON-representable to
+    round-trip exactly (numbers — the typical probe output — always
+    do).
     """
 
     def __init__(self, env: "Environment", interval: float = 1.0,
@@ -37,69 +41,11 @@ class Monitor:
             raise SimulationError(f"interval must be > 0, got {interval}")
         self.env = env
         self.interval = interval
+        self.profiler = Profiler(env, spill_dir=spill_dir,
+                                 spill_threshold=spill_threshold)
         self._probes: Dict[str, Callable[[], Any]] = {}
-        self._samples: Dict[str, List[Tuple[float, Any]]] = {}
         self._running = False
         self._stop_when: Optional[Callable[[], bool]] = None
-        from pathlib import Path
-
-        self._spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self._spill_threshold = (max(1, int(spill_threshold))
-                                 if spill_dir is not None else float("inf"))
-        self._chunks: List[Any] = []
-        self._n_buffered = 0
-
-    # -- spilling ----------------------------------------------------------
-
-    def _spill(self) -> None:
-        """Flush buffered sweeps to the next chunk file.
-
-        Only called between sweeps, so every chunk holds whole sweeps:
-        concatenated chunks plus the tail reproduce exactly the
-        time-sorted, probe-registration-ordered record stream
-        :meth:`export` writes.
-        """
-        if not self._n_buffered:
-            return
-        from ..analytics.export import write_event_lines
-
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
-        path = self._spill_dir / f"monitor-{len(self._chunks):06d}.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            write_event_lines(fh, self._sorted_records())
-        self._chunks.append(path)
-        for name in self._samples:
-            self._samples[name] = []
-        self._n_buffered = 0
-
-    def _sorted_records(self) -> Iterator[TraceEvent]:
-        """Buffered samples as profile records (``entity`` =
-        ``monitor.<probe>``, the value under ``meta["value"]``),
-        time-sorted with probe registration order breaking ties
-        (stable sort)."""
-        samples: List[Tuple[float, str, Any]] = []
-        for name in self._probes:
-            for t, v in self._samples[name]:
-                samples.append((t, name, v))
-        samples.sort(key=lambda r: r[0])
-        for t, name, v in samples:
-            yield TraceEvent(t, f"monitor.{name}", "sample", {"value": v})
-
-    def _spilled_samples(self, name: str) -> List[Tuple[float, Any]]:
-        """Lazily re-read one probe's samples from the spill chunks."""
-        import json
-
-        from ..analytics.export import iter_event_lines
-
-        entity = f"monitor.{name}"
-        needle = '"entity": ' + json.dumps(entity)
-        out: List[Tuple[float, Any]] = []
-        for path in self._chunks:
-            with path.open("r", encoding="utf-8") as fh:
-                for ev in iter_event_lines(fh, contains=needle):
-                    if ev.entity == entity:
-                        out.append((ev.time, ev.meta["value"]))
-        return out
 
     def probe(self, name: str, fn: Callable[[], Any]) -> None:
         """Register a probe (must be added before :meth:`start`)."""
@@ -108,7 +54,6 @@ class Monitor:
         if name in self._probes:
             raise SimulationError(f"duplicate probe {name!r}")
         self._probes[name] = fn
-        self._samples[name] = []
 
     def start(self, stop_when: Optional[Callable[[], bool]] = None):
         """Begin sampling; returns the monitor process.
@@ -128,12 +73,10 @@ class Monitor:
         self._running = False
 
     def _loop(self):
+        record = self.profiler.record_event
         while self._running:
             for name, fn in self._probes.items():
-                self._samples[name].append((self.env.now, fn()))
-            self._n_buffered += len(self._probes)
-            if self._n_buffered >= self._spill_threshold:
-                self._spill()
+                record("monitor." + name, "sample", {"value": fn()})
             if self._stop_when is not None and self._stop_when():
                 self._running = False
                 return
@@ -143,13 +86,10 @@ class Monitor:
 
     def samples(self, name: str) -> List[Tuple[float, Any]]:
         """(time, value) pairs recorded for one probe."""
-        try:
-            tail = self._samples[name]
-        except KeyError:
-            raise SimulationError(f"unknown probe {name!r}") from None
-        if self._chunks:
-            return self._spilled_samples(name) + list(tail)
-        return list(tail)
+        if name not in self._probes:
+            raise SimulationError(f"unknown probe {name!r}")
+        return [(ev.time, ev.meta["value"])
+                for ev in self.profiler.events_for("monitor." + name)]
 
     def values(self, name: str) -> List[Any]:
         return [v for _, v in self.samples(name)]
@@ -189,13 +129,6 @@ class Monitor:
         task traces in offline analysis.  Returns the number of
         samples written.
         """
-        from pathlib import Path
+        from ..analytics.export import save_profile
 
-        from ..analytics.export import write_profile_lines
-
-        with Path(path).open("w", encoding="utf-8") as fh:
-            # Chunks hold whole sweeps already in the sorted record
-            # order, so concatenating them verbatim before the sorted
-            # tail reproduces the in-memory output byte for byte.
-            return write_profile_lines(fh, self._chunks,
-                                       self._sorted_records())
+        return save_profile(self.profiler, path)

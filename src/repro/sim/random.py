@@ -153,23 +153,6 @@ class RngStreams:
             },
         }
 
-    def restore_state(self, doc: dict) -> None:
-        """Restore the exact drawing state captured by
-        :meth:`capture_state`; subsequent draws continue bitwise where
-        the captured instance left off."""
-        if int(doc.get("seed", self.seed)) != self.seed:
-            raise ValueError(
-                f"state captured for seed {doc.get('seed')!r}, "
-                f"this family uses seed {self.seed}")
-        self._streams.clear()
-        self._norm_buf.clear()
-        self._lognorm_params.clear()
-        for name, state in doc.get("streams", {}).items():
-            gen = self.stream(name)
-            gen.bit_generator.state = state
-        for name, buf in doc.get("norm_buf", {}).items():
-            self._norm_buf[name] = [float(z) for z in buf]
-
     def state_digest(self) -> str:
         """Canonical sha256 over :meth:`capture_state` — the compact
         form checkpoints store for replay-drift verification."""

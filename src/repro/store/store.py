@@ -7,7 +7,7 @@ Layout (everything under one root directory)::
       index.json        snapshot: digest -> {summary, last_access, hits,
                         bytes}, plus the journal position it holds
       index.jsonl       journal: a generation header, then one line per
-                        put, touch or evict since the last compaction
+                        put or touch since the last compaction
       index.lock        advisory lock serializing index/eviction updates
       objects/ab/<digest>/
         entry.json      full config doc, cache key, fingerprint,
@@ -32,10 +32,10 @@ Correctness properties, each pinned by ``tests/store``:
   ``trash/`` before deleting; a reader holding open file handles
   keeps its POSIX data, and no half-deleted entry is ever visible at
   its content address.
-* **LRU / size caps.**  ``max_bytes`` / ``max_entries`` evict
-  least-recently-used entries after each write (and on demand via
-  :meth:`RunStore.gc`).
-* **O(1) index updates.**  A put, touch or evict appends one fsynced
+* **LRU eviction.**  :meth:`RunStore.gc` evicts least-recently-used
+  entries down to a byte or entry cap (``store gc --max-bytes`` /
+  ``--max-entries``).
+* **O(1) index updates.**  A put or touch appends one fsynced
   line to ``index.jsonl`` under the lock; it never parses or rewrites
   the snapshot.  Readers fold the journal into the snapshot.  ``gc``
   compacts the two, and so does any write that finds the journal
@@ -164,12 +164,8 @@ class CachedRun:
 class RunStore:
     """Content-addressed store of finished runs, keyed by run digest."""
 
-    def __init__(self, root: PathLike,
-                 max_bytes: Optional[int] = None,
-                 max_entries: Optional[int] = None) -> None:
+    def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
-        self.max_bytes = max_bytes
-        self.max_entries = max_entries
         self.stats = StoreStats()
         self.root.mkdir(parents=True, exist_ok=True)
         marker = self.root / "store.json"
@@ -299,8 +295,8 @@ class RunStore:
         atomic_write_bytes(self.root / JOURNAL_NAME, _encode_record(
             {"format": STORE_FORMAT, "generation": generation}))
 
-    def _log(self, *records: Dict[str, Any]) -> None:
-        """Record index updates: one fsynced journal append (lock held).
+    def _log(self, record: Dict[str, Any]) -> None:
+        """Record one index update: an fsynced journal append (lock held).
 
         Compacts instead when the journal is missing or has outgrown
         both the snapshot and :data:`COMPACT_FLOOR`, which bounds both
@@ -315,13 +311,11 @@ class RunStore:
             due = True
         if due:
             entries, position = self._read_index()
-            for record in records:
-                _apply(entries, record)
+            _apply(entries, record)
             self._compact(entries, position)
             return
         with journal.open("ab") as fh:
-            fh.write(b"".join(b"\n" + _encode_record(record)
-                              for record in records))
+            fh.write(b"\n" + _encode_record(record))
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -425,16 +419,10 @@ class RunStore:
         finally:
             if stage.exists():
                 shutil.rmtree(stage, ignore_errors=True)
-        meta = self._index_meta(entry)
-        records = [{"op": "put", "digest": digest, "meta": meta}]
+        record = {"op": "put", "digest": digest,
+                  "meta": self._index_meta(entry)}
         with self._locked():
-            if self.max_bytes is not None or self.max_entries is not None:
-                entries, _ = self._read_index()
-                entries[digest] = meta
-                evicted = self._enforce_caps(entries, protect=digest)
-                if evicted:
-                    records.append({"op": "evict", "digests": evicted})
-            self._log(*records)
+            self._log(record)
         self.stats.stored += 1
         STATS.stored += 1
         return True
@@ -520,20 +508,12 @@ class RunStore:
         shutil.rmtree(target, ignore_errors=True)
 
     def _enforce_caps(self, entries: Dict[str, Dict[str, Any]],
-                      protect: Optional[str] = None,
-                      max_bytes: Optional[int] = None,
-                      max_entries: Optional[int] = None) -> List[str]:
+                      max_bytes: Optional[int],
+                      max_entries: Optional[int]) -> List[str]:
         """Evict LRU entries until within the caps; returns evictees.
 
-        Called with the index lock held.  ``protect`` exempts the
-        entry being written right now — a store too small for one
-        bundle keeps the newest rather than thrashing it.
+        Called with the index lock held.
         """
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        max_entries = (max_entries if max_entries is not None
-                       else self.max_entries)
-        if max_bytes is None and max_entries is None:
-            return []
         evicted: List[str] = []
         by_age = sorted(
             entries,
@@ -549,8 +529,6 @@ class RunStore:
         for digest in by_age:
             if not over():
                 break
-            if digest == protect:
-                continue
             self._remove(digest)
             total -= int(entries.pop(digest).get("bytes", 0))
             evicted.append(digest)
@@ -560,7 +538,7 @@ class RunStore:
 
     def gc(self, max_bytes: Optional[int] = None,
            max_entries: Optional[int] = None) -> List[str]:
-        """Evict down to the given caps (defaults to the store's own);
+        """Evict least-recently-used entries down to the given caps;
         also reconciles the index with the object directories and
         compacts the journal into the snapshot."""
         with self._locked():
@@ -570,8 +548,7 @@ class RunStore:
                 if digest in entries:
                     entries[digest]["last_access"] = meta.get("last_access")
                     entries[digest]["hits"] = meta.get("hits", 0)
-            evicted = self._enforce_caps(entries, max_bytes=max_bytes,
-                                         max_entries=max_entries)
+            evicted = self._enforce_caps(entries, max_bytes, max_entries)
             self._compact(entries, position)
         return evicted
 
@@ -668,7 +645,7 @@ def _apply(entries: Dict[str, Dict[str, Any]], record: Any) -> None:
             if meta is not None:
                 meta["last_access"] = record["at"]
                 meta["hits"] = int(meta.get("hits", 0)) + 1
-    elif op == "evict":
+    elif op == "evict":   # written by stores that evicted on put
         for digest in record["digests"]:
             entries.pop(digest, None)
 

@@ -57,10 +57,10 @@ class TestCli:
         ["run", "srun", "--nodes", "-1"],
         ["run", "srun", "--partitions", "0"],
         ["run", "srun", "--waves", "0"],
-        ["trace", "run", "flux_1", "--nodes", "0", "--out", "unused"],
-        ["trace", "run", "flux_1", "--waves", "0", "--out", "unused"],
+        ["run", "flux_1", "--nodes", "0", "--bundle", "unused"],
+        ["run", "flux_1", "--waves", "0", "--bundle", "unused"],
         ["table1", "--waves", "0"],
-    ], ids=lambda argv: " ".join(argv[:-2] if "--out" in argv else argv))
+    ], ids=lambda argv: " ".join(argv[:-2] if "--bundle" in argv else argv))
     def test_explicit_zero_override_is_rejected(self, argv, capsys,
                                                 tmp_path, monkeypatch):
         # An explicit 0 must reach config validation, not silently
@@ -152,16 +152,18 @@ class TestCli:
 class TestTraceCli:
     def _bundle(self, tmp_path):
         out = tmp_path / "bundle"
-        assert main(["trace", "run", "flux_1", "--nodes", "1",
-                     "--waves", "1", "--out", str(out)]) == 0
+        assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
+                     "--bundle", str(out)]) == 0
         return out
 
-    def test_trace_run_writes_bundle(self, capsys, tmp_path):
+    def test_run_with_bundle_flag(self, capsys, tmp_path):
         out = self._bundle(tmp_path)
         stdout = capsys.readouterr().out
         assert "wrote observability bundle" in stdout
         assert (out / "manifest.json").is_file()
         assert (out / "trace.json").is_file()
+        assert (out / "profile.jsonl").is_file()
+        assert not (out / "metrics.json").exists()
 
     def test_trace_inspect(self, capsys, tmp_path):
         out = self._bundle(tmp_path)
@@ -185,13 +187,6 @@ class TestTraceCli:
         from repro.observability import validate_chrome_trace
 
         assert validate_chrome_trace(json.loads(target.read_text())) == []
-
-    def test_run_with_bundle_flag(self, capsys, tmp_path):
-        out = tmp_path / "b2"
-        assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
-                     "--bundle", str(out)]) == 0
-        assert (out / "profile.jsonl").is_file()
-        assert not (out / "metrics.json").exists()
 
     def test_trace_critical_pins_the_srun_chain(self, capsys, tmp_path):
         out = tmp_path / "bundle"

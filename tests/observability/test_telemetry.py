@@ -18,6 +18,7 @@ that was emitted.
 
 import functools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -159,15 +160,21 @@ class TestTelemetryBus:
         assert 0.0 < DEFAULT_INTERVAL <= 1.0
 
 
+def _member(n_tasks, n_done, n_failed, provenance="fresh"):
+    """The fields ``SweepTelemetry.member_done`` reads off a result."""
+    return SimpleNamespace(n_tasks=n_tasks, n_done=n_done,
+                           n_failed=n_failed, provenance=provenance)
+
+
 class TestSweepTelemetry:
     def test_last_member_always_emits(self):
         clock = FakeClock()
         sweep = SweepTelemetry("ensemble", 3,
                                bus=TelemetryBus("ensemble", interval=1e9,
                                                 clock=clock))
-        sweep.member_done(10, 10, 0)   # first poll fires
-        sweep.member_done(10, 9, 1)    # rate-limited away
-        final = sweep.member_done(10, 10, 0)
+        sweep.member_done(_member(10, 10, 0))   # first poll fires
+        sweep.member_done(_member(10, 9, 1))    # rate-limited away
+        final = sweep.member_done(_member(10, 10, 0))
         assert final is not None       # unconditional final flush
         assert final["members_done"] == 3
         assert final["tasks_done"] == 29
@@ -184,8 +191,8 @@ class TestSweepTelemetry:
         record = sweep.cohort(128, 512)
         assert record["tasks_done"] == 128 and record["tasks_total"] == 512
         assert record["members_done"] == 0
-        sweep.member_done(256, 256, 0)
-        final = sweep.member_done(256, 256, 0)
+        sweep.member_done(_member(256, 256, 0))
+        final = sweep.member_done(_member(256, 256, 0))
         assert final["tasks_done"] == 512 and final["tasks_total"] == 512
 
 

@@ -211,8 +211,29 @@ class TestResume:
         doc["seed"] = forged.seed
         doc["config_digest"] = config_digest(forged)
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="diverged|watermark"):
+        with pytest.raises(CheckpointError, match="diverged|watermark") \
+                as info:
             resume_experiment(tmp_path)
+        # Same code: the error blames the watermark, not a version.
+        assert "code differs" not in str(info.value)
+
+    def test_divergence_error_names_the_code_drift(self, tmp_path):
+        spec = ResilienceSpec(checkpoint_dir=str(tmp_path),
+                              checkpoint_sim_interval=7.0)
+        _run(ExperimentConfig(**SRUN), resilience=spec)
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        # A header from other code whose watermark this code cannot
+        # reproduce: the error must say both what diverged and which
+        # versions differ.
+        doc["code"] = dict(doc["code"], repro="0.0.0-forged")
+        doc["state"]["n_events"] += 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as info:
+            resume_experiment(tmp_path)
+        message = str(info.value)
+        assert "diverged" in message and "n_events" in message
+        assert "repro: '0.0.0-forged' -> " in message
 
 
 class TestSweepLedger:
@@ -264,6 +285,17 @@ class TestSweepLedger:
         unit = SweepLedger(tmp_path).completed(cfg)
         assert "faults" not in unit
         assert result_from_doc(cfg, unit).faults is None
+
+    def test_unit_from_other_code_is_not_rehydrated(self, tmp_path,
+                                                    monkeypatch):
+        import repro.store.keys as keys_mod
+
+        cfg = ExperimentConfig(**SRUN)
+        SweepLedger(tmp_path).record(cfg, run_experiment(cfg))
+        assert SweepLedger(tmp_path).completed(cfg) is not None
+        monkeypatch.setattr(keys_mod, "code_fingerprint",
+                            lambda *a, **k: "f" * 64)
+        assert SweepLedger(tmp_path).completed(cfg) is None
 
     def test_unit_key_distinguishes_config_and_seed(self):
         cfg = ExperimentConfig(**SRUN)

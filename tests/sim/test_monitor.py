@@ -155,8 +155,10 @@ class TestMonitorSpill:
 
     def test_chunks_written_and_buffer_bounded(self, tmp_path):
         _, spill = self._twins(tmp_path)
-        assert spill._chunks, "threshold 4 over 12 samples must spill"
-        assert spill._n_buffered < 4 + 2  # at most one sweep over
+        chunks = spill.profiler.spilled_chunks
+        assert chunks, "threshold 4 over 12 samples must spill"
+        spilled = sum(len(path.read_text().splitlines()) for path in chunks)
+        assert len(spill.profiler) - spilled < 4  # the in-memory tail
 
     def test_samples_equivalent(self, tmp_path):
         mem, spill = self._twins(tmp_path)

@@ -144,9 +144,9 @@ class TestEnsemble:
         store = tmp_path / "store"
         first = run_ensemble(cfg, seeds=[0, 1, 2, 3], cache=store)
         assert first.engine == "vectorized"
-        assert first.provenance == {"fresh": 4}
+        assert first.aggregate().provenance == {"fresh": 4}
         second = run_ensemble(cfg, seeds=[0, 1, 2, 3, 4], cache=store)
-        assert second.provenance == {"cached": 4, "fresh": 1}
+        assert second.aggregate().provenance == {"cached": 4, "fresh": 1}
         for a, b in zip(first.results, second.results):
             assert a.throughput.avg == b.throughput.avg
             assert a.makespan == b.makespan
@@ -159,7 +159,7 @@ class TestEnsemble:
         first = run_ensemble(cfg, seeds=[0, 1], cache=store)
         assert first.engine == "replay"
         second = run_ensemble(cfg, seeds=[0, 1, 2], cache=store)
-        assert second.provenance == {"cached": 2, "fresh": 1}
+        assert second.aggregate().provenance == {"cached": 2, "fresh": 1}
 
     def test_cached_profile_dir_exports_byte_identical(self, tmp_path):
         cfg = quick_cfg()
@@ -169,7 +169,7 @@ class TestEnsemble:
         run_ensemble(cfg, seeds=[5, 6], cache=store)
         served = run_ensemble(cfg, seeds=[5, 6], cache=store,
                               profile_dir=str(tmp_path / "served"))
-        assert served.provenance == {"cached": 2}
+        assert served.aggregate().provenance == {"cached": 2}
         for member, original in zip(served.members, plain.members):
             with open(member.profile_path, "rb") as got, \
                     open(original.profile_path, "rb") as want:
@@ -181,7 +181,7 @@ class TestEnsemble:
         run_ensemble(cfg, seeds=[0, 1, 2], cache=store)
         mixed = run_ensemble(cfg, seeds=[0, 1, 2, 3], cache=store,
                              parallel=2)
-        assert mixed.provenance == {"cached": 3, "fresh": 1}
+        assert mixed.aggregate().provenance == {"cached": 3, "fresh": 1}
 
     def test_aggregate_matches_uncached(self, tmp_path):
         cfg = quick_cfg()

@@ -205,15 +205,6 @@ class TestEviction:
         assert store.fetch(d1) is not None
         assert store.fetch(d3) is not None
 
-    def test_max_bytes_cap_on_write(self, tmp_path, donor):
-        cfg, result, profile = donor
-        store = RunStore(tmp_path / "store", max_bytes=len(profile) * 2)
-        d1, d2, d3 = populate(store, donor, seeds=(0, 1, 2))
-        kept = {row["digest"] for row in store.entries()}
-        assert d3 in kept          # the newest write is protected
-        assert len(kept) < 3
-        assert store.stats.evicted >= 1
-
     def test_max_bytes_evicts_only_down_to_the_cap(self, tmp_path, donor):
         store = RunStore(tmp_path / "store")
         d1, d2, d3 = populate(store, donor, seeds=(0, 1, 2))
@@ -234,12 +225,6 @@ class TestEviction:
             data = first + fh.read()
         assert hashlib.sha256(data).hexdigest() \
             == hashlib.sha256(profile).hexdigest()
-
-    def test_store_too_small_for_one_entry_keeps_newest(self, tmp_path,
-                                                        donor):
-        store = RunStore(tmp_path / "store", max_bytes=1)
-        (digest,) = populate(store, donor)
-        assert store.fetch(digest) is not None
 
 
 class TestIndex:
