@@ -156,12 +156,17 @@ class TestTraceCli:
                      "--bundle", str(out)]) == 0
         return out
 
-    def test_run_with_bundle_flag(self, capsys, tmp_path):
+    def test_trace_run_writes_bundle(self, capsys, tmp_path):
         out = self._bundle(tmp_path)
         stdout = capsys.readouterr().out
         assert "wrote observability bundle" in stdout
         assert (out / "manifest.json").is_file()
         assert (out / "trace.json").is_file()
+
+    def test_run_with_bundle_flag(self, capsys, tmp_path):
+        out = tmp_path / "b2"
+        assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
+                     "--bundle", str(out)]) == 0
         assert (out / "profile.jsonl").is_file()
         assert not (out / "metrics.json").exists()
 
