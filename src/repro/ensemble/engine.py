@@ -39,8 +39,14 @@ through the same process-pool loop as
 give up after ``POOL_RETRIES``).  Members carry no live profiler on
 any path: traces come back only as ``profile_dir`` exports (written
 inside the worker for parallel runs).  Seeds resolve through
-:func:`~repro.ensemble.seeds.sweep_seeds`, exactly as in
-:func:`~repro.experiments.harness.run_repetitions`.
+:func:`~repro.ensemble.seeds.sweep_seeds`.
+
+This is the package's one multi-seed path:
+:func:`~repro.experiments.harness.run_repetitions` is
+``run_ensemble(...).aggregate()``, and ``run --reps/--seeds`` on the
+CLI calls it.  With ``cache=`` a restarted sweep simulates only the
+seeds its run store does not hold yet, so the store is also the
+restart record of an interrupted sweep.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class EnsembleResult:
         return self.wall_seconds / max(len(self.members), 1)
 
     def aggregate(self) -> "AggregateResult":  # noqa: F821
-        """Across-seed aggregation, same formulas as ``run_repetitions``."""
+        """Across-seed aggregation: what ``run_repetitions`` returns."""
         from ..experiments.harness import AggregateResult
 
         return AggregateResult.of(self.config, self.results)
@@ -158,7 +164,7 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
             results, profilers = _run_replay(cfg, missing, latencies,
                                              keep_profiles=need_records,
                                              on_member=on_member,
-                                             store=store, digests=digests)
+                                             store=store)
             # Replay members already streamed their telemetry live
             # (seed by seed, as each run lands); don't re-fire below.
             notified = set(missing)
@@ -192,42 +198,31 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
 
 
 def _run_replay(cfg, seeds: Sequence[int], latencies: LatencyModel,
-                keep_profiles: bool, on_member=None,
-                store=None, digests=None):
+                keep_profiles: bool, on_member=None, store=None):
     """Generic engine: one sequential :func:`run_experiment` per seed.
 
-    ``store``/``digests`` populate the run store as each seed lands
-    (the caller already established these seeds are misses, so no
-    cache *read* happens here).  ``on_member`` fires the moment a
-    seed's simulation returns — before the store write, so progress
-    telemetry is never delayed behind a disk ``put``.
+    ``store`` is populated as each seed lands: the caller already
+    established these seeds are misses, and ``run_experiment`` under
+    ``keep_session`` skips the cache read and puts on the way out.
+    ``on_member`` fires as each seed's run returns.  Members keep
+    their per-task objects (a pool worker strips them before the
+    trip back).
     """
     from ..experiments.harness import run_experiment
 
     need_session = keep_profiles or store is not None
     results, profilers = [], []
     for seed in seeds:
-        member_cfg = cfg.with_seed(seed)
-        result = run_experiment(member_cfg, latencies,
-                                keep_session=need_session)
-        result.tasks = []
+        result = run_experiment(cfg.with_seed(seed), latencies,
+                                keep_session=need_session, cache=store)
         results.append(result)
         if on_member is not None:
             on_member(result)
         profiler = None
-        if need_session:
-            # Session teardown bookkeeping only exists when a session
-            # was actually kept; the plain fast path (no profiles, no
-            # store) never materializes one.
-            if result.session is not None:
-                profiler = result.session.profiler
-                result.session.close()
-                result.session = None
-            if store is not None:
-                stored = store.put(digests[seed], member_cfg, result,
-                                   profiler=profiler)
-                result.cache = {"digest": digests[seed],
-                                "hit": False, "stored": stored}
+        if result.session is not None:
+            profiler = result.session.profiler
+            result.session.close()
+            result.session = None
         profilers.append(profiler if keep_profiles else None)
     return results, profilers
 
@@ -245,8 +240,11 @@ def _run_batch(payload):
     if crash_value("pool") is not None:
         for seed in seeds:
             crash_point("pool", float(seed))
-    return _run_members(cfg, seeds, latencies, engine, profile_dir,
-                        store=RunStore.resolve(cache))
+    members = _run_members(cfg, seeds, latencies, engine, profile_dir,
+                           store=RunStore.resolve(cache))
+    for member in members:
+        member.result.tasks = []
+    return members
 
 
 def _split_batches(seeds: Sequence[int], n_workers: int
@@ -330,8 +328,7 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
     seeds:
         Explicit seed list — a sequence of ints or a spec string like
         ``"1,2,5-20"``.  Defaults to ``cfg.seed + rep`` for
-        ``n_reps`` repetitions (3 when neither is given), matching
-        :func:`~repro.experiments.harness.run_repetitions`.
+        ``n_reps`` repetitions (3 when neither is given).
     profile_dir:
         Export each member's trace to
         ``<dir>/profile-seed<seed>.jsonl`` — byte-identical to the
@@ -361,6 +358,8 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         (``result.provenance == "cached"``, profile exports
         byte-identical by the determinism contract); only the missing
         seeds reach the engine, which populates the store with them.
+        Re-running an interrupted sweep with the same store therefore
+        simulates only the seeds it had not finished.
     """
     seed_list = sweep_seeds(cfg, seeds, n_reps)
     chosen = (ENGINE_VECTORIZED if supports_vectorized(cfg, latencies)
@@ -381,8 +380,7 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         # the bundle's ``telemetry.jsonl`` is never empty.
         from ..observability.telemetry import SweepTelemetry
 
-        telemetry = SweepTelemetry.create("ensemble", len(seed_list),
-                                          progress)
+        telemetry = SweepTelemetry.create(len(seed_list), progress)
 
     wall0 = time.perf_counter()
     n_workers = 1

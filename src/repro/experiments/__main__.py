@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments run flux_1 --nodes 64 --reps 3
+    python -m repro.experiments run srun --seeds 0-15 --profile-dir out
     python -m repro.experiments run impeccable_flux --nodes 256
     python -m repro.experiments table1 --waves 1   # quick full sweep
 """
@@ -22,7 +23,7 @@ from .configs import (
     frontier_full_configs,
     table1_configs,
 )
-from .harness import run_experiment, run_repetitions
+from .harness import run_ensemble, run_experiment
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -65,17 +66,6 @@ def _print_cache(result) -> None:
         print(f"cache: miss {digest} (lost write race)", file=sys.stderr)
 
 
-def _print_cache_summary(provenance) -> None:
-    """Echo a sweep's provenance mix (``run --cache`` only)."""
-    hits = provenance.get("cached", 0)
-    resumed = provenance.get("resumed", 0)
-    fresh = provenance.get("fresh", 0)
-    line = f"cache: {hits} hit(s), {fresh} simulated"
-    if resumed:
-        line += f", {resumed} resumed"
-    print(line, file=sys.stderr)
-
-
 def _overrides(args: argparse.Namespace) -> dict:
     """Config fields set by ``--nodes``/``--partitions``/``--waves``.
 
@@ -88,17 +78,17 @@ def _overrides(args: argparse.Namespace) -> dict:
             if getattr(args, flag, None) is not None}
 
 
-#: The shapes of ``run``: one seed, ``run_repetitions`` or ``run_ensemble``.
-_SINGLE, _SWEEP, _ENSEMBLE = ("single run", "--reps/--seeds sweep",
-                              "--ensemble sweep")
+#: The shapes of ``run``: one seed (``run_experiment``) or a multi-seed
+#: sweep (``run_ensemble``).
+_SINGLE, _SWEEP = "single run", "--reps/--seeds sweep"
 #: The shapes that honour each shape-specific ``run`` flag (by argparse
 #: dest).  Any other shape rejects it instead of dropping it silently;
 #: flags missing here (--faults, --progress, --cache, ...) apply to all.
 _FLAG_SHAPES = {
     "summary": (_SINGLE,), "profile": (_SINGLE,), "spill_dir": (_SINGLE,),
-    "checkpoint_every": (_SINGLE,), "checkpoint_wall": (_SINGLE,),
-    "bundle": (_SINGLE, _ENSEMBLE), "checkpoint": (_SINGLE, _SWEEP),
-    "profile_dir": (_ENSEMBLE,), "parallel": (_SWEEP, _ENSEMBLE),
+    "checkpoint": (_SINGLE,), "checkpoint_every": (_SINGLE,),
+    "checkpoint_wall": (_SINGLE,), "bundle": (_SINGLE, _SWEEP),
+    "profile_dir": (_SWEEP,), "parallel": (_SWEEP,),
 }
 
 
@@ -159,67 +149,49 @@ def _cmd_run(args: argparse.Namespace) -> int:
     bundle = args.bundle or None
     seeds = args.seeds or None
     cache = args.cache or None
-    checkpoint = args.checkpoint or None
     # One run unless told otherwise; an explicit --reps next to --seeds
     # is passed on so the seed resolver rejects the pair, and so is a
     # --reps below 1.
     n_reps = 1 if args.reps is None and not seeds else args.reps
-    if args.ensemble:
-        shape = _ENSEMBLE
-    elif seeds or n_reps != 1:
-        shape = _SWEEP
-    else:
-        shape = _SINGLE
+    shape = _SWEEP if seeds or n_reps != 1 else _SINGLE
     _check_run_flags(args, shape)
     progress = _progress_sink(args.progress)
-    if shape == _ENSEMBLE:
-        from .harness import run_ensemble
-
-        ens = run_ensemble(cfg, seeds=seeds, n_reps=n_reps,
-                           profile_dir=args.profile_dir or None,
-                           parallel=args.parallel,
-                           progress=progress,
-                           bundle=bundle,
-                           cache=cache)
-        agg = ens.aggregate()
-        if cache:
-            _print_cache_summary(agg.provenance)
-        print(format_table(
-            ["exp", "nodes", "parts", "seeds", "engine", "avg tasks/s",
-             "max tasks/s", "util", "makespan[s]", "ms/seed"],
-            [(cfg.exp_id, cfg.n_nodes, cfg.n_partitions, len(ens.seeds),
-              ens.engine, agg.throughput_avg, agg.throughput_max,
-              agg.utilization_avg, agg.makespan_avg,
-              ens.wall_seconds_per_seed * 1e3)]))
-        if bundle:
-            print(f"wrote ensemble bundle to {bundle}")
-        if args.profile_dir:
-            print(f"wrote {len(ens.members)} per-seed profiles to "
-                  f"{args.profile_dir}")
-    elif shape == _SWEEP:
-        # --checkpoint is a sweep ledger here (one doc per finished
-        # unit); per-run checkpoints in one directory would clobber.
-        agg = run_repetitions(cfg, n_reps=n_reps, parallel=args.parallel,
-                              seeds=seeds, progress=progress,
-                              checkpoint=checkpoint, cache=cache)
-        if cache:
-            _print_cache_summary(agg.provenance)
-        print(format_table(
-            ["exp", "nodes", "parts", "reps", "avg tasks/s", "max tasks/s",
-             "util", "makespan[s]"],
-            [(cfg.exp_id, cfg.n_nodes, cfg.n_partitions, agg.n_reps,
-              agg.throughput_avg, agg.throughput_max, agg.utilization_avg,
-              agg.makespan_avg)]))
-    else:
+    if shape == _SINGLE:
         from ..resilience import parse_resilience
 
         result = run_experiment(
             cfg, keep_session=bool(args.summary or args.profile),
             bundle=bundle, spill_dir=args.spill_dir or None,
             progress=progress, cache=cache,
-            resilience=parse_resilience(checkpoint, args.checkpoint_every,
+            resilience=parse_resilience(args.checkpoint or None,
+                                        args.checkpoint_every,
                                         args.checkpoint_wall))
         _report_single(result, args)
+        return 0
+    ens = run_ensemble(cfg, seeds=seeds, n_reps=n_reps,
+                       profile_dir=args.profile_dir or None,
+                       parallel=args.parallel, progress=progress,
+                       bundle=bundle, cache=cache)
+    agg = ens.aggregate()
+    # Wall time and store outcome go to stderr: stdout is a pure
+    # function of the config and seeds, whatever the worker count.
+    if cache:
+        provenance = agg.provenance
+        print(f"cache: {provenance.get('cached', 0)} hit(s), "
+              f"{provenance.get('fresh', 0)} simulated", file=sys.stderr)
+    print(f"wall: {ens.wall_seconds_per_seed * 1e3:.3f} ms/seed",
+          file=sys.stderr)
+    print(format_table(
+        ["exp", "nodes", "parts", "seeds", "engine", "avg tasks/s",
+         "max tasks/s", "util", "makespan[s]"],
+        [(cfg.exp_id, cfg.n_nodes, cfg.n_partitions, agg.n_reps,
+          ens.engine, agg.throughput_avg, agg.throughput_max,
+          agg.utilization_avg, agg.makespan_avg)]))
+    if bundle:
+        print(f"wrote ensemble bundle to {bundle}")
+    if args.profile_dir:
+        print(f"wrote {len(ens.members)} per-seed profiles to "
+              f"{args.profile_dir}")
     return 0
 
 
@@ -392,9 +364,10 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--reps", type=int, default=None)
     p_run.add_argument("--parallel", nargs="?", const="auto", default=None,
                        metavar="N",
-                       help="fan a --reps/--seeds sweep or an --ensemble "
-                            "out over N worker processes (bare flag = "
-                            "one per core)")
+                       help="fan a --reps/--seeds sweep out over N "
+                            "worker processes (bare flag = one per core; "
+                            "unset, a replay-engine sweep of 4 or more "
+                            "seeds uses one per core)")
     p_run.add_argument("--faults", default="", metavar="SPEC",
                        help="fault injection spec, key=value pairs "
                             "(e.g. mtbf=1800,p_launch_fail=0.01,"
@@ -418,23 +391,18 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--spill-dir", default="", metavar="DIR",
                        help="stream the trace to chunked files under "
                             "DIR, bounding profiler memory")
-    p_run.add_argument("--ensemble", action="store_true",
-                       help="run the seeds through the batched ensemble "
-                            "engine (vectorized fast path where the "
-                            "config qualifies; per-seed results "
-                            "identical to independent runs)")
     p_run.add_argument("--seeds", default="", metavar="SPEC",
                        help="explicit seed list, e.g. 1,2,5-20 "
                             "(default: cfg.seed + rep for --reps "
                             "repetitions; not both)")
     p_run.add_argument("--profile-dir", default="", metavar="DIR",
-                       help="with --ensemble: export each seed's trace "
-                            "to DIR/profile-seed<seed>.jsonl")
+                       help="with --reps/--seeds: export each seed's "
+                            "trace to DIR/profile-seed<seed>.jsonl")
     p_run.add_argument("--checkpoint", default="", metavar="DIR",
-                       help="durable crash-safety state in DIR: periodic "
-                            "run checkpoints for a single run, or a "
-                            "sweep ledger (finished repetitions are "
-                            "never re-run) with --reps/--seeds")
+                       help="single run only: write periodic durable "
+                            "checkpoints to DIR ('resume DIR' finishes "
+                            "an interrupted run); a sweep restarts "
+                            "through --cache instead")
     p_run.add_argument("--checkpoint-every", type=float, default=None,
                        metavar="SIMSECS",
                        help="with --checkpoint on a single run: "
@@ -451,8 +419,9 @@ def main(argv: List[str] = None) -> int:
                             "store rooted at DIR: an exact match "
                             "(config, seed, workload, code version) is "
                             "delivered without simulating; misses "
-                            "populate the store (see the 'store' "
-                            "subcommand)")
+                            "populate the store, so a re-run sweep "
+                            "simulates only its missing seeds (see the "
+                            "'store' subcommand)")
 
     p_res = sub.add_parser(
         "resume", help="resume a checkpointed run to completion")

@@ -5,10 +5,11 @@ submits a pilot with the configured backend partitions, generates the
 workload, executes it, and returns an :class:`ExperimentResult` with
 the paper's three metrics plus the raw task list for time-series
 analysis.  :func:`run_repetitions` aggregates several seeds the way
-the paper reports average and maximum throughput across repetitions;
-it resolves its seeds like :func:`run_ensemble` and runs them through
-:func:`~repro.experiments.parallel.run_many`, the one multi-run path
-(in-process or pooled, with the sweep ledger and run store).
+the paper reports average and maximum throughput across repetitions:
+it is :func:`run_ensemble`'s aggregate, so every multi-seed sweep
+runs through the one ensemble path (vectorized where the config
+qualifies, per-seed replay otherwise; in-process or pooled; memoized
+per seed by the run store).
 """
 
 from __future__ import annotations
@@ -74,9 +75,8 @@ class ExperimentResult:
     #: Fault-injection summary; ``None`` when the run had no fault model.
     faults: Optional[FaultReport] = None
     #: How this result was produced: ``"fresh"`` (simulated in this
-    #: call), ``"cached"`` (delivered from a content-addressed run
-    #: store), or ``"resumed"`` (rebuilt from a sweep ledger instead
-    #: of re-running).  Identical metrics either way — provenance is
+    #: call) or ``"cached"`` (delivered from a content-addressed run
+    #: store).  Identical metrics either way — provenance is
     #: bookkeeping, never a behavior difference.
     provenance: str = "fresh"
     #: Run-store interaction record (``None`` when caching was off):
@@ -410,9 +410,9 @@ class AggregateResult:
 
     @property
     def provenance(self) -> dict:
-        """Per-seed provenance counts (``fresh``/``cached``/
-        ``resumed``) across the repetitions — how many were actually
-        simulated vs delivered from the run store or sweep ledger."""
+        """Per-seed provenance counts (``fresh``/``cached``) across the
+        repetitions — how many were actually simulated vs delivered
+        from the run store."""
         counts: dict = {}
         for result in self.results:
             kind = getattr(result, "provenance", "fresh")
@@ -423,70 +423,28 @@ class AggregateResult:
 def run_repetitions(cfg: ExperimentConfig, n_reps: Optional[int] = None,
                     latencies: LatencyModel = FRONTIER_LATENCIES,
                     parallel=None, seeds=None,
-                    progress=None, checkpoint=None,
-                    cache=None) -> AggregateResult:
+                    progress=None, cache=None) -> AggregateResult:
     """Run several seeds of one configuration and aggregate.
 
-    ``seeds`` names the repetition seeds explicitly — a sequence of
-    ints or a CLI-style spec string (``"1,2,5-20"``); otherwise the
-    sweep derives ``cfg.seed + rep`` for ``n_reps`` repetitions (3 by
-    default).  Passing both raises
+    ``run_ensemble(cfg, ...).aggregate()``: the seeds, engine,
+    ``parallel`` fan-out, ``progress`` telemetry (``source:
+    "ensemble"``) and per-seed ``cache`` memoization are exactly
+    :func:`run_ensemble`'s.  ``seeds`` names the repetition seeds (a
+    sequence of ints or a spec string like ``"1,2,5-20"``); otherwise
+    the sweep derives ``cfg.seed + rep`` for ``n_reps`` repetitions (3
+    by default).  Passing both raises
     :class:`~repro.exceptions.ConfigurationError`.
 
-    The repetitions run through
-    :func:`~repro.experiments.parallel.run_many`.  ``parallel`` fans
-    them out over worker processes (``"auto"``/``0`` = one per core,
-    an int = that many workers).  Each repetition is an independent
-    seeded simulation, so the aggregate is identical to the serial
-    loop's — but pooled results carry no per-task objects
-    (``ExperimentResult.tasks`` is empty; tasks cannot cross the
-    process boundary).  The default (``None``) runs in-process and
-    keeps the tasks.
-
-    ``progress`` streams sweep telemetry (``source: "parallel"``,
-    one record per completed repetition, wall-clock ETA): a callable
-    sink, a pre-built
-    :class:`~repro.observability.telemetry.TelemetryBus`, or any
-    truthy value for buffered-only records.
-
-    ``checkpoint`` names a directory for a durable sweep ledger: each
-    finished repetition's metrics document is recorded atomically, and
-    a restarted sweep with the same directory skips every repetition
-    already in the ledger (their results are rebuilt from the ledger,
-    task-free, like parallel results).  Each repetition is an
-    independent seeded run, so skip-and-reload aggregates identically
-    to rerunning.
-
-    ``cache`` memoizes each repetition through a content-addressed
-    run store at **per-seed granularity** — a 64-seed sweep with 60
-    seeds already stored simulates only the missing 4.  Each
-    result's :attr:`~ExperimentResult.provenance` says whether it was
-    simulated (``fresh``), delivered from the store (``cached``), or
-    rebuilt from the ledger (``resumed``); the aggregate's
-    :attr:`~AggregateResult.provenance` counts them, and sweep
-    telemetry records carry the same per-member classification.
+    Every member is identical to an independent
+    :func:`run_experiment` at its seed, so the aggregate does not
+    depend on the engine or the worker count.  Only in-process replay
+    members keep their per-task objects; vectorized, cached and pooled
+    members are task-free.  A restarted sweep with the same ``cache`` store
+    simulates only the seeds the store does not hold yet.
     """
-    from ..ensemble.seeds import sweep_seeds
-    from .parallel import run_many
-
-    cfgs = [cfg.with_seed(seed) for seed in sweep_seeds(cfg, seeds, n_reps)]
-    on_result = None
-    if progress is not None:
-        from ..observability.telemetry import SweepTelemetry
-
-        telemetry = SweepTelemetry.create("parallel", len(cfgs), progress)
-
-        def on_result(_done, _total, result):
-            telemetry.member_done(result)
-    ledger = None
-    if checkpoint is not None:
-        from ..resilience.checkpoint import SweepLedger
-
-        ledger = SweepLedger(checkpoint)
-    results = run_many(cfgs, latencies,
-                       jobs=1 if parallel is None else parallel,
-                       progress=on_result, ledger=ledger, cache=cache)
-    return AggregateResult.of(cfg, results)
+    return run_ensemble(cfg, seeds=seeds, n_reps=n_reps,
+                        latencies=latencies, parallel=parallel,
+                        progress=progress, cache=cache).aggregate()
 
 
 def run_ensemble(cfg: ExperimentConfig, seeds=None, n_reps=None,
@@ -494,9 +452,9 @@ def run_ensemble(cfg: ExperimentConfig, seeds=None, n_reps=None,
                  **kwargs):
     """Batched multi-seed sweep; see :func:`repro.ensemble.run_ensemble`.
 
-    Re-exported here so sweep code has one import site for both
-    execution shapes (`run_repetitions` for aggregate-only, ensembles
-    for per-member results/profiles).
+    Re-exported here so sweep code has one import site: the per-member
+    results and profiles come from here, the aggregate from
+    :func:`run_repetitions`.
     """
     from ..ensemble import run_ensemble as _run_ensemble
 

@@ -1,14 +1,13 @@
 """Process-parallel experiment fan-out.
 
 Every experiment run is a self-contained, seeded, deterministic
-simulation, so independent runs (the repetitions of
-:func:`~repro.experiments.harness.run_repetitions`, or the
-configurations of a sweep) can execute in separate worker processes
-with no coordination at all.  The contract is strict: a parallel run
-produces *exactly* the results of the equivalent serial loop — same
-metrics, same ordering, and byte-identical trace exports — because
-each worker seeds its own simulation from the config and nothing is
-shared between runs.
+simulation, so independent runs (the configurations of ``table1``, or
+the seed batches of :func:`repro.ensemble.run_ensemble`) can execute
+in separate worker processes with no coordination at all.  The
+contract is strict: a parallel run produces *exactly* the results of
+the equivalent serial loop — same metrics, same ordering, and
+byte-identical trace exports — because each worker seeds its own
+simulation from the config and nothing is shared between runs.
 
 This module holds the one process-pool loop in the package
 (:func:`_fan_out`): :func:`run_many` drives it with one run per unit,
@@ -39,6 +38,7 @@ from typing import Callable, List, Optional, Sequence, Union
 from ..exceptions import ConfigurationError, HostFailureError
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
 from .configs import ExperimentConfig
+from .harness import ExperimentResult, run_experiment
 
 __all__ = ["resolve_jobs", "run_many"]
 
@@ -75,21 +75,10 @@ def resolve_jobs(jobs: Union[int, str, None] = None,
     return max(resolved, 1)
 
 
-def _run_one(payload):
-    """Run one experiment in this process.
-
-    The import of the harness is deferred to avoid a circular import —
-    ``harness`` imports :func:`run_many` lazily for the same reason.
-    """
-    cfg, latencies, cache = payload
-    from .harness import run_experiment
-
-    return run_experiment(cfg, latencies, cache=cache)
-
-
 def _run_pooled(payload):
     """Pool worker entry point (module-level so the pool can pickle
-    it): :func:`_run_one` with the unpicklable task objects stripped."""
+    it): one ``run_experiment`` with the unpicklable task objects
+    stripped."""
     from ..resilience.crash import crash_point, crash_value
 
     # Crash-injection hook (tests only; inert without the env var):
@@ -98,7 +87,7 @@ def _run_pooled(payload):
     # parent sees as a BrokenProcessPool and must recover from.
     if crash_value("pool") is not None:
         crash_point("pool", float(payload[0].seed))
-    result = _run_one(payload)
+    result = run_experiment(*payload)
     result.tasks = []
     return result
 
@@ -153,64 +142,36 @@ def run_many(configs: Sequence[ExperimentConfig],
              latencies: LatencyModel = FRONTIER_LATENCIES,
              jobs: Union[int, str, None] = None,
              progress: Optional[Callable] = None,
-             ledger=None,
-             cache=None,
-             ) -> List["ExperimentResult"]:  # noqa: F821
+             ) -> List[ExperimentResult]:
     """Run several independent experiments, fanned out over processes.
 
     Results come back in input order regardless of completion order.
-    With one worker (or one config to run) the pool is skipped
-    entirely and the runs execute in-process, returning exactly what
+    With one worker (or one config) the pool is skipped entirely and
+    the runs execute in-process, returning exactly what
     :func:`~repro.experiments.harness.run_experiment` returns (task
-    objects kept) — the serial path of every multi-run caller.
+    objects kept).  Pooled runs survive killed workers via
+    :func:`_fan_out`.
 
     ``progress(n_completed, n_total, result)`` is called in the parent
-    process as each run lands, in completion order (the telemetry
-    feed ``run_repetitions(progress=)`` builds on).
-
-    ``ledger`` (a :class:`~repro.resilience.SweepLedger`) makes the
-    fan-out restartable: units already recorded as complete are not
-    re-run (their metrics documents are rehydrated instead), and every
-    unit that lands is durably recorded before the next progress call.
-
-    Pooled runs survive killed workers via :func:`_fan_out`.
-
-    ``cache`` (a :class:`~repro.store.RunStore` or directory path)
-    memoizes each unit through the content-addressed run store: hits
-    are delivered inside the worker without simulating, misses
-    populate the store there (concurrent workers racing on one digest
-    resolve to one winner via atomic rename).
+    process as each run lands, in completion order (``table1``'s
+    ``done:`` lines).
     """
     configs = list(configs)
-    results: List[Optional["ExperimentResult"]] = [None] * len(configs)
+    results: List[Optional[ExperimentResult]] = [None] * len(configs)
     completed = 0
 
-    def land(i, result, record=True):
+    def land(i, result):
         nonlocal completed
         results[i] = result
-        if ledger is not None and record:
-            ledger.record(configs[i], result)
         completed += 1
         if progress is not None:
             progress(completed, len(configs), result)
 
-    pending = []
-    for i, cfg in enumerate(configs):
-        doc = ledger.completed(cfg) if ledger is not None else None
-        if doc is not None:
-            from ..resilience.checkpoint import result_from_doc
-
-            result = result_from_doc(cfg, doc)
-            result.provenance = "resumed"
-            land(i, result, record=False)
-        else:
-            pending.append(i)
-    payloads = [(configs[i], latencies, cache) for i in pending]
-    n_workers = resolve_jobs(jobs, n_items=len(pending))
+    payloads = [(cfg, latencies) for cfg in configs]
+    n_workers = resolve_jobs(jobs, n_items=len(payloads))
     if n_workers <= 1:
-        for i, payload in zip(pending, payloads):
-            land(i, _run_one(payload))
+        for i, payload in enumerate(payloads):
+            land(i, run_experiment(*payload))
     else:
-        _fan_out(_run_pooled, payloads, n_workers,
-                lambda k, result: land(pending[k], result))
+        _fan_out(_run_pooled, payloads, n_workers, land)
     return results

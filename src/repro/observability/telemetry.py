@@ -18,9 +18,8 @@ record schema (:data:`TELEMETRY_SCHEMA`):
   :data:`~repro.analytics.profiler.PROBE_STRIDE` records
   (:meth:`TelemetryBus.probe`, :meth:`~repro.analytics.profiler.
   Profiler.attach_probe`);
-* ensembles — the engines report per-seed / per-cohort progress;
-* ``run_repetitions(parallel=)`` — the parent process emits one
-  record per completed repetition.
+* multi-seed sweeps (``run_ensemble``, hence ``run_repetitions``) —
+  the engines report per-seed / per-cohort progress.
 
 Records go to any number of subscribers (the CLI line renderer, a
 JSONL stream, the in-memory buffer the bundle writer reads) — the
@@ -55,7 +54,7 @@ __all__ = [
 TELEMETRY_SCHEMA = 1
 
 #: Values the ``source`` field may take — one per execution shape.
-TELEMETRY_SOURCES = ("plain", "ensemble", "parallel")
+TELEMETRY_SOURCES = ("plain", "ensemble")
 
 #: Default wall-clock poll interval [s]: snapshots are taken at most
 #: this often no matter how fast the probe fires.
@@ -328,8 +327,8 @@ class RunTelemetry:
 
 
 class SweepTelemetry:
-    """Progress over a multi-member sweep (ensemble seeds, parallel
-    repetitions).
+    """Progress over a multi-member sweep (the seeds of one
+    ``run_ensemble``).
 
     Members are whole experiment runs, so ETA comes from the *wall*
     clock member-completion rate (``eta_basis: "wall"``) — the sim
@@ -339,12 +338,12 @@ class SweepTelemetry:
     has formally completed.
     """
 
-    def __init__(self, source: str, members_total: int,
+    def __init__(self, members_total: int,
                  bus: Optional[TelemetryBus] = None,
                  sink: Optional[Callable[[Dict[str, Any]], None]] = None,
                  interval: float = DEFAULT_INTERVAL) -> None:
         self.bus = bus if bus is not None else TelemetryBus(
-            source, interval=interval, sink=sink)
+            "ensemble", interval=interval, sink=sink)
         self.members_total = int(members_total)
         self.members_done = 0
         self.tasks_total: Optional[int] = None
@@ -353,20 +352,18 @@ class SweepTelemetry:
         #: ``(done, total)`` task counts from a lock-stepped engine's
         #: mid-flight cohort hook; superseded once members complete.
         self._cohort: Optional[tuple] = None
-        #: Members delivered without simulating: run-store hits and
-        #: sweep-ledger rehydrations (see ``ExperimentResult.provenance``).
+        #: Members delivered without simulating: run-store hits (see
+        #: ``ExperimentResult.provenance``).
         self.members_cached = 0
-        self.members_resumed = 0
         self.eta = EtaEstimator(self.members_total)
 
     @classmethod
-    def create(cls, source: str, members_total: int, progress
-               ) -> "SweepTelemetry":
+    def create(cls, members_total: int, progress) -> "SweepTelemetry":
         """Coerce a ``run_experiment``-style ``progress`` value (a
         :class:`TelemetryBus`, a callable sink, or a truthy flag)."""
         if isinstance(progress, TelemetryBus):
-            return cls(source, members_total, bus=progress)
-        return cls(source, members_total,
+            return cls(members_total, bus=progress)
+        return cls(members_total,
                    sink=progress if callable(progress) else None)
 
     @property
@@ -385,7 +382,6 @@ class SweepTelemetry:
             "tasks_done": tasks_done,
             "tasks_failed": self.tasks_failed,
             "members_cached": self.members_cached,
-            "members_resumed": self.members_resumed,
             "progress": round(done / total, 6) if total else 0.0,
             "eta_seconds": self.eta.estimate(self.bus.elapsed(), done),
             "eta_basis": "wall",
@@ -398,16 +394,12 @@ class SweepTelemetry:
         unconditionally when it is the last one so every sweep
         produces at least one record.
 
-        ``"cached"`` (run-store hit) and ``"resumed"`` (sweep-ledger
-        rehydration) members, by ``result.provenance``, are counted
-        separately so the stream shows how much of a sweep was
-        actually simulated."""
+        ``"cached"`` members (run-store hits, by
+        ``result.provenance``) are counted separately so the stream
+        shows how much of a sweep was actually simulated."""
         self.members_done += 1
-        provenance = result.provenance
-        if provenance == "cached":
+        if result.provenance == "cached":
             self.members_cached += 1
-        elif provenance == "resumed":
-            self.members_resumed += 1
         self.tasks_total = (self.tasks_total or 0) + int(result.n_tasks)
         self.tasks_done += int(result.n_done)
         self.tasks_failed += int(result.n_failed)
@@ -464,11 +456,8 @@ def render_progress_line(record: Dict[str, Any]) -> str:
     if members is not None:
         parts.append(f"seeds {record.get('members_done', 0)}/{members}")
         cached = record.get("members_cached", 0)
-        resumed = record.get("members_resumed", 0)
         if cached:
             parts.append(f"cached {cached}")
-        if resumed:
-            parts.append(f"resumed {resumed}")
     if record.get("nodes_down"):
         parts.append(f"down {record['nodes_down']}")
     parts.append(f"rss {record.get('rss_mb', 0.0):.0f}MB")
@@ -569,7 +558,7 @@ def validate_telemetry(record: Dict[str, Any]) -> List[str]:
                     problems.append(f"backends[{name!r}]: needs "
                                     "active/queued")
         need("nodes_down", int)
-    if source in ("ensemble", "parallel"):
+    if source == "ensemble":
         need("members_done", int)
         need("members_total", int)
     return problems

@@ -1,4 +1,4 @@
-"""Crash-safe execution: durable checkpoints and sweep ledgers.
+"""Crash-safe execution: atomic writes and durable run checkpoints.
 
 The machinery in this package extends the robustness story from the
 *modeled* machine (``repro.faults``: simulated node crashes inside the
@@ -12,9 +12,9 @@ an OOM'd pool worker, a Ctrl-C mid-sweep.  It has two pillars:
 ``checkpoint``
     Durable run checkpoints (versioned header, config/seed/code
     digests, kernel/RNG/profile watermarks) and deterministic
-    resume-by-replay, plus a sweep ledger that lets ``run_many`` /
-    ``run_repetitions`` skip already-finished points after an
-    interruption.
+    resume-by-replay.  A multi-seed sweep restarts through the run
+    store instead (``run_ensemble(cache=...)`` simulates only the
+    seeds the store does not hold).
 
 Everything here is wall-clock-side instrumentation: with checkpointing
 off and no host failures, no code path in this package touches the
@@ -26,7 +26,6 @@ from .atomic import atomic_write_bytes, atomic_write_json, atomic_write_text
 from .checkpoint import (
     CheckpointError,
     RunCheckpointer,
-    SweepLedger,
     load_checkpoint,
 )
 from .crash import crash_point, crash_value
@@ -38,7 +37,6 @@ __all__ = [
     "atomic_write_text",
     "CheckpointError",
     "RunCheckpointer",
-    "SweepLedger",
     "load_checkpoint",
     "crash_point",
     "crash_value",

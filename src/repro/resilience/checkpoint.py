@@ -33,13 +33,10 @@ snapshots comparable.  The tick callback touches no RNG and records
 no trace events, so checkpointed and checkpoint-free runs of the same
 seed still produce byte-identical profiles.
 
-Sweep ledger
-------------
-For multi-unit work (``run_repetitions``, ``run_many``) the win is
-not mid-run state but *not redoing finished units*: a
-:class:`SweepLedger` durably records each completed unit's metrics
-document (atomic rewrite per unit), and a restarted sweep skips every
-unit already in the ledger.
+Multi-seed sweeps need no checkpoint of their own: each seed is an
+independent run, and ``run_ensemble(cache=...)`` files every finished
+seed in the content-addressed run store, so a restarted sweep
+simulates only the seeds the store does not hold yet.
 """
 
 from __future__ import annotations
@@ -328,128 +325,3 @@ def code_drift(doc: Dict[str, Any]) -> List[str]:
         if then.get(key) != now.get(key):
             drift.append(f"{key}: {then.get(key)!r} -> {now.get(key)!r}")
     return drift
-
-
-# ---------------------------------------------------------------------------
-# Sweep ledger
-# ---------------------------------------------------------------------------
-
-LEDGER_NAME = "sweep.json"
-
-
-def unit_key(cfg: "ExperimentConfig") -> str:
-    """Identity of one sweep unit: the run store's digest over config,
-    seed and code fingerprint, so a unit recorded by other code is
-    re-run, not rehydrated."""
-    # Lazy: repro.store.store imports this module at load time.
-    from ..store.keys import run_digest
-
-    return run_digest(cfg)
-
-
-def result_to_doc(result) -> Dict[str, Any]:
-    """Persistable metrics document for one finished run.
-
-    The one codec for sweep-ledger units and run-store entries: it
-    carries everything an
-    :class:`~repro.experiments.harness.ExperimentResult` holds except
-    per-task objects and the live session (the same contract parallel
-    repetitions already have) — counts, throughput, utilization,
-    makespan, startup overheads and the fault report.
-    """
-    return {
-        "n_tasks": result.n_tasks,
-        "n_done": result.n_done,
-        "n_failed": result.n_failed,
-        "throughput": dataclasses.asdict(result.throughput),
-        "utilization_cores": result.utilization_cores,
-        "utilization_gpus": result.utilization_gpus,
-        "makespan": result.makespan,
-        "startup_overheads": [list(pair) for pair in
-                              result.startup_overheads],
-        "wall_seconds": result.wall_seconds,
-        "faults": (dataclasses.asdict(result.faults)
-                   if result.faults is not None else None),
-        # Frozen keys: ledgers and run stores on disk carry them;
-        # readers ignore them.
-        "n_shards": 0,
-        "shard_peak_rss_mb": [],
-    }
-
-
-def result_from_doc(cfg: "ExperimentConfig", doc: Dict[str, Any]):
-    """Rebuild a (task-free) :class:`ExperimentResult` from its
-    document.  Ledgers written before documents carried ``faults``
-    load with ``faults=None``."""
-    from ..analytics.metrics import ThroughputStats
-    from ..experiments.harness import ExperimentResult
-
-    result = ExperimentResult(
-        config=cfg,
-        n_tasks=int(doc["n_tasks"]),
-        n_done=int(doc["n_done"]),
-        n_failed=int(doc["n_failed"]),
-        throughput=ThroughputStats(**doc["throughput"]),
-        utilization_cores=float(doc["utilization_cores"]),
-        utilization_gpus=float(doc["utilization_gpus"]),
-        makespan=float(doc["makespan"]),
-        startup_overheads=[(str(n), float(v)) for n, v in
-                           doc.get("startup_overheads", [])],
-        wall_seconds=float(doc.get("wall_seconds", 0.0)),
-    )
-    faults = doc.get("faults")
-    if faults is not None:
-        from ..faults import FaultReport
-
-        faults = dict(faults)
-        faults["schedule"] = tuple(
-            tuple(item) for item in faults.get("schedule", ()))
-        result.faults = FaultReport(**faults)
-    return result
-
-
-class SweepLedger:
-    """Durable completed-unit record for multi-run sweeps.
-
-    Each :meth:`record` call atomically rewrites the ledger file, so a
-    sweep killed at any instant leaves a readable ledger listing every
-    unit that *finished*; :meth:`completed` lets the restarted sweep
-    skip them.  The ledger is keyed by :func:`unit_key` (config, seed
-    and code version), so a changed config or source tree invalidates
-    old entries instead of serving stale results.
-    """
-
-    def __init__(self, directory: PathLike) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / LEDGER_NAME
-        self._units: Dict[str, Dict[str, Any]] = {}
-        if self.path.exists():
-            try:
-                doc = json.loads(self.path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise CheckpointError(
-                    f"unreadable sweep ledger {self.path}: {exc}") from exc
-            if doc.get("format") != "repro-sweep-ledger":
-                raise CheckpointError(
-                    f"{self.path}: not a sweep ledger")
-            self._units = dict(doc.get("units", {}))
-
-    def __len__(self) -> int:
-        return len(self._units)
-
-    def completed(self, cfg: "ExperimentConfig") -> Optional[Dict[str, Any]]:
-        """The stored result document for ``cfg``, if it finished."""
-        return self._units.get(unit_key(cfg))
-
-    def record(self, cfg: "ExperimentConfig", result) -> None:
-        """Durably mark ``cfg`` finished with ``result``'s metrics."""
-        self._units[unit_key(cfg)] = result_to_doc(result)
-        self._flush()
-
-    def _flush(self) -> None:
-        atomic_write_json(self.path, {
-            "format": "repro-sweep-ledger",
-            "version": 1,
-            "units": self._units,
-        })

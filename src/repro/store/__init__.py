@@ -7,10 +7,11 @@ determinism suites).  This package exploits that: each run is keyed
 by a canonical digest of its identity (:mod:`repro.store.keys`),
 finished runs land in an on-disk content-addressed store
 (:class:`~repro.store.store.RunStore`), and the harness's hot paths
-(``run_experiment(cache=...)``, ``run_repetitions``, ``run_many``,
-``run_ensemble``) consult the store before simulating — a repeat
-query of a 90-second ``frontier_full`` point becomes a millisecond
-lookup.  :mod:`repro.store.query` adds the analytics surface: filter
+(``run_experiment(cache=...)`` and the multi-seed sweep,
+``run_ensemble``/``run_repetitions``) consult the store before
+simulating — a repeat query of a 90-second ``frontier_full`` point
+becomes a millisecond lookup, and an interrupted sweep re-run with
+the same store simulates only the seeds it had not finished.  :mod:`repro.store.query` adds the analytics surface: filter
 runs by config fields, compare metric profiles, and find the nearest
 neighbours of a run in metric space.
 

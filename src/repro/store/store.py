@@ -12,7 +12,7 @@ Layout (everything under one root directory)::
       objects/ab/<digest>/
         entry.json      full config doc, cache key, fingerprint,
                         artifact hashes + sizes
-        result.json     the run's metrics document
+        result.json     the run's metrics document (result_to_doc)
         profile.jsonl   byte-exact trace export (save_profile format)
       tmp/              staging dirs (one atomic rename publishes each)
       trash/            eviction staging (renamed out, then deleted)
@@ -68,7 +68,6 @@ from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..exceptions import StoreError
-from ..resilience.checkpoint import result_from_doc, result_to_doc
 from .keys import KEY_SCHEME, cache_key, run_digest
 
 try:  # pragma: no cover - POSIX (the supported platform) has fcntl
@@ -131,6 +130,67 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             hasher.update(chunk)
     return hasher.hexdigest()
+
+
+def result_to_doc(result) -> Dict[str, Any]:
+    """The ``result.json`` document of one finished run.
+
+    It carries everything an
+    :class:`~repro.experiments.harness.ExperimentResult` holds except
+    per-task objects and the live session (the same contract pooled
+    runs have): counts, throughput, utilization, makespan, startup
+    overheads and the fault report.
+    """
+    return {
+        "n_tasks": result.n_tasks,
+        "n_done": result.n_done,
+        "n_failed": result.n_failed,
+        "throughput": dataclasses.asdict(result.throughput),
+        "utilization_cores": result.utilization_cores,
+        "utilization_gpus": result.utilization_gpus,
+        "makespan": result.makespan,
+        "startup_overheads": [list(pair) for pair in
+                              result.startup_overheads],
+        "wall_seconds": result.wall_seconds,
+        "faults": (dataclasses.asdict(result.faults)
+                   if result.faults is not None else None),
+        # Frozen keys: run stores on disk carry them; readers ignore
+        # them.
+        "n_shards": 0,
+        "shard_peak_rss_mb": [],
+    }
+
+
+def result_from_doc(cfg, doc: Dict[str, Any]):
+    """Rebuild a (task-free) ``ExperimentResult`` from its document.
+
+    Documents without a ``faults`` key load with ``faults=None``.
+    """
+    from ..analytics.metrics import ThroughputStats
+    from ..experiments.harness import ExperimentResult
+
+    result = ExperimentResult(
+        config=cfg,
+        n_tasks=int(doc["n_tasks"]),
+        n_done=int(doc["n_done"]),
+        n_failed=int(doc["n_failed"]),
+        throughput=ThroughputStats(**doc["throughput"]),
+        utilization_cores=float(doc["utilization_cores"]),
+        utilization_gpus=float(doc["utilization_gpus"]),
+        makespan=float(doc["makespan"]),
+        startup_overheads=[(str(n), float(v)) for n, v in
+                           doc.get("startup_overheads", [])],
+        wall_seconds=float(doc.get("wall_seconds", 0.0)),
+    )
+    faults = doc.get("faults")
+    if faults is not None:
+        from ..faults import FaultReport
+
+        faults = dict(faults)
+        faults["schedule"] = tuple(
+            tuple(item) for item in faults.get("schedule", ()))
+        result.faults = FaultReport(**faults)
+    return result
 
 
 @dataclasses.dataclass

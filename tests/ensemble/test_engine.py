@@ -13,7 +13,7 @@ from repro.ensemble import (
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import config_by_id
-from repro.experiments.harness import run_repetitions
+from repro.experiments.harness import run_experiment, run_repetitions
 
 
 class TestSeedParsing:
@@ -51,13 +51,21 @@ CFG = config_by_id("srun", n_nodes=1, waves=1)
 
 class TestRunEnsemble:
     def test_default_seeds_match_run_repetitions(self):
-        agg_reps = run_repetitions(CFG, n_reps=3)
+        # The default seeds are cfg.seed + rep, and the aggregate is the
+        # paper's avg/max over independent per-seed runs.
+        runs = [run_experiment(CFG.with_seed(CFG.seed + rep))
+                for rep in range(3)]
         agg_ens = run_ensemble(CFG).aggregate()
         assert agg_ens.n_reps == 3
-        assert agg_ens.throughput_avg == agg_reps.throughput_avg
-        assert agg_ens.throughput_max == agg_reps.throughput_max
-        assert agg_ens.utilization_avg == agg_reps.utilization_avg
-        assert agg_ens.makespan_avg == agg_reps.makespan_avg
+        assert [r.config.seed for r in agg_ens.results] == \
+            [r.config.seed for r in runs]
+        assert agg_ens.throughput_avg == \
+            sum(r.throughput.avg for r in runs) / 3
+        assert agg_ens.throughput_max == \
+            max(r.throughput.peak for r in runs)
+        assert agg_ens.utilization_avg == \
+            sum(r.utilization_cores for r in runs) / 3
+        assert agg_ens.makespan_avg == sum(r.makespan for r in runs) / 3
 
     def test_seed_spec_string(self):
         ens = run_ensemble(CFG, seeds="10,2-3")
@@ -119,8 +127,7 @@ class TestCli:
 
         out = tmp_path / "profiles"
         rc = main(["run", "srun", "--nodes", "1", "--waves", "1",
-                   "--ensemble", "--seeds", "0-2",
-                   "--profile-dir", str(out)])
+                   "--seeds", "0-2", "--profile-dir", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "vectorized" in printed
@@ -142,6 +149,6 @@ class TestCli:
     def test_bad_seed_spec_is_user_error(self, capsys):
         from repro.experiments.__main__ import main
 
-        rc = main(["run", "srun", "--ensemble", "--seeds", "7-3"])
+        rc = main(["run", "srun", "--seeds", "7-3"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err

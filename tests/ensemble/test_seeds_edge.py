@@ -69,7 +69,7 @@ class TestCliRoundTrip:
         # exactly the distinct seeds, and the run must succeed with
         # members in spec order (5, 0, 1, 2, 1).
         rc = main(["run", "srun", "--nodes", "1", "--waves", "1",
-                   "--ensemble", "--seeds", "5,0-2,1",
+                   "--seeds", "5,0-2,1",
                    "--profile-dir", str(out)])
         assert rc == 0
         assert "5" in capsys.readouterr().out  # seed count column
@@ -87,6 +87,6 @@ class TestCliRoundTrip:
     def test_reversed_range_fails_cli(self, capsys):
         from repro.experiments.__main__ import main
 
-        rc = main(["run", "srun", "--ensemble", "--seeds", "20-5"])
+        rc = main(["run", "srun", "--seeds", "20-5"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err

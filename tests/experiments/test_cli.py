@@ -24,6 +24,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "avg tasks/s" in out
 
+    def test_sweep_stdout_is_independent_of_parallel(self, capsys):
+        # The sweep table is a pure function of config and seeds; the
+        # worker count and wall time go to stderr only.
+        argv = ["run", "srun", "--nodes", "1", "--waves", "1",
+                "--reps", "4"]
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        assert main(argv + ["--parallel", "2"]) == 0
+        pooled = capsys.readouterr()
+        assert serial.out == pooled.out
+        assert "vectorized" in serial.out
+        assert "ms/seed" in serial.err and "ms/seed" in pooled.err
+
+    def test_sweep_writes_bundle(self, capsys, tmp_path):
+        import json
+
+        bundle = tmp_path / "bundle"
+        assert main(["run", "srun", "--nodes", "1", "--waves", "1",
+                     "--seeds", "3,4", "--bundle", str(bundle)]) == 0
+        assert f"wrote ensemble bundle to {bundle}" in \
+            capsys.readouterr().out
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["ensemble"]["seeds"] == [3, 4]
+        assert (bundle / "profile-seed3.jsonl").is_file()
+        assert (bundle / "profile-seed4.jsonl").is_file()
+
     def test_table1_filtered(self, capsys):
         assert main(["table1", "--waves", "1", "--max-nodes", "2"]) == 0
         out = capsys.readouterr().out
@@ -77,8 +103,6 @@ class TestCli:
          "--reps", "5", "--seeds", "1-2"],
         ["run", "srun", "--nodes", "1", "--waves", "1",
          "--reps", "1", "--seeds", "1-2"],
-        ["run", "srun", "--nodes", "1", "--waves", "1",
-         "--reps", "5", "--seeds", "1-2", "--ensemble"],
     ], ids=lambda argv: " ".join(argv[6:]))
     def test_reps_and_seeds_together_are_rejected(self, argv, capsys):
         # Both name the seed list; running either one silently would
@@ -91,16 +115,13 @@ class TestCli:
     @pytest.mark.parametrize("extra", [
         ["--reps", "3", "--profile", "p.jsonl"],
         ["--seeds", "0,1", "--summary"],
-        ["--reps", "2", "--bundle", "b"],
         ["--reps", "2", "--spill-dir", "s"],
-        ["--ensemble", "--seeds", "0,1", "--spill-dir", "s"],
-        ["--ensemble", "--checkpoint", "c"],
-        ["--ensemble", "--checkpoint", "c", "--checkpoint-every", "5"],
+        ["--reps", "2", "--checkpoint", "c"],
+        ["--seeds", "0,1", "--checkpoint", "c", "--checkpoint-every", "5"],
         ["--checkpoint-every", "5"],
         ["--checkpoint-wall", "0"],
         ["--reps", "2", "--checkpoint", "c", "--checkpoint-wall", "1"],
         ["--profile-dir", "d"],
-        ["--reps", "2", "--profile-dir", "d"],
         ["--parallel", "2"],
         ["--reps", "0"],
     ], ids=" ".join)

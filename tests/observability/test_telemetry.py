@@ -1,10 +1,11 @@
 """Live telemetry bus: schema stability, determinism, ETA, host time.
 
-Pins the ISSUE's acceptance gates:
+Pinned here:
 
-* every execution shape (plain, ``--parallel``, ``--ensemble``) emits
-  schema-valid JSONL records through the same
-  :func:`~repro.observability.telemetry.validate_telemetry` contract;
+* every execution shape (a plain run, a ``--reps``/``--seeds`` sweep,
+  serial or ``--parallel``) emits schema-valid JSONL records through
+  the same :func:`~repro.observability.telemetry.validate_telemetry`
+  contract;
 * same-seed profiles are byte-identical with progress streaming on or
   off, for srun, flux_n, dragon and ensemble runs — telemetry observes
   the simulation, it never perturbs it;
@@ -169,9 +170,8 @@ def _member(n_tasks, n_done, n_failed, provenance="fresh"):
 class TestSweepTelemetry:
     def test_last_member_always_emits(self):
         clock = FakeClock()
-        sweep = SweepTelemetry("ensemble", 3,
-                               bus=TelemetryBus("ensemble", interval=1e9,
-                                                clock=clock))
+        sweep = SweepTelemetry(3, bus=TelemetryBus("ensemble", interval=1e9,
+                                                   clock=clock))
         sweep.member_done(_member(10, 10, 0))   # first poll fires
         sweep.member_done(_member(10, 9, 1))    # rate-limited away
         final = sweep.member_done(_member(10, 10, 0))
@@ -187,7 +187,7 @@ class TestSweepTelemetry:
     def test_cohort_counts_superseded_by_members(self):
         clock = FakeClock()
         bus = TelemetryBus("ensemble", interval=0.0, clock=clock)
-        sweep = SweepTelemetry("ensemble", 2, bus=bus)
+        sweep = SweepTelemetry(2, bus=bus)
         record = sweep.cohort(128, 512)
         assert record["tasks_done"] == 128 and record["tasks_total"] == 512
         assert record["members_done"] == 0
@@ -264,14 +264,14 @@ class TestSchemaAcrossShapes:
             "run", "srun", "--nodes", "2", "--waves", "1",
             "--reps", "2", "--parallel", "2", "--progress", "jsonl"])
         final = records[-1]
-        assert final["source"] == "parallel"
+        assert final["source"] == "ensemble"
         assert final["members_done"] == final["members_total"] == 2
         assert final["eta_basis"] == "wall"
 
     def test_ensemble_run(self, capsys):
         records = _cli_records(capsys, [
             "run", "srun", "--nodes", "2", "--waves", "1",
-            "--ensemble", "--reps", "2", "--progress", "jsonl"])
+            "--reps", "2", "--progress", "jsonl"])
         final = records[-1]
         assert final["source"] == "ensemble"
         assert final["members_done"] == final["members_total"] == 2

@@ -8,8 +8,7 @@ Pinned here:
   uninterrupted run — both from a mid-run checkpoint (the writer was
   SIGKILLed between ticks) and from a completed one;
 * drift (different code/config/seed) is *detected*, never silently
-  resumed past;
-* the sweep ledger rebuilds finished repetitions without re-running.
+  resumed past.
 """
 
 import hashlib
@@ -24,20 +23,12 @@ import pytest
 
 from repro.exceptions import CheckpointError
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.harness import (
-    resume_experiment,
-    run_experiment,
-    run_repetitions,
-)
+from repro.experiments.harness import resume_experiment, run_experiment
 from repro.resilience import ResilienceSpec, load_checkpoint
 from repro.resilience.checkpoint import (
-    SweepLedger,
     config_digest,
     config_from_doc,
     config_to_doc,
-    result_from_doc,
-    result_to_doc,
-    unit_key,
 )
 
 SRUN = dict(exp_id="ckpt", launcher="srun", workload="null",
@@ -234,71 +225,3 @@ class TestResume:
         message = str(info.value)
         assert "diverged" in message and "n_events" in message
         assert "repro: '0.0.0-forged' -> " in message
-
-
-class TestSweepLedger:
-    def test_result_doc_roundtrip(self):
-        cfg = ExperimentConfig(**SRUN)
-        result = run_experiment(cfg)
-        clone = result_from_doc(cfg, result_to_doc(result))
-        assert clone.n_done == result.n_done
-        assert clone.throughput.avg == result.throughput.avg
-        assert clone.makespan == result.makespan
-        assert clone.tasks == []
-
-    def test_ledger_skips_completed_units(self, tmp_path):
-        cfg = ExperimentConfig(**SRUN)
-        agg1 = run_repetitions(cfg, n_reps=2, checkpoint=tmp_path)
-        # The restart rebuilds every repetition from the ledger; a
-        # re-simulation would take visible wall time, rebuilding is
-        # instant and must aggregate identically.
-        agg2 = run_repetitions(cfg, n_reps=2, checkpoint=tmp_path)
-        assert agg2.throughput_avg == agg1.throughput_avg
-        assert agg2.makespan_avg == agg1.makespan_avg
-        ledger = SweepLedger(tmp_path)
-        assert ledger.completed(cfg) is not None
-        assert ledger.completed(cfg.with_seed(cfg.seed + 1)) is not None
-        assert ledger.completed(cfg.with_seed(cfg.seed + 2)) is None
-
-    def test_resumed_faulty_unit_keeps_its_fault_report(self, tmp_path):
-        from repro.experiments import run_many
-        from repro.faults import FaultSpec
-
-        cfg = replace(ExperimentConfig(**SRUN),
-                      faults=FaultSpec(p_launch_fail=0.05))
-        cfgs = [cfg, cfg.with_seed(cfg.seed + 1)]
-        fresh = run_many(cfgs, jobs=1, ledger=SweepLedger(tmp_path))
-        resumed = run_many(cfgs, jobs=1, ledger=SweepLedger(tmp_path))
-        for a, b in zip(fresh, resumed):
-            assert b.provenance == "resumed"
-            assert a.faults is not None
-            assert b.faults == a.faults
-
-    def test_ledger_without_faults_key_still_loads(self, tmp_path):
-        cfg = ExperimentConfig(**SRUN)
-        SweepLedger(tmp_path).record(cfg, run_experiment(cfg))
-        ledger_path = SweepLedger(tmp_path).path
-        doc = json.loads(ledger_path.read_text())
-        for unit in doc["units"].values():
-            del unit["faults"]
-        ledger_path.write_text(json.dumps(doc))
-        unit = SweepLedger(tmp_path).completed(cfg)
-        assert "faults" not in unit
-        assert result_from_doc(cfg, unit).faults is None
-
-    def test_unit_from_other_code_is_not_rehydrated(self, tmp_path,
-                                                    monkeypatch):
-        import repro.store.keys as keys_mod
-
-        cfg = ExperimentConfig(**SRUN)
-        SweepLedger(tmp_path).record(cfg, run_experiment(cfg))
-        assert SweepLedger(tmp_path).completed(cfg) is not None
-        monkeypatch.setattr(keys_mod, "code_fingerprint",
-                            lambda *a, **k: "f" * 64)
-        assert SweepLedger(tmp_path).completed(cfg) is None
-
-    def test_unit_key_distinguishes_config_and_seed(self):
-        cfg = ExperimentConfig(**SRUN)
-        assert unit_key(cfg) != unit_key(cfg.with_seed(cfg.seed + 1))
-        assert unit_key(cfg) != unit_key(replace(cfg, waves=2))
-        assert unit_key(cfg) == unit_key(ExperimentConfig(**SRUN))

@@ -1,10 +1,10 @@
-"""Parallel-pool crash recovery: salvage, resubmit, ledger restart.
+"""Parallel-pool crash recovery: salvage, resubmit, store restart.
 
 A pool worker hard-killed by the OS (``BrokenProcessPool``) must not
 cost a sweep anything but wall time: landed results are salvaged,
-only the missing units are resubmitted, and with a sweep ledger a
-fully restarted process skips everything already done.  Results are
-identical to the serial loop's either way.
+only the missing units are resubmitted, and with a run store
+(``cache=``) a fully restarted process simulates nothing already
+finished.  Results are identical to the serial loop's either way.
 """
 
 import pytest
@@ -30,10 +30,11 @@ class TestPoolRecovery:
         monkeypatch.setenv("REPRO_CRASH_ONCE",
                            str(tmp_path / "crash.marker"))
         agg = run_repetitions(ExperimentConfig(**SRUN), n_reps=4,
-                              parallel=4, checkpoint=tmp_path)
+                              parallel=4, cache=tmp_path / "store")
         assert (tmp_path / "crash.marker").exists(), \
             "crash hook never fired"
         assert [r.throughput.avg for r in agg.results] == serial_reference
+        assert agg.provenance == {"fresh": 4}
 
     def test_ensemble_batch_kill_is_recovered(self, tmp_path, monkeypatch):
         from repro.ensemble import run_ensemble
@@ -48,15 +49,22 @@ class TestPoolRecovery:
         assert [m.result.throughput.avg for m in rec.members] == \
             [m.result.throughput.avg for m in ref.members]
 
-    def test_ledger_restart_skips_completed_units(
-            self, tmp_path, serial_reference):
+    def test_store_restart_simulates_nothing(
+            self, tmp_path, monkeypatch, serial_reference):
+        # The killed sweep still files every seed in the store (the
+        # resubmitted batch included), so the restart delivers all of
+        # them from it: no seed is simulated twice.
+        store = tmp_path / "store"
+        monkeypatch.setenv("REPRO_CRASH_AT", "pool:2")
+        monkeypatch.setenv("REPRO_CRASH_ONCE",
+                           str(tmp_path / "crash.marker"))
         run_repetitions(ExperimentConfig(**SRUN), n_reps=4,
-                        parallel=4, checkpoint=tmp_path)
-        # Restart with the same ledger: every unit rehydrates, nothing
-        # re-simulates, the aggregate is unchanged.
+                        parallel=4, cache=store)
+        assert (tmp_path / "crash.marker").exists()
         agg = run_repetitions(ExperimentConfig(**SRUN), n_reps=4,
-                              parallel=4, checkpoint=tmp_path)
+                              parallel=4, cache=store)
         assert [r.throughput.avg for r in agg.results] == serial_reference
+        assert [r.provenance for r in agg.results] == ["cached"] * 4
         assert all(r.tasks == [] for r in agg.results)
 
     def test_retry_exhaustion_raises_host_failure(self, monkeypatch):

@@ -63,8 +63,7 @@ class TestRunCache:
 
     def test_ensemble_summary_line(self, store_dir, capsys):
         assert main(["run", "srun", "--nodes", "1", "--waves", "1",
-                     "--ensemble", "--seeds", "0,1",
-                     "--cache", store_dir]) == 0
+                     "--seeds", "0,1", "--cache", store_dir]) == 0
         err = capsys.readouterr().err
         assert "cache:" in err and "hit(s)" in err
 
@@ -149,8 +148,7 @@ class TestStoreCommand:
         store = str(tmp_path / "store")
         for seed in ("0", "1", "2"):
             assert main(["run", "srun", "--nodes", "1", "--waves", "1",
-                         "--seeds", seed, "--ensemble",
-                         "--cache", store]) == 0
+                         "--seeds", seed, "--cache", store]) == 0
         capsys.readouterr()
         assert main(["store", "gc", store, "--max-entries", "1"]) == 0
         out = capsys.readouterr().out

@@ -67,6 +67,18 @@ class TestRoundtrip:
         rebuilt = result_from_doc(donor[0], doc)
         assert rebuilt.throughput.peak == result.throughput.peak
 
+    def test_document_without_faults_key_loads(self, donor):
+        # result.json documents written before they carried a fault
+        # report still load, with no report.
+        from repro.store.store import result_from_doc
+
+        cfg, result, _ = donor
+        doc = result_to_doc(result)
+        del doc["faults"]
+        rebuilt = result_from_doc(cfg, doc)
+        assert rebuilt.faults is None
+        assert rebuilt.makespan == result.makespan
+
     def test_miss_is_counted(self, tmp_path, donor):
         store = RunStore(tmp_path / "store")
         assert store.fetch("0" * 64) is None
