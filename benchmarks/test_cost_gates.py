@@ -8,8 +8,8 @@ nothing is written to disk.  Cross-commit speed is the business of
 pin what one commit costs on top of itself:
 
 * **Instrumented legs** on the kernel reference configuration (flux,
-  64 nodes, 4 partitions, 14,336 null tasks): live progress, fault
-  injection and durable checkpointing, each against the plain run.
+  64 nodes, 4 partitions, 14,336 null tasks): live progress and fault
+  injection, each against the plain run.
 * **Ensemble legs**: per-seed speedup of the vectorized engine over
   independent runs, for srun, flux_1 and dragon, and of auto-parallel
   over serial replay on hosts with room for it.
@@ -49,7 +49,6 @@ from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.configs import FRONTIER_SCALE_POINTS, config_by_id
 from repro.experiments.parallel import resolve_jobs
 from repro.faults import FaultSpec, RetryPolicy
-from repro.resilience import ResilienceSpec
 from repro.store import STATS, RunStore
 
 #: Measured rounds per leg, after one discarded round of each.
@@ -77,7 +76,6 @@ FAULTY = FaultSpec(mtbf=1800.0, mttr=120.0, p_launch_fail=0.01,
 #: of it).
 MAX_PROGRESS_COST = 0.15
 MAX_FAULTY_COST = 1 - 0.75 * 0.903
-MAX_CHECKPOINT_COST = 0.10
 
 #: Per-seed speedup floors of the vectorized ensemble engine over
 #: independent runs: three quarters of the 34.71x, 8.585x and 14.54x
@@ -177,21 +175,17 @@ def _run(cfg: ExperimentConfig = CFG, **options) -> None:
 
 
 @pytest.fixture(scope="module")
-def instrumented(tmp_path_factory) -> Dict[str, List[float]]:
-    ckpt = tmp_path_factory.mktemp("ckpt")
+def instrumented() -> Dict[str, List[float]]:
     return interleaved(_run, {
         "progress": lambda: _run(progress=lambda record: None),
         "faulty": lambda: _run(replace(CFG, faults=FAULTY)),
-        "checkpoint": lambda: _run(resilience=ResilienceSpec(
-            checkpoint_dir=str(ckpt))),
     })
 
 
 @pytest.mark.parametrize("leg, bound", [
     ("progress", MAX_PROGRESS_COST),
     ("faulty", MAX_FAULTY_COST),
-    ("checkpoint", MAX_CHECKPOINT_COST),
-], ids=["progress", "faulty", "checkpoint"])
+], ids=["progress", "faulty"])
 def test_instrumented_cost(instrumented, leg, bound, emit):
     what = f"{leg} vs plain"
     cost = 1.0 - certified(instrumented[leg], 1.0 - bound, what, emit)

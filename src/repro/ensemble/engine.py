@@ -231,15 +231,13 @@ def _run_batch(payload):
     """Worker entry point for parallel ensembles (module-level so the
     pool can pickle it); traces come back via ``profile_dir`` exports."""
     cfg, seeds, latencies, engine, profile_dir, cache = payload
-    from ..resilience.crash import crash_point, crash_value
+    from ..resilience.crash import crash_point
     from ..store import RunStore
 
     # Crash-injection hook (tests only; inert without the env var):
     # ``REPRO_CRASH_AT=pool:<seed>`` kills the worker holding that
     # seed's batch, exercising the coordinator's salvage-and-resubmit.
-    if crash_value("pool") is not None:
-        for seed in seeds:
-            crash_point("pool", float(seed))
+    crash_point(max(seeds))
     members = _run_members(cfg, seeds, latencies, engine, profile_dir,
                            store=RunStore.resolve(cache))
     for member in members:

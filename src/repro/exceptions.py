@@ -74,12 +74,6 @@ class WorkloadError(ReproError):
     """Raised when a workload description is malformed."""
 
 
-class CheckpointError(ReproError):
-    """Raised for unusable checkpoints: corrupt or version-skewed
-    headers, config mismatches, or a resumed replay that diverged from
-    the checkpointed state (non-deterministic code or code drift)."""
-
-
 class StoreError(ReproError):
     """Raised for unusable run-store state: a root that is not a
     store, a digest-scheme mismatch, an ambiguous digest prefix, or a

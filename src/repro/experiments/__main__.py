@@ -86,8 +86,7 @@ _SINGLE, _SWEEP = "single run", "--reps/--seeds sweep"
 #: flags missing here (--faults, --progress, --cache, ...) apply to all.
 _FLAG_SHAPES = {
     "summary": (_SINGLE,), "profile": (_SINGLE,), "spill_dir": (_SINGLE,),
-    "checkpoint": (_SINGLE,), "checkpoint_every": (_SINGLE,),
-    "checkpoint_wall": (_SINGLE,), "bundle": (_SINGLE, _SWEEP),
+    "bundle": (_SINGLE, _SWEEP),
     "profile_dir": (_SWEEP,), "parallel": (_SWEEP,),
 }
 
@@ -102,15 +101,11 @@ def _check_run_flags(args: argparse.Namespace, shape: str) -> None:
             raise ConfigurationError(
                 f"--{dest.replace('_', '-')} does not apply to a {shape} "
                 f"(only to: {', '.join(shapes)})")
-    if not args.checkpoint and (args.checkpoint_every is not None
-                                or args.checkpoint_wall is not None):
-        raise ConfigurationError(
-            "--checkpoint-every/--checkpoint-wall need --checkpoint")
 
 
 def _report_single(result, args: argparse.Namespace) -> None:
-    """Print one finished run: the ``run`` and ``resume`` report, with
-    the extras their ``--bundle``/``--summary``/``--profile`` asked for."""
+    """Print one finished single run, with the extras its
+    ``--bundle``/``--summary``/``--profile`` asked for."""
     cfg = result.config
     _print_cache(result)
     print(format_table(
@@ -157,15 +152,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _check_run_flags(args, shape)
     progress = _progress_sink(args.progress)
     if shape == _SINGLE:
-        from ..resilience import parse_resilience
-
         result = run_experiment(
             cfg, keep_session=bool(args.summary or args.profile),
             bundle=bundle, spill_dir=args.spill_dir or None,
-            progress=progress, cache=cache,
-            resilience=parse_resilience(args.checkpoint or None,
-                                        args.checkpoint_every,
-                                        args.checkpoint_wall))
+            progress=progress, cache=cache)
         _report_single(result, args)
         return 0
     ens = run_ensemble(cfg, seeds=seeds, n_reps=n_reps,
@@ -192,16 +182,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.profile_dir:
         print(f"wrote {len(ens.members)} per-seed profiles to "
               f"{args.profile_dir}")
-    return 0
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    from .harness import resume_experiment
-
-    result = resume_experiment(
-        args.directory, keep_session=bool(args.summary or args.profile),
-        bundle=args.bundle or None, progress=_progress_sink(args.progress))
-    _report_single(result, args)
     return 0
 
 
@@ -398,22 +378,6 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--profile-dir", default="", metavar="DIR",
                        help="with --reps/--seeds: export each seed's "
                             "trace to DIR/profile-seed<seed>.jsonl")
-    p_run.add_argument("--checkpoint", default="", metavar="DIR",
-                       help="single run only: write periodic durable "
-                            "checkpoints to DIR ('resume DIR' finishes "
-                            "an interrupted run); a sweep restarts "
-                            "through --cache instead")
-    p_run.add_argument("--checkpoint-every", type=float, default=None,
-                       metavar="SIMSECS",
-                       help="with --checkpoint on a single run: "
-                            "simulated seconds between checkpoint ticks "
-                            "(default 60)")
-    p_run.add_argument("--checkpoint-wall", type=float, default=None,
-                       metavar="SECS",
-                       help="with --checkpoint on a single run: "
-                            "rate-limit checkpoint writes to one per "
-                            "SECS wall seconds (default 1; 0 writes "
-                            "at every tick)")
     p_run.add_argument("--cache", default="", metavar="DIR",
                        help="memoize runs through a content-addressed "
                             "store rooted at DIR: an exact match "
@@ -422,20 +386,6 @@ def main(argv: List[str] = None) -> int:
                             "populate the store, so a re-run sweep "
                             "simulates only its missing seeds (see the "
                             "'store' subcommand)")
-
-    p_res = sub.add_parser(
-        "resume", help="resume a checkpointed run to completion")
-    p_res.add_argument("directory", help="checkpoint directory "
-                                         "(from run --checkpoint)")
-    p_res.add_argument("--summary", action="store_true",
-                       help="print the per-phase latency summary")
-    p_res.add_argument("--profile", default="",
-                       help="write the trace profile (JSONL) here")
-    p_res.add_argument("--bundle", default="", metavar="DIR",
-                       help="write the observability bundle here")
-    p_res.add_argument("--progress", nargs="?", const="line", default="",
-                       choices=["line", "jsonl"],
-                       help="stream live progress to stderr")
 
     p_t1 = sub.add_parser("table1", help="run the full Table-1 sweep")
     p_t1.add_argument("--waves", type=int, default=None)
@@ -485,8 +435,6 @@ def main(argv: List[str] = None) -> int:
             return _cmd_list(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "resume":
-            return _cmd_resume(args)
         if args.command == "table1":
             return _cmd_table1(args)
         if args.command == "store":

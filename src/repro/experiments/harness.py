@@ -32,7 +32,7 @@ from ..core.description import (
 )
 from ..core.session import Session
 from ..core.task import Task
-from ..exceptions import CheckpointError, ConfigurationError
+from ..exceptions import ConfigurationError
 from ..faults import FaultReport
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
 from ..platform.profiles import FRONTIER_CORES_PER_NODE, frontier
@@ -179,9 +179,7 @@ def run_experiment(cfg: ExperimentConfig,
                    bundle: Optional[str] = None,
                    spill_dir=None,
                    progress=None,
-                   resilience=None,
-                   cache=None,
-                   _resume_verify=None) -> ExperimentResult:
+                   cache=None) -> ExperimentResult:
     """Run one experiment end-to-end and compute its metrics.
 
     ``bundle`` names a directory to write the run's observability
@@ -197,14 +195,6 @@ def run_experiment(cfg: ExperimentConfig,
     and wall-clock rate-limited, so — like the other switches —
     same-seed traces stay byte-identical with it on or off.
 
-    ``resilience`` is an optional
-    :class:`~repro.resilience.ResilienceSpec`: a checkpoint directory
-    arms periodic durable checkpoints of the run's progress
-    watermarks.  Checkpointing is wall-clock-side and trace-inert
-    (see ``docs/RESILIENCE.md``).  ``_resume_verify`` is
-    internal resume plumbing — the checkpointed state document the
-    replay must match (see :func:`resume_experiment`).
-
     ``cache`` memoizes the run through a content-addressed store (a
     :class:`~repro.store.RunStore` or a directory path; ``None`` —
     the default — leaves every path exactly as before).  The run is
@@ -213,9 +203,9 @@ def run_experiment(cfg: ExperimentConfig,
     byte-exact profile, via the store API) in milliseconds without
     building a session, and a miss simulates then populates the
     store.  Hits are task-free (``tasks=[]``, ``session=None``, like
-    parallel results), so runs that need live state — ``keep_session``,
-    ``bundle``, checkpoint resume — always simulate fresh; they still
-    populate the store on the way out.
+    parallel results), so runs that need live state — ``keep_session``
+    or ``bundle`` — always simulate fresh; they still populate the
+    store on the way out.
     """
     wall0 = time.perf_counter()
     store = run_key = None
@@ -224,23 +214,14 @@ def run_experiment(cfg: ExperimentConfig,
 
         store = RunStore.resolve(cache)
         run_key = store.digest_for(cfg)
-        if keep_session is False and bundle is None and \
-                _resume_verify is None:
+        if keep_session is False and bundle is None:
             cached = store.load_result(cfg, run_key)
             if cached is not None:
                 cached.wall_seconds = time.perf_counter() - wall0
                 return cached
-    checkpointer = None
-    if resilience is not None and resilience.checkpointing:
-        from ..resilience.checkpoint import RunCheckpointer
-
-        checkpointer = RunCheckpointer(resilience.checkpoint_dir, cfg,
-                                       resilience, verify=_resume_verify)
     session = Session(cluster=frontier(max(cfg.n_nodes, 1)),
                       latencies=latencies, seed=cfg.seed,
                       faults=cfg.faults, spill_dir=spill_dir)
-    if checkpointer is not None:
-        checkpointer.attach(session)
     from ..observability.telemetry import HostProfiler
 
     host = HostProfiler()
@@ -305,11 +286,6 @@ def run_experiment(cfg: ExperimentConfig,
             stored = store.put(run_key, cfg, result,
                                profiler=session.profiler)
             result.cache = {"digest": run_key, "hit": False, "stored": stored}
-        if checkpointer is not None:
-            # The final (complete) checkpoint — and, on a resume, the
-            # point where a replay that never crossed the watermark fails
-            # loudly instead of pretending it continued anything.
-            checkpointer.close(complete=True)
     if telemetry is not None:
         # The final record: every progress-enabled run emits at least
         # one snapshot regardless of how briefly it ran.
@@ -342,43 +318,6 @@ def write_run_bundle(directory, cfg: ExperimentConfig, session: Session,
                         telemetry=(session.telemetry.records
                                    if session.telemetry is not None
                                    else None))
-
-
-def resume_experiment(directory,
-                      latencies: LatencyModel = FRONTIER_LATENCIES,
-                      **kwargs) -> ExperimentResult:
-    """Continue an interrupted checkpointed run to completion.
-
-    Loads the checkpoint header from ``directory``, rebuilds the exact
-    config (seed included), and re-executes the run deterministically;
-    when the replayed clock reaches the checkpoint's watermark the
-    live kernel/RNG/profile state is compared against the snapshot and
-    a mismatch raises :class:`~repro.exceptions.CheckpointError`,
-    naming any package/code version that differs from the
-    checkpoint's (the usual cause).  The returned result — and any
-    profile written from it — is byte-identical to the uninterrupted
-    run's, which is the whole point: resume never invents a state the
-    original run would not have reached.  ``kwargs`` pass through to
-    :func:`run_experiment` (``keep_session``, ``bundle``, ...).
-    """
-    from ..resilience.checkpoint import (code_drift, config_from_doc,
-                                         load_checkpoint)
-    from ..resilience.spec import ResilienceSpec
-
-    doc = load_checkpoint(directory)
-    cfg = config_from_doc(doc["config"])
-    spec = ResilienceSpec.from_doc(
-        dict(doc.get("spec", {}), checkpoint_dir=str(directory)))
-    try:
-        return run_experiment(cfg, latencies, resilience=spec,
-                              _resume_verify=doc.get("state"), **kwargs)
-    except CheckpointError as exc:
-        drift = code_drift(doc)
-        if not drift:
-            raise
-        raise CheckpointError(
-            f"{exc}; code differs from the checkpoint's: "
-            + "; ".join(drift)) from exc
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,13 @@ def _run_pooled(payload):
     """Pool worker entry point (module-level so the pool can pickle
     it): one ``run_experiment`` with the unpicklable task objects
     stripped."""
-    from ..resilience.crash import crash_point, crash_value
+    from ..resilience.crash import crash_point
 
     # Crash-injection hook (tests only; inert without the env var):
     # ``REPRO_CRASH_AT=pool:<seed>`` hard-kills the pool worker that
     # picked up the first unit with that seed (or later), which the
     # parent sees as a BrokenProcessPool and must recover from.
-    if crash_value("pool") is not None:
-        crash_point("pool", float(payload[0].seed))
+    crash_point(payload[0].seed)
     result = run_experiment(*payload)
     result.tasks = []
     return result

@@ -1,8 +1,7 @@
 """Atomic file writes: a crash never leaves a torn artifact.
 
 Every durable artifact the simulator emits — profiles, bundle files,
-store entries, checkpoints — goes through one of these
-helpers.  The recipe is the classic one:
+store entries — goes through one of these helpers.  The recipe is the classic one:
 
 1. write the full content to a temporary file *in the target
    directory* (same filesystem, so the final rename cannot cross a

@@ -149,37 +149,9 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def snapshot(self) -> dict:
-        """Structural snapshot of kernel state for checkpoint headers.
-
-        Live Python generator frames make the event heap unpicklable,
-        so a checkpoint cannot *serialize* it; what it can do is pin
-        its deterministic shape: the clock, the global sequence
-        counter, and a digest over every pending entry's
-        ``(time, priority, seq, kind)`` signature.  Two runs of the
-        same seed that agree on this snapshot at the same sim time
-        have dispatched the same events in the same order — which is
-        what resume-by-replay verifies against (see
-        ``docs/RESILIENCE.md``).  Read-only: does not perturb the
-        queue, the clock, or event ordering.
-        """
-        import hashlib
-
-        signatures = []
-        for entry in self._queue:
-            if len(entry) == 5:
-                kind = "bootstrap" if entry[4] else "callback"
-            else:
-                kind = "event"
-            signatures.append((entry[0], entry[1], entry[2], kind))
-        signatures.sort()
-        digest = hashlib.sha256(
-            repr(signatures).encode("utf-8")).hexdigest()
-        return {
-            "now": self._now,
-            "seq": self._seq,
-            "queue_len": len(self._queue),
-            "queue_digest": digest,
-        }
+        """The clock and the global sequence counter (how many queue
+        entries the run has pushed).  Read-only."""
+        return {"now": self._now, "seq": self._seq}
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its time."""

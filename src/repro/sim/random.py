@@ -17,22 +17,6 @@ from typing import Dict, List
 import numpy as np
 
 
-def _plain(value):
-    """Collapse numpy scalars inside a ``bit_generator.state`` dict to
-    builtin Python types so the document is JSON-serializable."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 class RngStreams:
     """A family of independent, reproducible RNG streams.
 
@@ -128,39 +112,6 @@ class RngStreams:
             del buf[-take:]
             out.extend(exp(mu + sigma * z) for z in reversed(chunk))
         return out
-
-    def capture_state(self) -> dict:
-        """Snapshot every stream's exact generator state.
-
-        Returns a JSON-serializable document: per-stream
-        ``bit_generator.state`` dicts (PCG64 state words are plain
-        Python ints) plus the prefetched standard-normal buffers,
-        which are part of the drawing state — a stream with 100
-        buffered normals must resume with those same 100 values.
-        ``_lognorm_params`` is deliberately absent: it is a pure
-        cache, recomputed bit-identically on demand.
-        """
-        return {
-            "seed": self.seed,
-            "streams": {
-                name: _plain(gen.bit_generator.state)
-                for name, gen in sorted(self._streams.items())
-            },
-            "norm_buf": {
-                name: list(buf)
-                for name, buf in sorted(self._norm_buf.items())
-                if buf
-            },
-        }
-
-    def state_digest(self) -> str:
-        """Canonical sha256 over :meth:`capture_state` — the compact
-        form checkpoints store for replay-drift verification."""
-        import hashlib
-        import json
-
-        payload = json.dumps(self.capture_state(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """One uniform draw from ``[low, high)``."""

@@ -2,7 +2,7 @@
 
 Every run in this repro is a pure function of ``(config, seed, code
 version)`` — same-seed traces are byte-identical across the serial,
-parallel, ensemble and resumed execution paths (pinned by the
+parallel and ensemble execution paths (pinned by the
 determinism suites).  This package exploits that: each run is keyed
 by a canonical digest of its identity (:mod:`repro.store.keys`),
 finished runs land in an on-disk content-addressed store

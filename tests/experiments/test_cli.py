@@ -116,11 +116,6 @@ class TestCli:
         ["--reps", "3", "--profile", "p.jsonl"],
         ["--seeds", "0,1", "--summary"],
         ["--reps", "2", "--spill-dir", "s"],
-        ["--reps", "2", "--checkpoint", "c"],
-        ["--seeds", "0,1", "--checkpoint", "c", "--checkpoint-every", "5"],
-        ["--checkpoint-every", "5"],
-        ["--checkpoint-wall", "0"],
-        ["--reps", "2", "--checkpoint", "c", "--checkpoint-wall", "1"],
         ["--profile-dir", "d"],
         ["--parallel", "2"],
         ["--reps", "0"],

@@ -1,8 +1,8 @@
 """Atomic write helpers: all-or-nothing file replacement.
 
-The contract every durable artifact in the repo now rides on
-(checkpoints, profiles, bundles, BENCH baselines): a reader never
-observes a torn file — only the old content or the new content.
+The contract every durable artifact in the repo rides on (profiles,
+bundles, run-store entries): a reader never observes a torn file —
+only the old content or the new content.
 """
 
 import json
