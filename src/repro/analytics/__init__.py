@@ -9,7 +9,6 @@ from .metrics import (
     exec_intervals,
     exec_start_times,
     makespan,
-    pilot_startup_overhead,
     startup_overheads,
     task_throughput,
     throughput,
@@ -53,7 +52,6 @@ __all__ = [
     "load_events",
     "makespan",
     "save_profile",
-    "pilot_startup_overhead",
     "resource_usage_series",
     "start_rate_series",
     "startup_overheads",

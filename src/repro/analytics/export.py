@@ -42,8 +42,18 @@ _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 #: How the encoder spells a float, subclasses included (the template's
 #: ``time``; ``_encode_str`` is its string spelling).
-_float_repr = float.__repr__
+float_repr = float.__repr__
 _INF = float("inf")
+
+#: The schema line every profile starts with.
+PROFILE_HEADER = json.dumps({"format": PROFILE_FORMAT,
+                             "version": PROFILE_VERSION},
+                            sort_keys=True) + "\n"
+
+#: A record line's opening, before its entity's string spelling.
+_ENTITY_OPEN = '{"entity": '
+#: A record line's end, after its time digits.
+RECORD_END = "}\n"
 
 #: Entries each of :func:`write_event_lines`' memos (metas, event
 #: names) holds before it starts over; bounds memory when every record
@@ -91,14 +101,39 @@ def _restore(value: Any) -> Any:
     return value
 
 
+def entity_field(entity: str) -> str:
+    """A plain record line's start: ``{"entity": "<entity>"``."""
+    return _ENTITY_OPEN + _encode_str(entity)
+
+
+def meta_field(meta) -> str:
+    """A record's ``, "meta": {...}`` field: the encoder's spelling of
+    ``meta``, or of its :func:`_sanitize` copy when plain JSON cannot
+    spell it."""
+    try:
+        encoded = _ENCODER.encode(meta)
+    except (ValueError, TypeError):
+        encoded = _ENCODER.encode(_sanitize(meta))
+    return ', "meta": ' + encoded
+
+
+def name_field(name: str) -> str:
+    """A plain record's ``, "name": "<name>", "time": `` tail; the
+    time's :data:`float_repr` and :data:`RECORD_END` follow it."""
+    return ', "name": ' + _encode_str(name) + ', "time": '
+
+
 def write_event_lines(fh, events) -> int:
     """Serialize trace events to ``fh``, one JSON object per line.
 
-    The single point of truth for the record wire format: full-profile
-    export, the streaming profiler's spill chunks, run-store puts and
+    The record encoder of every profiler-backed export: full-profile
+    export, the streaming profiler's spill chunks and
     :class:`~repro.sim.monitor.Monitor` all write through here, which
-    is what makes chunk files verbatim slices of a profile.  Returns
-    the number of lines written.
+    is what makes chunk files verbatim slices of a profile.  The
+    vectorized ensemble engine spells its task records from column
+    arrays with the same field helpers (:func:`entity_field`,
+    :func:`meta_field`, :func:`name_field`) and encodes its captured
+    bootstrap records here.  Returns the number of lines written.
 
     Every line is byte-identical to ``_ENCODER.encode(record)`` (with
     the :func:`_sanitize` retry) for ``record = {"time", "entity",
@@ -106,8 +141,8 @@ def write_event_lines(fh, events) -> int:
     ASCII-escaped strings.  A plain record — ``entity`` and ``name``
     exactly ``str``, ``time`` a finite float (``numpy.float64``
     included: the C encoder prints float subclasses with
-    ``float.__repr__`` too) — is spelled from a template instead of
-    walking the dict; anything else takes the encoder.  Encoded metas
+    ``float.__repr__`` too) — is spelled from the field helpers instead
+    of walking the dict; anything else takes the encoder.  Encoded metas
     are memoized by identity, so the few meta dicts shared by every
     task's records are encoded once.  Each memo entry holds its meta,
     so a freed dict's id cannot alias it, and the memo is cleared
@@ -116,30 +151,30 @@ def write_event_lines(fh, events) -> int:
     """
     encode = _ENCODER.encode
     write = fh.write
+    # Module names bound locally, and entity_field inlined: a lookup
+    # or call per record would cost the hot loop.
+    entity_open, encode_str = _ENTITY_OPEN, _encode_str
+    spell_time, end = float_repr, RECORD_END
+    spell_meta, inf, limit = meta_field, _INF, _MEMO_LIMIT
     metas: dict = {}
     names: dict = {}
     meta_get, name_get = metas.get, names.get
     count = 0
     for time, entity, name, meta in events:
         if (type(entity) is str and type(name) is str
-                and isinstance(time, float) and -_INF < time < _INF):
+                and isinstance(time, float) and -inf < time < inf):
             cached = meta_get(id(meta))
             if cached is None or cached[0] is not meta:
-                try:
-                    encoded = encode(meta)
-                except (ValueError, TypeError):
-                    encoded = encode(_sanitize(meta))
-                if len(metas) >= _MEMO_LIMIT:
+                if len(metas) >= limit:
                     metas.clear()
-                cached = metas[id(meta)] = (meta, ', "meta": ' + encoded)
+                cached = metas[id(meta)] = (meta, spell_meta(meta))
             tail = name_get(name)
             if tail is None:
-                if len(names) >= _MEMO_LIMIT:
+                if len(names) >= limit:
                     names.clear()
-                tail = names[name] = (
-                    ', "name": ' + _encode_str(name) + ', "time": ')
-            write('{"entity": ' + _encode_str(entity) + cached[1]
-                  + tail + _float_repr(time) + '}\n')
+                tail = names[name] = name_field(name)
+            write(entity_open + encode_str(entity) + cached[1]
+                  + tail + spell_time(time) + end)
         else:
             record = {"time": time, "entity": entity, "name": name,
                       "meta": meta}
@@ -191,9 +226,7 @@ def write_profile_lines(fh, chunks, events) -> int:
     the in-memory tail is byte-identical to encoding every record.
     The header does not count toward the returned number of records.
     """
-    fh.write(json.dumps({"format": PROFILE_FORMAT,
-                         "version": PROFILE_VERSION}, sort_keys=True))
-    fh.write("\n")
+    fh.write(PROFILE_HEADER)
     count = 0
     for chunk in chunks:
         with chunk.open("r", encoding="utf-8") as src:

@@ -178,12 +178,3 @@ def makespan(tasks: Iterable["Task"]) -> float:
     if not submit or not stops:
         return 0.0
     return max(stops) - min(submit)
-
-
-def pilot_startup_overhead(profiler: "Profiler") -> float:
-    """Time from pilot activation request to first backend ready."""
-    first_start = profiler.first(tev.BACKEND_START)
-    ready = profiler.times(tev.BACKEND_READY)
-    if first_start is None or ready.size == 0:
-        return 0.0
-    return float(ready.max() - first_start.time)

@@ -127,7 +127,12 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
     (profile exports come from the cached bytes — identical by the
     determinism contract), and only the missing seeds reach the
     engine, which then populates the store with them.  The hits are
-    recorded for LRU with one journal line per call, not one per seed.
+    recorded for LRU with one journal line per call, not one per seed,
+    and the config's cache key is computed once per call.
+
+    A vectorized member's profile is bytes from the engine, so it is
+    stored and exported as is, like a hit's; a replay member exports
+    its live profiler.
     """
     need_records = profile_dir is not None
     on_member = None
@@ -136,64 +141,65 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
     cached_runs = {}
     digests = {}
     if store is not None:
+        from ..store import cache_key
+
+        key = cache_key(cfg)
         for seed in seeds:
-            digests[seed] = store.digest_for(cfg, seed=seed)
+            digests[seed] = store.digest_for(cfg, seed=seed, key=key)
             hit = store.fetch(digests[seed], touch=False)
             if hit is not None:
                 cached_runs[seed] = hit
         # One index record for the whole request's hits.
         store.touch([digests[seed] for seed in cached_runs])
     missing = [seed for seed in seeds if seed not in cached_runs]
-    results, profilers = [], []
+    results, profiles = [], []
     notified = set()
     if missing:
         if engine == ENGINE_VECTORIZED:
-            results, profilers = run_vectorized(
+            results, profiles = run_vectorized(
                 cfg, missing, latencies,
                 keep_profiles=need_records or store is not None,
                 progress=telemetry.cohort if telemetry is not None
                 else None)
             if store is not None:
-                for seed, result, profiler in zip(missing, results,
-                                                  profilers):
+                for seed, result, profile in zip(missing, results,
+                                                 profiles):
                     stored = store.put(digests[seed], cfg.with_seed(seed),
-                                       result, profiler=profiler)
+                                       result, profile, key=key)
                     result.cache = {"digest": digests[seed],
                                     "hit": False, "stored": stored}
         else:
-            results, profilers = _run_replay(cfg, missing, latencies,
-                                             keep_profiles=need_records,
-                                             on_member=on_member,
-                                             store=store)
+            results, profiles = _run_replay(cfg, missing, latencies,
+                                            keep_profiles=need_records,
+                                            on_member=on_member,
+                                            store=store)
             # Replay members already streamed their telemetry live
             # (seed by seed, as each run lands); don't re-fire below.
             notified = set(missing)
-    fresh = dict(zip(missing, zip(results, profilers)))
+    fresh = dict(zip(missing, zip(results, profiles)))
     members = []
     for seed in seeds:
-        if seed in cached_runs:
-            hit = cached_runs[seed]
+        hit = cached_runs.get(seed)
+        if hit is not None:
             result = hit.to_result(cfg.with_seed(seed))
-            path = None
-            if profile_dir is not None:
-                from ..resilience.atomic import atomic_write_bytes
-
-                path = _profile_path(profile_dir, seed)
-                atomic_write_bytes(path, hit.profile_bytes())
-            members.append(EnsembleMember(seed=seed, result=result,
-                                          profile_path=path))
         else:
-            result, profiler = fresh[seed]
-            path = None
-            if profile_dir is not None:
+            result, profile = fresh[seed]
+        path = None
+        if profile_dir is not None:
+            path = _profile_path(profile_dir, seed)
+            if hit is None and engine == ENGINE_REPLAY:
                 from ..analytics import save_profile
 
-                path = _profile_path(profile_dir, seed)
-                save_profile(profiler, path)
-            members.append(EnsembleMember(seed=seed, result=result,
-                                          profile_path=path))
+                save_profile(profile, path)
+            else:
+                from ..resilience.atomic import atomic_write_bytes
+
+                atomic_write_bytes(path, profile if hit is None
+                                   else hit.profile_bytes())
+        members.append(EnsembleMember(seed=seed, result=result,
+                                      profile_path=path))
         if on_member is not None and seed not in notified:
-            on_member(members[-1].result)
+            on_member(result)
     return members
 
 

@@ -21,9 +21,9 @@ The one representational twist is the completion record: the runtime
 stamps ``exec_stop`` at payload finish ``F`` but the executor only
 *emits* it after the ZMQ completion hop, together with ``done`` at
 ``F + ZMQ``.  Profile rows are ordered by emission while carrying the
-backdated timestamp, so the synthesis passes separate emission-time
+backdated timestamp, so the profile writer gets separate emission-time
 and record-time stacks (see
-:func:`~repro.ensemble.vectorized.synthesize_profiler`).
+:func:`~repro.ensemble.vectorized.member_profile_bytes`).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ is *deterministic given the latency draws*:
     (:mod:`repro.ensemble.vec_dragon`).
 
 This module holds the shared machinery (eligibility, bootstrap-preamble
-capture, trace synthesis, result assembly) plus the srun engine, and
+capture, profile writing, result assembly) plus the srun engine, and
 dispatches qualifying configs to the launcher-specific engines.  All of
 them evaluate their recurrence for *all ensemble members at once*
 (structure-of-arrays: ``(members,)`` vectors per pipeline stage,
@@ -47,13 +47,19 @@ at all — it is *captured* by running the real session machinery with an
 empty intake.  For srun the bootstrap consumes no randomness, so one
 capture serves every member; flux and dragon bootstraps draw their
 startup (and flux its background-load factor) from per-seed streams, so
-the capture runs once per member.  Synthesized per-seed profiles are
-byte-identical to independent sequential runs; the determinism tests
-pin this.
+the capture runs once per member.
+
+A member's profile goes from its column arrays straight to the bytes
+``save_profile`` would write (:func:`member_profile_bytes`): no trace
+events, no profiler.  The column writer spells each record from the
+field helpers of :mod:`repro.analytics.export`, so the per-seed
+profiles are byte-identical to independent sequential runs; the
+determinism tests pin this.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,14 +71,21 @@ from ..analytics.events import (
     TASK_EXEC_START,
     TASK_EXEC_STOP,
     TASK_SCHEDULED,
-    TraceEvent,
+)
+from ..analytics.export import (
+    PROFILE_HEADER,
+    RECORD_END,
+    entity_field,
+    float_repr,
+    meta_field,
+    name_field,
+    write_event_lines,
 )
 from ..analytics.metrics import (
     startup_overheads,
     throughput,
     utilization_from_intervals,
 )
-from ..analytics.profiler import Profiler
 from ..core.description import MODE_EXECUTABLE
 from ..core.session import Session
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
@@ -164,7 +177,8 @@ def _workload(cfg):
 class _Preamble:
     """A run prefix captured from the real stack (one seed's bootstrap)."""
 
-    records: Tuple[TraceEvent, ...]   #: alloc grant + agent/backend events
+    #: The alloc grant + agent/backend records, as profile lines.
+    lines: str
     t_ready: float                    #: dispatch-stage start time
     overheads: List[Tuple[str, float]]  #: startup_overheads() rows
     #: The backend's ``backend_ready`` meta (flux: lanes + per-seed
@@ -211,7 +225,9 @@ def capture_preamble(cfg, latencies: LatencyModel = FRONTIER_LATENCIES,
         for record in records:
             if record.name == "backend_ready":
                 backend_meta = dict(record.meta)
-        return _Preamble(records=records,
+        lines = io.StringIO()
+        write_event_lines(lines, records)
+        return _Preamble(lines=lines.getvalue(),
                          t_ready=t_ready,
                          overheads=startup_overheads(session.profiler),
                          backend_meta=backend_meta)
@@ -353,62 +369,75 @@ def _cohort_recurrence(dispatch: np.ndarray, ctl: np.ndarray,
     return scheduled, exec_start, exec_start + duration
 
 
-def synthesize_profiler(preamble: _Preamble, scheduled: np.ndarray,
-                        exec_start: np.ndarray, exec_stop: np.ndarray,
-                        description, backend: str = _SRUN,
-                        emit_times: Optional[np.ndarray] = None,
-                        record_times: Optional[np.ndarray] = None
-                        ) -> Profiler:
-    """One member's full trace, in the kernel's emission order.
+@dataclass(frozen=True)
+class _TaskLines:
+    """The parts of a member's task records that no draw moves.
 
-    Record streams are chronological in *emission* time; the only
-    coincident-timestamp records the pipelines produce are one task's
-    own exec-start / exec-stop / done cascade (zero-duration payloads,
-    flux's synchronous finish), ordered by a per-record subkey under
-    the stable merge sort.  Meta dicts are shared across records
-    exactly like :func:`~repro.core.task.build_tasks` shares them —
-    they are read-only once recorded.
-
-    By default the four per-task record streams are
-    ``(scheduled, exec_start, exec_stop, exec_stop)`` and each record's
-    ``time`` field equals its emission instant.  Backends that backdate
-    a record relative to its emission (dragon stamps ``exec_stop`` at
-    payload completion but *emits* it after the ZMQ completion hop)
-    pass ``emit_times``/``record_times`` explicitly — both flat
-    ``(4 * n_tasks,)`` stacks in (scheduled, start, stop, done) order;
-    the sort runs on emission, the ``time`` field comes from the
-    record stack.
+    One ensemble's members share the task list, so the ``task_created``
+    block and every (task, kind) line prefix are built once per call.
     """
-    n_tasks = scheduled.shape[0]
+
+    created: str            #: every ``task_created`` line
+    #: Line prefixes up to the time digits, kind-major:
+    #: ``prefixes[k * n_tasks + i]`` for task ``i`` and kind ``k`` in
+    #: (scheduled, exec_start, exec_stop, done) order.
+    prefixes: List[str]
+    #: Each stacked record's kind, the tie-break of the emission sort.
+    cascade: np.ndarray
+
+
+def _task_lines(description, n_tasks: int, backend: str) -> _TaskLines:
+    """Prefixes with the metas :func:`~repro.core.task.build_tasks`
+    records for one uniform single-core task list."""
     res = description.resources
     meta_created = {"cores": res.cores, "gpus": res.gpus,
                     "mode": description.mode}
     meta_sched = {"cores": res.cores, "gpus": res.gpus}
     meta_exec = {"cores": res.cores, "gpus": res.gpus, "backend": backend}
-    uids = [f"task.{i:06d}" for i in range(n_tasks)]
-    events = [TraceEvent(0.0, uid, TASK_CREATED, meta_created)
-              for uid in uids]
-    events.extend(preamble.records)
-    if emit_times is None:
-        emit_times = np.concatenate(
-            [scheduled, exec_start, exec_stop, exec_stop])
-    if record_times is None:
-        record_times = emit_times
-    cascade = np.repeat(np.arange(4.0), n_tasks)
-    names = (TASK_SCHEDULED, TASK_EXEC_START, TASK_EXEC_STOP, TASK_DONE)
-    metas = (meta_sched, meta_exec, meta_exec, meta_exec)
-    order = np.lexsort((cascade, emit_times))
-    kinds = (order // n_tasks).tolist()
+    entities = [entity_field(f"task.{i:06d}") for i in range(n_tasks)]
+    created = meta_field(meta_created) + name_field(TASK_CREATED)
+    zero = float_repr(0.0) + RECORD_END
+    prefixes = []
+    for name, meta in ((TASK_SCHEDULED, meta_sched),
+                       (TASK_EXEC_START, meta_exec),
+                       (TASK_EXEC_STOP, meta_exec),
+                       (TASK_DONE, meta_exec)):
+        tail = meta_field(meta) + name_field(name)
+        prefixes.extend([entity + tail for entity in entities])
+    return _TaskLines(
+        created="".join([entity + created + zero for entity in entities]),
+        prefixes=prefixes,
+        cascade=np.repeat(np.arange(4.0), n_tasks))
+
+
+def member_profile_bytes(task_lines: _TaskLines, preamble: _Preamble,
+                         emit_times: np.ndarray,
+                         record_times: np.ndarray) -> bytes:
+    """One member's ``save_profile`` bytes, in the kernel's emission
+    order, straight from its column arrays.
+
+    The profile is the header, the ``task_created`` records, the
+    captured bootstrap records, then the four per-task record streams.
+    Those are chronological in *emission* time; the only
+    coincident-timestamp records the pipelines produce are one task's
+    own exec-start / exec-stop / done cascade (zero-duration payloads,
+    flux's synchronous finish), ordered by the record kind under the
+    stable sort.  ``emit_times`` and ``record_times`` are flat
+    ``(4 * n_tasks,)`` stacks in (scheduled, start, stop, done) order:
+    the sort runs on emission, and each line's ``time`` field comes
+    from the record stack — they differ only where a backend backdates
+    a record (dragon stamps ``exec_stop`` at payload completion but
+    *emits* it after the ZMQ completion hop).
+    """
+    order = np.lexsort((task_lines.cascade, emit_times))
+    n = order.size
+    pieces = [PROFILE_HEADER, task_lines.created, preamble.lines]
+    pieces.extend([RECORD_END] * (3 * n))
+    pieces[3::3] = map(task_lines.prefixes.__getitem__, order.tolist())
     # ``tolist`` yields Python floats, whose repr (and so the exported
     # bytes) equals the numpy scalars'.
-    events.extend(map(TraceEvent,
-                      record_times[order].tolist(),
-                      map(uids.__getitem__, (order % n_tasks).tolist()),
-                      map(names.__getitem__, kinds),
-                      map(metas.__getitem__, kinds)))
-    profiler = Profiler(None)
-    profiler._events = events
-    return profiler
+    pieces[4::3] = map(float_repr, record_times[order].tolist())
+    return "".join(pieces).encode("ascii")
 
 
 def assemble_results(cfg, seeds: Sequence[int],
@@ -417,21 +446,25 @@ def assemble_results(cfg, seeds: Sequence[int],
                      exec_stop: np.ndarray, description,
                      keep_profiles: bool, backend: str,
                      emit_times=None, record_times=None):
-    """Per-member :class:`ExperimentResult` + profiler construction.
+    """Per-member :class:`ExperimentResult` + profile bytes.
 
     Shared tail of every vectorized engine: same rows, order and float
     ops as ``metrics.exec_intervals`` / ``exec_start_times`` over the
-    kernel's task list.  ``emit_times``/``record_times``, when given,
-    are per-member callables returning the flat stacks documented on
-    :func:`synthesize_profiler`.
+    kernel's task list.  By default a member's record streams are
+    ``(scheduled, exec_start, exec_stop, exec_stop)`` and each
+    record's ``time`` is its emission instant; ``emit_times`` /
+    ``record_times``, when given, are per-member callables returning
+    the flat stacks documented on :func:`member_profile_bytes`.
     """
     from ..experiments.harness import ExperimentResult
 
     n_tasks = scheduled.shape[1]
     cluster_cores = cfg.n_nodes * frontier(1).cores_per_node
     total_gpus = cfg.n_nodes * frontier(1).gpus_per_node
+    task_lines = (_task_lines(description, n_tasks, backend)
+                  if keep_profiles else None)
     results = []
-    profilers: List[Optional[Profiler]] = []
+    profiles: List[Optional[bytes]] = []
     ones = np.ones(n_tasks)
     zeros = np.zeros(n_tasks)
     for m, seed in enumerate(seeds):
@@ -456,16 +489,17 @@ def assemble_results(cfg, seeds: Sequence[int],
             tasks=[],
             session=None,
         ))
-        profilers.append(
-            synthesize_profiler(
-                preamble, scheduled[m], starts, stops, description,
-                backend=backend,
-                emit_times=emit_times(m) if emit_times is not None
-                else None,
-                record_times=record_times(m) if record_times is not None
-                else None)
-            if keep_profiles else None)
-    return results, profilers
+        if task_lines is None:
+            profiles.append(None)
+            continue
+        if emit_times is None:
+            emitted = np.concatenate([scheduled[m], starts, stops, stops])
+            recorded = emitted
+        else:
+            emitted, recorded = emit_times(m), record_times(m)
+        profiles.append(member_profile_bytes(task_lines, preamble,
+                                             emitted, recorded))
+    return results, profiles
 
 
 def run_vectorized(cfg, seeds: Sequence[int],
@@ -476,13 +510,13 @@ def run_vectorized(cfg, seeds: Sequence[int],
 
     Dispatches to the launcher-specific recurrence (srun here,
     :mod:`~repro.ensemble.vec_flux` / :mod:`~repro.ensemble.vec_dragon`
-    otherwise).  Returns ``(results, profilers)``: per-seed
+    otherwise).  Returns ``(results, profile_bytes)``: per-seed
     :class:`~repro.experiments.harness.ExperimentResult` objects whose
     metrics are float-identical to independent
     :func:`~repro.experiments.harness.run_experiment` calls, and (when
-    ``keep_profiles``) per-seed profilers whose exported traces are
-    byte-identical to those runs.  Falls back by raising
-    ``ValueError`` when the config does not qualify — callers check
+    ``keep_profiles``, else ``None`` each) per-seed profile exports
+    byte-identical to ``save_profile`` of those runs.  Falls back by
+    raising ``ValueError`` when the config does not qualify — callers check
     :func:`supports_vectorized` first.
 
     ``progress(tasks_done, tasks_total)`` (cohort-level counts summed

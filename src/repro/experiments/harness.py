@@ -277,14 +277,16 @@ def run_experiment(cfg: ExperimentConfig,
                     if session.faults is not None else None),
         )
         if store is not None:
-            # Populate on miss (or bypassed read): the put encodes the
-            # profile through ``write_profile``, the writer behind
+            # Populate on miss (or bypassed read): the profile is
+            # encoded through ``write_profile``, the writer behind
             # ``save_profile``, so a later hit delivers a byte-identical
             # trace.  Losing a publication race to a concurrent writer
             # costs nothing — the winner's entry is byte-identical by the
             # determinism contract.
+            from ..store.store import export_profile_bytes
+
             stored = store.put(run_key, cfg, result,
-                               profiler=session.profiler)
+                               export_profile_bytes(session.profiler))
             result.cache = {"digest": run_key, "hit": False, "stored": stored}
     if telemetry is not None:
         # The final record: every progress-enabled run emits at least

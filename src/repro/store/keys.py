@@ -117,17 +117,19 @@ def code_fingerprint(root: Optional[Path] = None,
 
 
 def run_digest(cfg, seed: Optional[int] = None,
-               fingerprint: Optional[str] = None) -> str:
+               fingerprint: Optional[str] = None,
+               key: Optional[str] = None) -> str:
     """The content address of one run.
 
     ``seed`` defaults to ``cfg.seed``; ``fingerprint`` overrides the
-    code fingerprint (tests).
+    code fingerprint (tests).  ``key`` is ``cache_key(cfg)`` when the
+    caller already holds it: a sweep digests many seeds of one config.
     """
     if seed is None:
         seed = cfg.seed
     payload = canonical_json({
         "scheme": KEY_SCHEME,
-        "config": cache_key(cfg),
+        "config": cache_key(cfg) if key is None else key,
         "seed": int(seed),
         "workload": "derived",
         "code": fingerprint if fingerprint is not None

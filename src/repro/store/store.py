@@ -260,9 +260,12 @@ class RunStore:
         return cls(cache)
 
     def digest_for(self, cfg, seed: Optional[int] = None,
-                   fingerprint: Optional[str] = None) -> str:
-        """The run digest this store would file ``cfg`` under."""
-        return run_digest(cfg, seed=seed, fingerprint=fingerprint)
+                   fingerprint: Optional[str] = None,
+                   key: Optional[str] = None) -> str:
+        """The run digest this store would file ``cfg`` under
+        (``key``: see :func:`~repro.store.keys.run_digest`)."""
+        return run_digest(cfg, seed=seed, fingerprint=fingerprint,
+                          key=key)
 
     # -- paths and locking -------------------------------------------------
 
@@ -415,25 +418,21 @@ class RunStore:
 
     # -- write path --------------------------------------------------------
 
-    def put(self, digest: str, cfg, result,
-            profile_bytes: Optional[bytes] = None,
-            profiler=None) -> bool:
+    def put(self, digest: str, cfg, result, profile_bytes: bytes,
+            key: Optional[str] = None) -> bool:
         """Store one finished run under ``digest``.
 
-        The profile comes either as the exact bytes of a
-        ``save_profile`` export or as a live profiler (exported here
-        with the same helper, hence the same bytes).  Returns ``True``
-        when this call published the entry, ``False`` when another
-        writer won the race (their copy is byte-identical by the
-        determinism contract, so losing costs nothing).
+        ``profile_bytes`` are the exact bytes of the run's
+        ``save_profile`` export (:func:`export_profile_bytes` for a
+        live profiler); ``key`` is ``cache_key(cfg)`` when the caller
+        already holds it.  Returns ``True`` when this call published
+        the entry, ``False`` when another writer won the race (their
+        copy is byte-identical by the determinism contract, so losing
+        costs nothing).
         """
         final = self._object_dir(digest)
         if final.exists():
             return False
-        if profile_bytes is None:
-            if profiler is None:
-                raise StoreError("put needs profile_bytes or a profiler")
-            profile_bytes = export_profile_bytes(profiler)
         stage = self.root / "tmp" / f"{digest}.{os.getpid()}.{uuid.uuid4().hex}"
         stage.mkdir(parents=True)
         try:
@@ -446,7 +445,7 @@ class RunStore:
                 "format": STORE_FORMAT,
                 "version": STORE_VERSION,
                 "digest": digest,
-                "cache_key": cache_key(cfg),
+                "cache_key": cache_key(cfg) if key is None else key,
                 "seed": cfg.seed,
                 "config": dataclasses.asdict(cfg),
                 "created": time.time(),
@@ -711,9 +710,10 @@ def _apply(entries: Dict[str, Dict[str, Any]], record: Any) -> None:
 
 
 def export_profile_bytes(profiler) -> bytes:
-    """A profiler's ``save_profile`` export as bytes, encoded in memory
-    by the same writer (:func:`repro.analytics.export.write_profile`),
-    so spilled-chunk concatenation stays verbatim."""
+    """A live profiler's ``save_profile`` export as bytes, for
+    :meth:`RunStore.put`: encoded in memory by the same writer
+    (:func:`repro.analytics.export.write_profile`), so spilled-chunk
+    concatenation stays verbatim."""
     from ..analytics.export import write_profile
 
     buf = io.StringIO()

@@ -81,6 +81,9 @@ class TestRunDigest:
         # digest are the same run — the sweep fast path relies on it.
         c = cfg()
         assert run_digest(c, seed=7) == run_digest(c.with_seed(7))
+        # A sweep computes the config's key once for all its seeds.
+        assert run_digest(c, seed=7, key=cache_key(c)) == \
+            run_digest(c.with_seed(7))
 
     def test_golden_digest(self):
         # Pins the key document (scheme, config key, seed, the literal

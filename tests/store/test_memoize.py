@@ -216,6 +216,57 @@ class TestEnsemble:
                     open(original.profile_path, "rb") as want:
                 assert got.read() == want.read()
 
+    @pytest.mark.parametrize("exp_id, n_nodes",
+                             [("srun", 4), ("flux_1", 1), ("dragon", 1)])
+    def test_vectorized_miss_stores_independent_profile(self, tmp_path,
+                                                        exp_id, n_nodes):
+        # The store holds what the vectorized engine wrote from its
+        # columns; each blob must be save_profile of an independent
+        # run, and a warm --profile-dir sweep must serve those bytes.
+        from repro.analytics import save_profile
+
+        cfg = config_by_id(exp_id, n_nodes=n_nodes, waves=1)
+        seeds = [40, 41, 42, 43]
+        store = RunStore(tmp_path / "store")
+        cold = run_ensemble(cfg, seeds=seeds, cache=store)
+        assert cold.engine == "vectorized"
+        assert cold.aggregate().provenance == {"fresh": 4}
+        stored = {}
+        for seed in seeds:
+            ref = run_experiment(cfg.with_seed(seed), keep_session=True)
+            path = tmp_path / f"ref-{seed}.jsonl"
+            save_profile(ref.session.profiler, path)
+            ref.session.close()
+            hit = store.fetch(store.digest_for(cfg, seed=seed), touch=False)
+            stored[seed] = hit.profile_bytes()
+            assert stored[seed] == path.read_bytes(), seed
+        warm = run_ensemble(cfg, seeds=seeds, cache=store,
+                            profile_dir=str(tmp_path / "served"))
+        assert warm.aggregate().provenance == {"cached": 4}
+        for member in warm.members:
+            with open(member.profile_path, "rb") as got:
+                assert got.read() == stored[member.seed]
+
+    def test_sweep_computes_cache_key_once(self, tmp_path, monkeypatch):
+        # The key does not depend on the seed: one per request, not
+        # one per member digest and put.
+        import repro.store as store_pkg
+        import repro.store.store as store_mod
+
+        calls = []
+        real = keys_mod.cache_key
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        for module in (keys_mod, store_mod, store_pkg):
+            monkeypatch.setattr(module, "cache_key", counting)
+        ens = run_ensemble(quick_cfg(), seeds=[0, 1, 2, 3],
+                           cache=tmp_path / "store")
+        assert ens.aggregate().provenance == {"fresh": 4}
+        assert len(calls) == 1
+
     def test_parallel_ensemble_workers_share_store(self, tmp_path):
         cfg = quick_cfg()
         store = tmp_path / "store"

@@ -159,15 +159,20 @@ class TestConcurrency:
         rival = RunStore(tmp_path / "store")
         digest = store.digest_for(cfg)
 
-        def publish_rival_first(profiler):
-            # Fires after put()'s early existence check, before its
-            # rename — exactly the window a real race would hit.
-            assert rival.put(digest, cfg, result, profile_bytes=profile)
-            return profile
+        real_result_to_doc = store_mod.result_to_doc
 
-        monkeypatch.setattr(store_mod, "export_profile_bytes",
+        def publish_rival_first(doc_result):
+            # Fires after put()'s early existence check, before its
+            # rename — exactly the window a real race would hit.  Once:
+            # the rival's own put encodes its result through here too.
+            monkeypatch.setattr(store_mod, "result_to_doc",
+                                real_result_to_doc)
+            assert rival.put(digest, cfg, result, profile_bytes=profile)
+            return real_result_to_doc(doc_result)
+
+        monkeypatch.setattr(store_mod, "result_to_doc",
                             publish_rival_first)
-        won = store.put(digest, cfg, result, profiler=object())
+        won = store.put(digest, cfg, result, profile_bytes=profile)
         assert won is False
         assert store.stats.lost_races == 1
         # the loser's staging copy is cleaned up; the entry survives
