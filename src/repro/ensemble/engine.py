@@ -126,9 +126,9 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
     granularity: seeds already stored are delivered from the store
     (profile exports come from the cached bytes — identical by the
     determinism contract), and only the missing seeds reach the
-    engine, which then populates the store with them.  The hits are
-    recorded for LRU with one journal line per call, not one per seed,
-    and the config's cache key is computed once per call.
+    engine, which then populates the store with them.  Each hit bumps
+    its entry's LRU clock, and the config's cache key is computed once
+    per call.
 
     A vectorized member's profile is bytes from the engine, so it is
     stored and exported as is, like a hit's; a replay member exports
@@ -146,11 +146,9 @@ def _run_members(cfg, seeds: Sequence[int], latencies: LatencyModel,
         key = cache_key(cfg)
         for seed in seeds:
             digests[seed] = store.digest_for(cfg, seed=seed, key=key)
-            hit = store.fetch(digests[seed], touch=False)
+            hit = store.fetch(digests[seed])
             if hit is not None:
                 cached_runs[seed] = hit
-        # One index record for the whole request's hits.
-        store.touch([digests[seed] for seed in cached_runs])
     missing = [seed for seed in seeds if seed not in cached_runs]
     results, profiles = [], []
     notified = set()

@@ -63,10 +63,11 @@ def parse_filters(tokens: Sequence[str]) -> Dict[str, Any]:
     return where
 
 
-def _age(created) -> str:
-    if not created:
+def _age(stamp) -> str:
+    """Time since ``stamp`` (epoch seconds), e.g. ``3m``."""
+    if not stamp:
         return "?"
-    seconds = max(time.time() - float(created), 0.0)
+    seconds = max(time.time() - float(stamp), 0.0)
     for unit, span in (("d", 86400.0), ("h", 3600.0), ("m", 60.0)):
         if seconds >= span:
             return f"{seconds / span:.0f}{unit}"
@@ -112,10 +113,10 @@ def cmd_store(args: argparse.Namespace) -> int:
         table = [(r["digest"][:12], r.get("exp_id"), r.get("launcher"),
                   r.get("n_nodes"), r.get("n_partitions"), r.get("seed"),
                   f"{(r.get('bytes') or 0) / 1024.0:,.0f}",
-                  r.get("hits", 0), _age(r.get("created")))
+                  _age(r.get("last_access")), _age(r.get("created")))
                  for r in rows]
         _print_table(table, ["digest", "exp", "launcher", "nodes", "parts",
-                             "seed", "KiB", "hits", "age"])
+                             "seed", "KiB", "used", "age"])
         print(f"{len(rows)} run(s) in {store.root}")
         return 0
 
@@ -211,7 +212,7 @@ def add_store_parser(subparsers) -> None:
     p_ls = store_sub.add_parser("ls", help="list stored runs")
     common(p_ls)
     p_ls.add_argument("--json", action="store_true",
-                      help="machine-readable index rows")
+                      help="machine-readable summary rows")
 
     p_get = store_sub.add_parser(
         "get", help="show one stored run (or export its artifacts)")

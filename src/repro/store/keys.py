@@ -33,6 +33,7 @@ components:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -84,6 +85,15 @@ def cache_key(cfg) -> str:
 _FINGERPRINT_CACHE: Dict[str, str] = {}
 
 
+@functools.lru_cache(maxsize=None)
+def _package_root() -> Path:
+    """The installed ``repro`` package directory, resolved once: a
+    memoized fingerprint then costs no file-system call."""
+    import repro
+
+    return Path(repro.__file__).resolve().parent
+
+
 def code_fingerprint(root: Optional[Path] = None,
                      refresh: bool = False) -> str:
     """Fingerprint of the ``repro`` package's source tree.
@@ -94,11 +104,7 @@ def code_fingerprint(root: Optional[Path] = None,
     ``refresh`` forces a re-scan, which the tests use to observe
     invalidation without restarting the interpreter.
     """
-    if root is None:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
-    root = Path(root)
+    root = _package_root() if root is None else Path(root)
     key = str(root)
     if not refresh and key in _FINGERPRINT_CACHE:
         return _FINGERPRINT_CACHE[key]

@@ -12,7 +12,7 @@ idiom, applied to metric vectors instead of embeddings):
 * :func:`compare` — side-by-side metric table across named runs,
   with relative deltas against the first.
 
-Everything here reads index rows and result documents only — no
+Everything here reads entry and result documents only — no
 profile blobs are touched, so queries stay cheap even when the store
 holds multi-GB traces.
 """

@@ -4,18 +4,19 @@ Layout (everything under one root directory)::
 
     <root>/
       store.json        format marker + digest-scheme version
-      index.json        snapshot: digest -> {summary, last_access, hits,
-                        bytes}, plus the journal position it holds
-      index.jsonl       journal: a generation header, then one line per
-                        put or touch since the last compaction
-      index.lock        advisory lock serializing index/eviction updates
       objects/ab/<digest>/
         entry.json      full config doc, cache key, fingerprint,
-                        artifact hashes + sizes
+                        artifact hashes + sizes; its mtime is the
+                        entry's LRU clock
         result.json     the run's metrics document (result_to_doc)
         profile.jsonl   byte-exact trace export (save_profile format)
       tmp/              staging dirs (one atomic rename publishes each)
       trash/            eviction staging (renamed out, then deleted)
+
+``objects/`` is the store's only record: listing, ``gc`` and prefix
+lookup read the object directories, and nothing else is kept in step
+with them.  Stores written with an ``index.json`` / ``index.jsonl`` /
+``index.lock`` keep working; those files are ignored.
 
 Correctness properties, each pinned by ``tests/store``:
 
@@ -34,21 +35,9 @@ Correctness properties, each pinned by ``tests/store``:
   its content address.
 * **LRU eviction.**  :meth:`RunStore.gc` evicts least-recently-used
   entries down to a byte or entry cap (``store gc --max-bytes`` /
-  ``--max-entries``).
-* **O(1) index updates.**  A put or touch appends one fsynced
-  line to ``index.jsonl`` under the lock; it never parses or rewrites
-  the snapshot.  Readers fold the journal into the snapshot.  ``gc``
-  compacts the two, and so does any write that finds the journal
-  larger than both the snapshot and :data:`COMPACT_FLOOR`, so
-  compaction costs O(1) amortized per write and a small store's warm
-  hits do not rewrite its index every few touches.  Every record
-  starts with a newline, so a torn last line (a crash mid-append) is
-  skipped and never swallows the next append.
-  The snapshot records the journal generation and byte offset it
-  holds and only later bytes are replayed, so a crash between a
-  compaction's two writes neither double-counts nor loses a record.
-  The index is derived from ``objects/``: a torn or missing snapshot
-  is rebuilt by scanning them.
+  ``--max-entries``).  A hit sets its ``entry.json`` mtime to now
+  (one ``utime``, no lock), so a hit and a put cost the same however
+  many entries the store holds.
 """
 
 from __future__ import annotations
@@ -56,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import errno
+import glob
 import hashlib
 import io
 import json
@@ -64,32 +54,20 @@ import shutil
 import time
 import uuid
 from pathlib import Path
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Union
 
 from ..exceptions import StoreError
 from .keys import KEY_SCHEME, cache_key, run_digest
-
-try:  # pragma: no cover - POSIX (the supported platform) has fcntl
-    import fcntl
-except ImportError:  # pragma: no cover - win fallback: no inter-proc lock
-    fcntl = None
 
 PathLike = Union[str, Path]
 
 STORE_FORMAT = "repro-run-store"
 STORE_VERSION = 1
 
-#: Journal size [bytes] below which a write never compacts, however
-#: small the snapshot: about 1,500 touch records.
-COMPACT_FLOOR = 64 * 1024
-
 #: Artifact names every complete entry carries.
 ARTIFACT_RESULT = "result.json"
 ARTIFACT_PROFILE = "profile.jsonl"
 ENTRY_NAME = "entry.json"
-INDEX_NAME = "index.json"
-JOURNAL_NAME = "index.jsonl"
 
 
 @dataclasses.dataclass
@@ -267,154 +245,10 @@ class RunStore:
         return run_digest(cfg, seed=seed, fingerprint=fingerprint,
                           key=key)
 
-    # -- paths and locking -------------------------------------------------
+    # -- paths -------------------------------------------------------------
 
     def _object_dir(self, digest: str) -> Path:
         return self.root / "objects" / digest[:2] / digest
-
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Advisory inter-process lock for index and eviction updates."""
-        lock_path = self.root / "index.lock"
-        fd = os.open(str(lock_path), os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            if fcntl is not None:
-                with contextlib.suppress(OSError):
-                    fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
-    def _read_index(self) -> Tuple[Dict[str, Dict[str, Any]],
-                                   Tuple[int, int]]:
-        """The folded index (snapshot + journal) and the journal
-        position it reaches: ``(generation, byte length)``.
-
-        The snapshot records the position it already holds; only
-        journal bytes past it are replayed, so a crash between a
-        compaction's snapshot write and its journal reset neither
-        replays a record twice nor loses a later append.  The journal
-        is read before the snapshot: a compaction landing in between
-        then only makes the snapshot hold more of what was read.
-        """
-        generation, data = self._read_journal()
-        try:
-            doc = json.loads((self.root / INDEX_NAME).read_text(
-                encoding="utf-8"))
-            entries = dict(doc["entries"])
-            held = tuple(doc.get("journal", (-1, 0)))
-        except (OSError, ValueError, KeyError, TypeError):
-            # The index is a derived structure; a torn or missing
-            # snapshot is rebuilt from the object directories, never
-            # fatal.
-            entries, held = self._scan_objects(), (-1, 0)
-        if generation is None:
-            return entries, (max(held[0], 0), 0)
-        start = 0
-        if generation == held[0]:
-            start = held[1]
-        elif generation < held[0]:
-            start = len(data)  # already folded into the snapshot
-        for line in data[start:].split(b"\n"):
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # a torn append
-            _apply(entries, record)
-        return entries, (generation, len(data))
-
-    def _read_journal(self) -> Tuple[Optional[int], bytes]:
-        """The journal's generation and raw bytes (header included)."""
-        try:
-            data = (self.root / JOURNAL_NAME).read_bytes()
-            header = json.loads(data.split(b"\n", 1)[0])
-            return int(header["generation"]), data
-        except (OSError, ValueError, KeyError, TypeError):
-            return None, b""
-
-    def _write_index(self, entries: Dict[str, Dict[str, Any]],
-                     position: Tuple[int, int]) -> None:
-        from ..resilience.atomic import atomic_write_json
-
-        atomic_write_json(self.root / INDEX_NAME, {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "journal": list(position),
-            "entries": entries,
-        }, indent=None)
-
-    def _compact(self, entries: Dict[str, Dict[str, Any]],
-                 position: Tuple[int, int]) -> None:
-        """Fold everything up to ``position`` into a new snapshot and
-        start the next journal generation (lock held)."""
-        self._write_index(entries, position)
-        self._reset_journal(position[0] + 1)
-
-    def _reset_journal(self, generation: int) -> None:
-        from ..resilience.atomic import atomic_write_bytes
-
-        atomic_write_bytes(self.root / JOURNAL_NAME, _encode_record(
-            {"format": STORE_FORMAT, "generation": generation}))
-
-    def _log(self, record: Dict[str, Any]) -> None:
-        """Record one index update: an fsynced journal append (lock held).
-
-        Compacts instead when the journal is missing or has outgrown
-        both the snapshot and :data:`COMPACT_FLOOR`, which bounds both
-        replay cost and journal size.
-        """
-        journal = self.root / JOURNAL_NAME
-        try:
-            due = (journal.stat().st_size
-                   > max((self.root / INDEX_NAME).stat().st_size,
-                         COMPACT_FLOOR))
-        except FileNotFoundError:
-            due = True
-        if due:
-            entries, position = self._read_index()
-            _apply(entries, record)
-            self._compact(entries, position)
-            return
-        with journal.open("ab") as fh:
-            fh.write(b"\n" + _encode_record(record))
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def _scan_objects(self) -> Dict[str, Dict[str, Any]]:
-        """Rebuild index entries from the object directories."""
-        entries: Dict[str, Dict[str, Any]] = {}
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return entries
-        for entry_path in objects.glob("*/*/" + ENTRY_NAME):
-            try:
-                entry = json.loads(entry_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            digest = entry.get("digest")
-            if digest:
-                entries[digest] = self._index_meta(entry)
-        return entries
-
-    @staticmethod
-    def _index_meta(entry: Dict[str, Any]) -> Dict[str, Any]:
-        cfg = entry.get("config", {})
-        total = sum(a.get("bytes", 0)
-                    for a in entry.get("artifacts", {}).values())
-        return {
-            "exp_id": cfg.get("exp_id"),
-            "launcher": cfg.get("launcher"),
-            "workload": cfg.get("workload"),
-            "n_nodes": cfg.get("n_nodes"),
-            "n_partitions": cfg.get("n_partitions"),
-            "seed": entry.get("seed"),
-            "created": entry.get("created"),
-            "last_access": entry.get("created"),
-            "bytes": total,
-            "hits": 0,
-        }
 
     # -- write path --------------------------------------------------------
 
@@ -478,10 +312,6 @@ class RunStore:
         finally:
             if stage.exists():
                 shutil.rmtree(stage, ignore_errors=True)
-        record = {"op": "put", "digest": digest,
-                  "meta": self._index_meta(entry)}
-        with self._locked():
-            self._log(record)
         self.stats.stored += 1
         STATS.stored += 1
         return True
@@ -495,9 +325,8 @@ class RunStore:
         ``entry.json`` before delivering it; the (much larger) profile
         blob is verified by :meth:`CachedRun.profile_bytes` when it is
         actually read.  A corrupt entry is quarantined and counted.
-        ``touch`` records the access for LRU and hit counts; a caller
-        fetching many entries at once passes ``False`` and records
-        them all with one :meth:`touch`.
+        ``touch`` records the access for LRU by setting the
+        ``entry.json`` mtime to now.
         """
         path = self._object_dir(digest)
         entry_path = path / ENTRY_NAME
@@ -519,20 +348,13 @@ class RunStore:
             return None
         result_doc = json.loads(result_bytes.decode("utf-8"))
         if touch:
-            self.touch([digest])
+            now = time.time_ns()
+            with contextlib.suppress(FileNotFoundError):  # evicted
+                os.utime(entry_path, ns=(now, now))
         self.stats.hits += 1
         STATS.hits += 1
         return CachedRun(digest=digest, path=path, entry=entry,
                          result_doc=result_doc)
-
-    def touch(self, digests: Sequence[str]) -> None:
-        """Record one access to each of ``digests`` (bumps its LRU
-        clock and hit count) with a single journal line."""
-        if not digests:
-            return
-        with self._locked():
-            self._log({"op": "touch", "at": time.time(),
-                       "digests": list(digests)})
 
     def load_result(self, cfg, digest: str):
         """Convenience: fetch + rebuild the cached result, or ``None``."""
@@ -566,18 +388,17 @@ class RunStore:
             return
         shutil.rmtree(target, ignore_errors=True)
 
-    def _enforce_caps(self, entries: Dict[str, Dict[str, Any]],
-                      max_bytes: Optional[int],
-                      max_entries: Optional[int]) -> List[str]:
-        """Evict LRU entries until within the caps; returns evictees.
-
-        Called with the index lock held.
-        """
+    def gc(self, max_bytes: Optional[int] = None,
+           max_entries: Optional[int] = None) -> List[str]:
+        """Evict least-recently-used entries down to the given caps;
+        returns the evictees.  Ties on the LRU clock go to the older
+        ``created``."""
+        entries = self._scan_objects()
         evicted: List[str] = []
         by_age = sorted(
             entries,
-            key=lambda d: entries[d].get("last_access")
-            or entries[d].get("created") or 0.0)
+            key=lambda d: (entries[d]["last_access"],
+                           entries[d].get("created") or 0.0))
         total = sum(int(m.get("bytes", 0)) for m in entries.values())
 
         def over() -> bool:
@@ -593,22 +414,6 @@ class RunStore:
             evicted.append(digest)
             self.stats.evicted += 1
             STATS.evicted += 1
-        return evicted
-
-    def gc(self, max_bytes: Optional[int] = None,
-           max_entries: Optional[int] = None) -> List[str]:
-        """Evict least-recently-used entries down to the given caps;
-        also reconciles the index with the object directories and
-        compacts the journal into the snapshot."""
-        with self._locked():
-            entries = self._scan_objects()
-            index, position = self._read_index()
-            for digest, meta in index.items():
-                if digest in entries:
-                    entries[digest]["last_access"] = meta.get("last_access")
-                    entries[digest]["hits"] = meta.get("hits", 0)
-            evicted = self._enforce_caps(entries, max_bytes, max_entries)
-            self._compact(entries, position)
         return evicted
 
     def verify(self) -> List[str]:
@@ -637,15 +442,38 @@ class RunStore:
 
     # -- enumeration -------------------------------------------------------
 
+    def _scan_objects(self) -> Dict[str, Dict[str, Any]]:
+        """Summary rows for every entry, read from ``objects/``; an
+        entry's ``last_access`` is its ``entry.json`` mtime."""
+        rows: Dict[str, Dict[str, Any]] = {}
+        for entry_path in (self.root / "objects").glob("*/*/" + ENTRY_NAME):
+            try:
+                last_access = entry_path.stat().st_mtime
+                entry = json.loads(entry_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                continue
+            digest = entry.get("digest")
+            if not digest:
+                continue
+            cfg = entry.get("config", {})
+            rows[digest] = {
+                "exp_id": cfg.get("exp_id"),
+                "launcher": cfg.get("launcher"),
+                "workload": cfg.get("workload"),
+                "n_nodes": cfg.get("n_nodes"),
+                "n_partitions": cfg.get("n_partitions"),
+                "seed": entry.get("seed"),
+                "created": entry.get("created"),
+                "last_access": last_access,
+                "bytes": sum(a.get("bytes", 0)
+                             for a in entry.get("artifacts", {}).values()),
+            }
+        return rows
+
     def entries(self) -> List[Dict[str, Any]]:
-        """Index rows (summary metadata) for every stored run, newest
-        first."""
-        index, _ = self._read_index()
-        missing = [d for d in index if not self._object_dir(d).exists()]
-        for digest in missing:
-            index.pop(digest)
+        """Summary rows for every stored run, newest first."""
         rows = [dict(meta, digest=digest)
-                for digest, meta in index.items()]
+                for digest, meta in self._scan_objects().items()]
         rows.sort(key=lambda m: m.get("created") or 0.0, reverse=True)
         return rows
 
@@ -653,8 +481,9 @@ class RunStore:
         """Like :meth:`fetch` but without bumping the LRU clock; also
         accepts an unambiguous digest prefix."""
         if len(digest) < 64:
-            matches = [row["digest"] for row in self.entries()
-                       if row["digest"].startswith(digest)]
+            pattern = f"{glob.escape(digest[:2])}*/{glob.escape(digest)}*"
+            matches = [path.name for path in
+                       (self.root / "objects").glob(pattern)]
             if not matches:
                 return None
             if len(matches) > 1:
@@ -686,27 +515,6 @@ class RunStore:
                 .read_bytes()),
         }
         return written
-
-
-def _encode_record(record: Dict[str, Any]) -> bytes:
-    return json.dumps(record, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-def _apply(entries: Dict[str, Dict[str, Any]], record: Any) -> None:
-    """Fold one journal record into ``entries`` (in place)."""
-    op = record.get("op") if isinstance(record, dict) else None
-    if op == "put":
-        entries[record["digest"]] = record["meta"]
-    elif op == "touch":
-        for digest in record["digests"]:
-            meta = entries.get(digest)
-            if meta is not None:
-                meta["last_access"] = record["at"]
-                meta["hits"] = int(meta.get("hits", 0)) + 1
-    elif op == "evict":   # written by stores that evicted on put
-        for digest in record["digests"]:
-            entries.pop(digest, None)
 
 
 def export_profile_bytes(profiler) -> bytes:

@@ -103,6 +103,20 @@ class TestCodeFingerprint:
     def test_memoized_and_stable(self):
         assert code_fingerprint() == code_fingerprint()
 
+    def test_memoized_call_resolves_nothing(self, monkeypatch):
+        code_fingerprint()
+        calls = []
+        real_resolve = Path.resolve
+
+        def counting_resolve(self, *args, **kwargs):
+            calls.append(self)
+            return real_resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting_resolve)
+        code_fingerprint()
+        code_fingerprint()
+        assert calls == []
+
     def test_source_change_invalidates(self, tmp_path: Path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()

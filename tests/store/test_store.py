@@ -243,6 +243,15 @@ class TestEviction:
         assert hashlib.sha256(data).hexdigest() \
             == hashlib.sha256(profile).hexdigest()
 
+    def test_uncapped_gc_keeps_entries(self, tmp_path, donor):
+        store = RunStore(tmp_path / "store")
+        d0, d1, _ = populate(store, donor, seeds=(0, 1, 2))
+        store.fetch(d1)
+        store.fetch(d0)
+        before = store.entries()
+        assert store.gc() == []
+        assert store.entries() == before
+
 
 class TestIndex:
     def test_entries_summary(self, tmp_path, donor):
@@ -252,18 +261,6 @@ class TestIndex:
         assert len(rows) == 2
         assert {row["seed"] for row in rows} == {0, 1}
         assert all(row["bytes"] > 0 for row in rows)
-
-    def test_index_rebuilt_when_deleted(self, tmp_path, donor):
-        store = RunStore(tmp_path / "store")
-        (digest,) = populate(store, donor)
-        (store.root / "index.json").unlink()
-        assert [row["digest"] for row in store.entries()] == [digest]
-
-    def test_index_rebuilt_when_torn(self, tmp_path, donor):
-        store = RunStore(tmp_path / "store")
-        (digest,) = populate(store, donor)
-        (store.root / "index.json").write_text("{half a doc")
-        assert [row["digest"] for row in store.entries()] == [digest]
 
     def test_get_by_prefix(self, tmp_path, donor):
         store = RunStore(tmp_path / "store")
@@ -287,178 +284,69 @@ class TestIndex:
         assert doc["n_tasks"] == result.n_tasks
 
 
-
-def journal_records(store: RunStore):
-    """The journal's record lines (the header line carries none)."""
-    data = (store.root / "index.jsonl").read_bytes()
-    return [json.loads(line) for line in data.split(b"\n")[1:]]
-
-
-def spy_rewrites(monkeypatch):
-    """Record every snapshot rewrite from here on."""
-    calls = []
-    monkeypatch.setattr(RunStore, "_write_index",
-                        lambda self, *args: calls.append(args))
-    return calls
+def tree_state(root):
+    """``(mtime_ns, size)`` of every file and directory under ``root``."""
+    return {str(path.relative_to(root)): (path.stat().st_mtime_ns,
+                                          path.stat().st_size)
+            for path in root.rglob("*")}
 
 
-class TestJournal:
-    def test_hit_and_put_append_one_line_each(self, tmp_path, donor,
+class TestObjectsAreTheRecord:
+    def test_hit_and_put_never_scan_the_store(self, tmp_path, donor,
                                               monkeypatch):
+        """A hit and a put touch only their own entry, so they cost the
+        same at any store size; a hit changes one mtime and nothing
+        else."""
         store = RunStore(tmp_path / "store")
-        d0, _, _ = populate(store, donor, seeds=(0, 1, 2))
-        store.gc()  # compacts: the journal is just its header
-        assert journal_records(store) == []
-        rewrites = spy_rewrites(monkeypatch)
+        d0, _ = populate(store, donor, seeds=(0, 1))
+        monkeypatch.setattr(RunStore, "_scan_objects", None)
+        before = tree_state(store.root)
         assert store.fetch(d0) is not None
-        (touch,) = journal_records(store)
-        assert touch["op"] == "touch" and touch["digests"] == [d0]
-        (d3,) = populate(store, donor, seeds=(3,))
-        assert [r["op"] for r in journal_records(store)] == ["touch", "put"]
-        assert journal_records(store)[1]["digest"] == d3
-        assert rewrites == []
+        after = tree_state(store.root)
+        entry = str((store._object_dir(d0) / "entry.json")
+                    .relative_to(store.root))
+        assert after.keys() == before.keys()
+        assert {name for name in after if after[name] != before[name]} \
+            == {entry}
+        assert after[entry][0] > before[entry][0]
+        assert after[entry][1] == before[entry][1]
+        (d2,) = populate(store, donor, seeds=(2,))
+        assert store.fetch(d2) is not None
+        assert store.get(d2[:8]).digest == d2
+        assert list(store.root.glob("index*")) == []
 
-    def test_ensemble_hit_is_one_touch_line(self, tmp_path, monkeypatch):
+    def test_ensemble_hit_advances_every_last_access(self, tmp_path):
         from repro.ensemble import run_ensemble
 
         cfg = config_by_id("srun", n_nodes=1, waves=1)
         store = RunStore(tmp_path / "store")
         seeds = list(range(8))
         run_ensemble(cfg, seeds=seeds, cache=store, parallel=1)
-        store.gc()
-        before = {row["digest"]: row for row in store.entries()}
-        rewrites = spy_rewrites(monkeypatch)
+        before = {row["digest"]: row["last_access"]
+                  for row in store.entries()}
         served = run_ensemble(cfg, seeds=seeds, cache=store, parallel=1)
         assert all(m.result.provenance == "cached" for m in served.members)
-        (touch,) = journal_records(store)
-        assert touch["op"] == "touch"
-        assert sorted(touch["digests"]) == sorted(before)
-        assert rewrites == []
-        after = {row["digest"]: row for row in store.entries()}
-        assert len(after) == 8
-        for digest, row in after.items():
-            assert row["hits"] == 1
-            assert row["last_access"] > before[digest]["last_access"]
+        after = {row["digest"]: row["last_access"]
+                 for row in store.entries()}
+        assert len(after) == 8 and after.keys() == before.keys()
+        assert all(after[digest] > before[digest] for digest in after)
 
-    def test_torn_tail_ignored_and_next_append_kept(self, tmp_path, donor):
-        store = RunStore(tmp_path / "store")
-        (digest,) = populate(store, donor)
-        store.gc()
-        with (store.root / "index.jsonl").open("ab") as fh:
-            fh.write(b'\n{"op": "touch", "at": 1')  # a crash mid-append
-        (row,) = store.entries()
-        assert row["hits"] == 0
-        store.fetch(digest)
-        (row,) = store.entries()
-        assert row["hits"] == 1
-
-    def test_crash_mid_compaction_neither_double_counts_nor_loses(
-            self, tmp_path, donor, monkeypatch):
-        store = RunStore(tmp_path / "store")
-        d0, d1 = populate(store, donor, seeds=(0, 1))
-        store.gc()
-        store.fetch(d0)
-        store.fetch(d0)
-        store.fetch(d1)
-        hits = {row["digest"]: row["hits"] for row in store.entries()}
-        assert hits == {d0: 2, d1: 1}
-
-        def crash(self, generation):
-            raise OSError("killed between snapshot and journal reset")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(RunStore, "_reset_journal", crash)
-            with pytest.raises(OSError, match="killed"):
-                store.gc()
-        # The new snapshot already holds the old journal's records.
-        assert {row["digest"]: row["hits"]
-                for row in store.entries()} == hits
-        # An append to the not-yet-reset journal is still replayed.
-        store.fetch(d1)
-        assert {row["digest"]: row["hits"]
-                for row in store.entries()} == {d0: 2, d1: 2}
-
-    def test_warm_hits_do_not_compact_a_small_store(self, tmp_path, donor,
-                                                    monkeypatch):
-        store = RunStore(tmp_path / "store")
-        (digest,) = populate(store, donor)
-        generation, _ = store._read_journal()
-        rewrites = spy_rewrites(monkeypatch)
-        for _ in range(200):
-            assert store.fetch(digest) is not None
-        assert store._read_journal()[0] == generation
-        assert rewrites == []
-        (row,) = store.entries()
-        assert row["hits"] == 200
-
-    def test_concurrent_touches_are_never_lost(self, tmp_path, donor,
-                                               monkeypatch):
-        """More writers than cores, each with its own store handle and
-        a short switch interval: every touch lands, across the
-        compactions the writers trigger (no floor, so they compact as
-        soon as the journal outgrows the one-entry snapshot)."""
-        import sys
-        import threading
-
-        monkeypatch.setattr(store_mod, "COMPACT_FLOOR", 0)
+    def test_leftover_index_files_are_ignored(self, tmp_path, donor):
+        """A store written with a snapshot/journal index opens, lists,
+        gc's and verifies from its objects alone."""
         root = tmp_path / "store"
         (digest,) = populate(RunStore(root), donor)
-        n_threads, n_touches = 6, 20
-
-        def touch():
-            store = RunStore(root)
-            for _ in range(n_touches):
-                store.touch([digest])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=touch)
-                       for _ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        (row,) = RunStore(root).entries()
-        assert row["hits"] == n_threads * n_touches
-
-    def test_gc_compaction_keeps_entries(self, tmp_path, donor):
-        store = RunStore(tmp_path / "store")
-        d0, d1, _ = populate(store, donor, seeds=(0, 1, 2))
-        store.fetch(d1)
-        store.fetch(d0)
-        before = store.entries()
-        store.gc()
-        assert journal_records(store) == []
-        assert store.entries() == before
-
-    def test_hit_and_put_cost_independent_of_index_size(
-            self, tmp_path, donor, monkeypatch):
-        """A hit and an uncapped put append the same bytes and parse no
-        index at 1 or 10,001 entries."""
-        appended = []
-        for n_fake in (0, 10_000):
-            store = RunStore(tmp_path / f"store{n_fake}")
-            (digest,) = populate(store, donor)
-            store.gc()
-            snapshot = store.root / "index.json"
-            doc = json.loads(snapshot.read_text())
-            meta = doc["entries"][digest]
-            for i in range(n_fake):
-                doc["entries"][f"{i:064x}"] = dict(meta)
-            snapshot.write_text(json.dumps(doc))
-            journal = store.root / "index.jsonl"
-            size = journal.stat().st_size
-            with monkeypatch.context() as patch:
-                patch.setattr(store_mod.time, "time", lambda: 1.5e9)
-                patch.setattr(RunStore, "_read_index", None)
-                assert store.fetch(digest) is not None
-                populate(store, donor, seeds=(1,))
-            appended.append(journal.read_bytes()[size:])
-            index, _ = store._read_index()
-            assert len(index) == n_fake + 2 and index[digest]["hits"] == 1
-        assert appended[0] == appended[1]
-        assert appended[0].count(b"\n") == 2
+        (root / "index.json").write_text(json.dumps({
+            "journal": [0, 0],
+            "entries": {"f" * 64: {"hits": 9, "bytes": 1}}}))
+        (root / "index.jsonl").write_text(
+            '{"format":"repro-run-store","generation":1}\n'
+            + json.dumps({"op": "evict", "digests": [digest]}))
+        (root / "index.lock").write_bytes(b"")
+        store = RunStore(root)
+        assert [row["digest"] for row in store.entries()] == [digest]
+        assert store.gc() == []
+        assert store.verify() == []
+        assert store.fetch(digest) is not None
+        for name in ("index.json", "index.jsonl", "index.lock"):
+            assert (root / name).exists()
