@@ -57,6 +57,10 @@ class TraceEvent(NamedTuple):
         One of the canonical event names above (free-form allowed).
     meta:
         Event-specific payload, e.g. ``cores``, ``backend``, ``gpus``.
+        A recorded meta is shared and read-only: task records with
+        equal metas hold one dict (see
+        :meth:`~repro.analytics.profiler.Profiler.task_meta`), and the
+        ``{}`` default is one dict shared by every event without meta.
     """
 
     time: float

@@ -143,11 +143,13 @@ def write_event_lines(fh, events) -> int:
     included: the C encoder prints float subclasses with
     ``float.__repr__`` too) — is spelled from the field helpers instead
     of walking the dict; anything else takes the encoder.  Encoded metas
-    are memoized by identity, so the few meta dicts shared by every
-    task's records are encoded once.  Each memo entry holds its meta,
+    are memoized by identity, so the few meta dicts that every task
+    record shares (see
+    :meth:`~repro.analytics.profiler.Profiler.task_meta`) are encoded
+    about once each.  Each memo entry holds its meta,
     so a freed dict's id cannot alias it, and the memo is cleared
     every ``_MEMO_LIMIT`` entries, so per-record metas keep memory
-    flat.  Metas must not be mutated while ``events`` is iterated.
+    flat.  A recorded meta is read-only (see :class:`TraceEvent`).
     """
     encode = _ENCODER.encode
     write = fh.write

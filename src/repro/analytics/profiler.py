@@ -28,6 +28,14 @@ SPILL_THRESHOLD = 200_000
 #: itself; the stride only bounds how often that check runs.
 PROBE_STRIDE = 4096
 
+#: Value types a task state-event meta may hold to be shared (see
+#: :meth:`Profiler.task_meta`).  Within them, two values of one type
+#: that compare equal spell the same in a profile; floats are left out
+#: (``0.0 == -0.0`` but the two spell differently).
+_SHAREABLE = frozenset({str, int, bool, type(None)})
+
+_new_tuple = tuple.__new__
+
 
 class Profiler:
     """Append-only trace store keyed by event name and entity.
@@ -77,6 +85,12 @@ class Profiler:
         #: Record count (spilled included) at which the probe next fires.
         self._probe_due = 0
         self._mark = self._spill_at
+        #: Task state-event metas: one shared dict per distinct value,
+        #: keyed by its typed items, and the memo of call arguments in
+        #: front of it (see :meth:`task_meta`).  Both live as long as
+        #: this profiler.
+        self._metas: Dict[frozenset, Dict[str, Any]] = {}
+        self._meta_calls: Dict[tuple, Dict[str, Any]] = {}
 
     # -- threshold --------------------------------------------------------
 
@@ -179,17 +193,84 @@ class Profiler:
                      at: Optional[float] = None) -> TraceEvent:
         """Like :meth:`record`, but takes the meta dict directly.
 
-        The hottest recording sites (task state transitions) build
-        their payload dict anyway; passing it by reference skips the
-        ``**kwargs`` re-packing of :meth:`record`.  The caller must
-        hand over a fresh dict (it is stored, not copied).
+        For sites that already hold their meta (``build_tasks`` records
+        one shared TASK_CREATED meta per description): passing it by
+        reference skips the ``**kwargs`` re-packing of :meth:`record`.
+        The dict is stored, not copied, and is read-only from then on
+        (see :class:`~repro.analytics.events.TraceEvent`).
         """
-        ev = TraceEvent(self._env._now if at is None else at,
-                        entity, name, meta)
+        # tuple.__new__ skips the named tuple's Python-level __new__,
+        # about half the cost of building a record.
+        ev = _new_tuple(TraceEvent, (self._env._now if at is None else at,
+                                     entity, name, meta))
         self._events.append(ev)
         if len(self._events) >= self._mark:
             self._tick()
         return ev
+
+    def record_task(self, entity: str, name: str, base: Dict[str, Any],
+                    backend: Optional[str] = None,
+                    meta: Optional[Dict[str, Any]] = None,
+                    at: Optional[float] = None) -> TraceEvent:
+        """Record a task state event whose meta is
+        ``task_meta(base, backend, meta)``.
+
+        The per-record path of every task state transition: a record
+        without keyword meta looks its shared dict up (under
+        :meth:`task_meta`'s key) in the same call that builds the
+        record.
+        """
+        cores, gpus = base["cores"], base["gpus"]
+        shared = None if meta else self._meta_calls.get(
+            (cores, cores.__class__, gpus, gpus.__class__, backend))
+        if shared is None:
+            shared = self.task_meta(base, backend, meta)
+        ev = _new_tuple(TraceEvent, (self._env._now if at is None else at,
+                                     entity, name, shared))
+        self._events.append(ev)
+        if len(self._events) >= self._mark:
+            self._tick()
+        return ev
+
+    def task_meta(self, base: Dict[str, Any], backend: Optional[str] = None,
+                  meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """The meta of one task state-event record: ``cores`` and
+        ``gpus`` from ``base`` (a task's payload), then ``backend`` (a
+        backend name) unless it is ``None``, then the items of ``meta``.
+
+        Every call with the same meta value returns the same read-only
+        dict, so a run's task records carry a few dozen metas instead
+        of one per record, and
+        :func:`~repro.analytics.export.write_event_lines` encodes each
+        once.  Resources and keyword values are keyed with their type,
+        so ``True``, ``1`` and ``1.0`` never share.  A meta with a
+        value outside str/int/bool/None (an unhashable keyword value,
+        a float) gets a fresh dict instead.
+        """
+        cores, gpus = base["cores"], base["gpus"]
+        key = (cores, cores.__class__, gpus, gpus.__class__, backend)
+        if meta:
+            try:
+                key += tuple([(k, v.__class__, v) for k, v in meta.items()])
+                shared = self._meta_calls.get(key)
+            except TypeError:       # an unhashable keyword value
+                key = shared = None
+        else:
+            shared = self._meta_calls.get(key)
+        if shared is not None:
+            return shared
+        fresh = {"cores": cores, "gpus": gpus}
+        if backend is not None:
+            fresh["backend"] = backend
+        if meta:
+            fresh.update(meta)
+        if key is None or not all(v.__class__ in _SHAREABLE
+                                  for v in fresh.values()):
+            return fresh
+        shared = self._meta_calls[key] = self._metas.setdefault(
+            frozenset([(k, v.__class__, v) for k, v in fresh.items()]),
+            fresh)
+        return shared
 
     def _index_names(self) -> None:
         """Bring the by-name index up to date."""

@@ -104,7 +104,7 @@ class ExecutorBase:
     def _task_started(self, task: "Task") -> None:
         if task.state != TaskState.AGENT_EXECUTING:
             task.backend = self.backend
-            task.advance(TaskState.AGENT_EXECUTING, backend=self.backend)
+            task.advance(TaskState.AGENT_EXECUTING)
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} nodes={self.allocation.n_nodes} "

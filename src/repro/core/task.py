@@ -59,15 +59,13 @@ class Task:
         #: waiters (no per-task Event or queue round-trip); see
         #: :meth:`TaskManager.wait_tasks`.
         self._on_final = None
-        # Base trace payload, copied into every state-event record
-        # (the resource request never changes over a task's life).
+        # Base of every state-event meta (the resource request never
+        # changes over a task's life); see Profiler.task_meta.
         resources = description.resources
         self._payload = {"cores": resources.cores, "gpus": resources.gpus}
         if profiler is not None:
-            profiler.record_event(
-                uid, tev.TASK_CREATED,
-                {"cores": resources.cores, "gpus": resources.gpus,
-                 "mode": description.mode})
+            profiler.record_task(uid, tev.TASK_CREATED, self._payload,
+                                 meta={"mode": description.mode})
 
     # -- state machine ------------------------------------------------------
 
@@ -93,12 +91,8 @@ class Task:
         if self.profiler is not None and new_state != TaskState.NEW:
             name = _STATE_EVENTS.get(new_state)
             if name is not None:
-                payload = self._payload.copy()
-                if self.backend is not None:
-                    payload["backend"] = self.backend
-                if meta:
-                    payload.update(meta)
-                self.profiler.record_event(self.uid, name, payload)
+                self.profiler.record_task(self.uid, name, self._payload,
+                                          self.backend, meta)
         if new_state == TaskState.AGENT_EXECUTING \
                 and self._exec_event is not None \
                 and not self._exec_event.triggered:
@@ -118,10 +112,9 @@ class Task:
         """
         self.exec_stop = self.env._now if when is None else when
         if self.profiler is not None:
-            payload = self._payload.copy()
-            payload["backend"] = self.backend or ""
-            self.profiler.record_event(self.uid, tev.TASK_EXEC_STOP,
-                                       payload, at=self.exec_stop)
+            self.profiler.record_task(self.uid, tev.TASK_EXEC_STOP,
+                                      self._payload, self.backend or "",
+                                      at=self.exec_stop)
 
     # -- completion ------------------------------------------------------------
 
@@ -170,12 +163,13 @@ def build_tasks(env: "Environment", uids: List[str],
     """Batched task construction for :meth:`TaskManager.submit_tasks`.
 
     Produces exactly the objects and trace records that ``n`` calls of
-    ``Task(env, uid, desc, profiler)`` would, but shares the per-state
-    base payload and the TASK_CREATED meta dict across every task with
-    the same description (synthetic workloads repeat one frozen
-    description tens of thousands of times).  Sharing is safe because
-    ``advance``/``mark_exec_stop`` always ``copy()`` the payload before
-    mutating, and trace meta dicts are read-only once recorded.
+    ``Task(env, uid, desc, profiler)`` would, but shares the base
+    payload across every task with the same description (synthetic
+    workloads repeat one frozen description tens of thousands of
+    times), and looks up its TASK_CREATED meta in the profiler's table
+    once per description.  Sharing is safe because nothing mutates a
+    payload (:meth:`~repro.analytics.profiler.Profiler.task_meta` only
+    reads its ``cores`` and ``gpus``) and a recorded meta is read-only.
     """
     if len(uids) != len(descriptions):
         raise ValueError(f"{len(uids)} uids for "
@@ -188,10 +182,11 @@ def build_tasks(env: "Environment", uids: List[str],
         entry = cache.get(id(desc))
         if entry is None:
             resources = desc.resources
+            payload = {"cores": resources.cores, "gpus": resources.gpus}
             entry = (
-                {"cores": resources.cores, "gpus": resources.gpus},
-                {"cores": resources.cores, "gpus": resources.gpus,
-                 "mode": desc.mode},
+                payload,
+                profiler.task_meta(payload, meta={"mode": desc.mode})
+                if profiler is not None else None,
                 desc.retries,
             )
             cache[id(desc)] = entry

@@ -160,3 +160,34 @@ class TestProbe:
 
     def test_unarmed_threshold_is_infinite(self):
         assert Profiler(Environment())._mark == float("inf")
+
+
+class TestSharedMetasSpill:
+    """Task records share interned metas; spill chunks must spell them
+    exactly as the in-memory export does."""
+
+    def test_faulty_run_spills_byte_identical(self, tmp_path, monkeypatch):
+        """The CLI's faulty run (``run faults --faults ...``) with a
+        threshold small enough that its records cross many chunks."""
+        import dataclasses
+        import functools
+
+        import repro.core.session
+        from repro.experiments.configs import config_by_id
+        from repro.experiments.harness import run_experiment
+        from repro.faults import FaultSpec
+
+        cfg = config_by_id("faults")
+        cfg = dataclasses.replace(cfg, faults=FaultSpec.parse(
+            "mtbf=900,p_launch_fail=0.02", base=cfg.faults))
+        mem = run_experiment(cfg, keep_session=True).session.profiler
+        monkeypatch.setattr(repro.core.session, "Profiler", functools.partial(
+            Profiler, spill_threshold=512))
+        spill = run_experiment(cfg, keep_session=True,
+                               spill_dir=tmp_path / "chunks").session.profiler
+        assert len(spill.spilled_chunks) >= 4
+        assert any("reason" in ev.meta for ev in mem)
+        save_profile(mem, tmp_path / "mem.jsonl")
+        save_profile(spill, tmp_path / "spill.jsonl")
+        assert (tmp_path / "mem.jsonl").read_bytes() \
+            == (tmp_path / "spill.jsonl").read_bytes()
