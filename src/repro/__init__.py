@@ -31,13 +31,27 @@ Package layout
 
 __version__ = "1.0.0"
 
-from .core import (
-    PartitionSpec,
-    PilotDescription,
-    Session,
-    TaskDescription,
-)
-from .platform import ResourceSpec, frontier
+# Top-level names, imported on first access: ``import repro.sim`` then
+# loads the kernel alone, not the pilot runtime and analytics above it.
+_LAZY = {
+    "PartitionSpec": "core",
+    "PilotDescription": "core",
+    "Session": "core",
+    "TaskDescription": "core",
+    "ResourceSpec": "platform",
+    "frontier": "platform",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "PartitionSpec",

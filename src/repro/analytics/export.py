@@ -127,13 +127,13 @@ def write_event_lines(fh, events) -> int:
     """Serialize trace events to ``fh``, one JSON object per line.
 
     The record encoder of every profiler-backed export: full-profile
-    export, the streaming profiler's spill chunks and
-    :class:`~repro.sim.monitor.Monitor` all write through here, which
-    is what makes chunk files verbatim slices of a profile.  The
-    vectorized ensemble engine spells its task records from column
-    arrays with the same field helpers (:func:`entity_field`,
-    :func:`meta_field`, :func:`name_field`) and encodes its captured
-    bootstrap records here.  Returns the number of lines written.
+    export and the streaming profiler's spill chunks both write
+    through here, which is what makes chunk files verbatim slices of a
+    profile.  The vectorized ensemble engine spells its task records
+    from column arrays with the same field helpers
+    (:func:`entity_field`, :func:`meta_field`, :func:`name_field`) and
+    encodes its captured bootstrap records here.  Returns the number
+    of lines written.
 
     Every line is byte-identical to ``_ENCODER.encode(record)`` (with
     the :func:`_sanitize` retry) for ``record = {"time", "entity",

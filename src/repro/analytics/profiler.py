@@ -278,9 +278,12 @@ class Profiler:
         start = self._indexed_name
         if start == len(events):
             return
-        by_name = self._by_name.setdefault
+        by_name = self._by_name
         for ev in events[start:]:
-            by_name(ev[2], []).append(ev)     # ev.name
+            try:
+                by_name[ev[2]].append(ev)     # ev.name
+            except KeyError:
+                by_name[ev[2]] = [ev]
         self._indexed_name = len(events)
 
     def _index_entities(self) -> None:
@@ -289,9 +292,16 @@ class Profiler:
         start = self._indexed_entity
         if start == len(events):
             return
-        by_entity = self._by_entity.setdefault
+        # One key per task, so a miss is common: test for it instead of
+        # raising KeyError as the few-keyed by-name index does.
+        by_entity = self._by_entity
+        get = by_entity.get
         for ev in events[start:]:
-            by_entity(ev[1], []).append(ev)   # ev.entity
+            bucket = get(ev[1])               # ev.entity
+            if bucket is None:
+                by_entity[ev[1]] = [ev]
+            else:
+                bucket.append(ev)
         self._indexed_entity = len(events)
 
     # -- queries ----------------------------------------------------------

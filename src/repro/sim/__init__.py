@@ -10,7 +10,6 @@ processes over this kernel.
 
 from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .kernel import Environment
-from .monitor import Monitor
 from .process import Interrupt, Process
 from .random import RngStreams
 from .resources import Request, Resource, Store, StoreGet
@@ -22,7 +21,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "Monitor",
     "Process",
     "Request",
     "Resource",

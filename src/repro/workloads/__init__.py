@@ -9,12 +9,6 @@ from .dag import (
     WorkflowResult,
     WorkflowRunner,
 )
-from .patterns import (
-    bag_of_tasks,
-    ensemble,
-    pipeline_with_feedback,
-    strong_scaling_sweep,
-)
 from .replay import ReplayRunner, TimedTask, workload_from_trace
 from .impeccable import (
     IMPECCABLE_STAGES,
@@ -45,20 +39,16 @@ __all__ = [
     "WorkflowNode",
     "WorkflowResult",
     "WorkflowRunner",
-    "bag_of_tasks",
     "CampaignResult",
     "CampaignRunner",
     "StageTemplate",
     "campaign_plan",
     "dummy_workload",
-    "ensemble",
     "make_stage_tasks",
     "min_scalable_tasks",
     "mixed_workload",
     "null_workload",
-    "pipeline_with_feedback",
     "stage_task_count",
-    "strong_scaling_sweep",
     "task_count",
     "workload_from_trace",
 ]

@@ -164,6 +164,26 @@ class TestCli:
         events = load_events(path)
         assert len(events) > 100
 
+    def test_spilled_run_exports_the_in_memory_bytes(self, tmp_path,
+                                                     monkeypatch):
+        # The faulty run writes ~9,000 records, far under the default
+        # threshold, so the threshold is lowered until it really spills.
+        import functools
+
+        import repro.core.session
+        from repro.analytics.profiler import Profiler
+
+        argv = ["run", "faults", "--faults", "mtbf=900,p_launch_fail=0.02"]
+        assert main(argv + ["--profile", str(tmp_path / "mem.jsonl")]) == 0
+        monkeypatch.setattr(repro.core.session, "Profiler", functools.partial(
+            Profiler, spill_threshold=512))
+        chunks = tmp_path / "chunks"
+        assert main(argv + ["--profile", str(tmp_path / "spill.jsonl"),
+                            "--spill-dir", str(chunks)]) == 0
+        assert len(list(chunks.glob("chunk-*.jsonl"))) >= 4
+        assert (tmp_path / "spill.jsonl").read_bytes() \
+            == (tmp_path / "mem.jsonl").read_bytes()
+
 
 class TestTraceCli:
     def _bundle(self, tmp_path):

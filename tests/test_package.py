@@ -1,5 +1,9 @@
 """Package-level tests: public API surface, ids, exceptions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -37,7 +41,6 @@ class TestPublicApi:
         import repro.dragon
         import repro.experiments
         import repro.flux
-        import repro.mpi
         import repro.platform
         import repro.rjms
         import repro.sim
@@ -49,11 +52,23 @@ class TestPublicApi:
 
         for module_name in ("repro", "repro.sim", "repro.platform",
                             "repro.rjms", "repro.flux", "repro.dragon",
-                            "repro.mpi", "repro.core", "repro.workloads",
+                            "repro.core", "repro.workloads",
                             "repro.analytics", "repro.experiments"):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", ()):
                 assert hasattr(module, name), f"{module_name}.{name}"
+
+    def test_kernel_imports_no_analytics(self):
+        """The DES kernel sits below the analytics layer: importing it
+        must not load ``repro.analytics`` (or the runtime above it)."""
+        code = ("import sys, repro.sim; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith(('repro.analytics', 'repro.core'))))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "[]"
 
 
 class TestExceptionHierarchy:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import TaskDescription
-from repro.exceptions import SimulationError
 from repro.workloads import Workflow, WorkflowResult
 
 
@@ -44,30 +43,3 @@ class TestWorkflowResult:
         result.skipped.append("x")
         assert not result.succeeded
 
-
-class TestMonitorGuards:
-    def test_probe_after_start_rejected(self, env):
-        from repro.sim import Monitor
-
-        mon = Monitor(env, interval=1.0)
-        mon.probe("x", lambda: 0)
-        mon.start()
-        with pytest.raises(SimulationError):
-            mon.probe("y", lambda: 1)
-
-    def test_double_start_rejected(self, env):
-        from repro.sim import Monitor
-
-        mon = Monitor(env, interval=1.0)
-        mon.probe("x", lambda: 0)
-        mon.start()
-        with pytest.raises(SimulationError):
-            mon.start()
-
-    def test_peak_of_empty_probe(self, env):
-        from repro.sim import Monitor
-
-        mon = Monitor(env, interval=1.0)
-        mon.probe("x", lambda: 0)
-        with pytest.raises(SimulationError):
-            mon.peak("x")
