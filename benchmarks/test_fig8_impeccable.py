@@ -21,12 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics import (
+    backlog_series,
     concurrency_series,
     start_rate_series,
-    state_occupancy_series,
 )
 from repro.analytics.report import format_series, format_table
-from repro.core.states import TaskState
 from repro.experiments import ExperimentConfig, run_experiment
 
 from .conftest import run_once
@@ -48,7 +47,8 @@ def test_fig8_impeccable_campaign(benchmark, emit):
                 cfg = ExperimentConfig(
                     exp_id=f"impeccable_{launcher}", launcher=launcher,
                     workload="impeccable", n_nodes=nodes)
-                results[(launcher, nodes)] = run_experiment(cfg)
+                results[(launcher, nodes)] = run_experiment(
+                    cfg, keep_session=True)
         return results
 
     run_once(benchmark, sweep)
@@ -98,9 +98,7 @@ def test_fig8_impeccable_campaign(benchmark, emit):
     # time-integrated scheduling backlog per task is far larger under
     # srun than under Flux at 1024 nodes.
     def backlog_per_task(result):
-        series = state_occupancy_series(result.tasks,
-                                        TaskState.AGENT_SCHEDULING,
-                                        resolution=60.0)
+        series = backlog_series(result.session.profiler, resolution=60.0)
         if series.values.size == 0:
             return 0.0
         trapezoid = getattr(np, "trapezoid", None) or np.trapz

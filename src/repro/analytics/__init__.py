@@ -18,23 +18,21 @@ from .metrics import (
 from .profiler import Profiler
 from .summary import (
     BackendSummary,
-    PhaseStats,
     SessionSummary,
     summarize,
 )
 from .timeseries import (
     Series,
+    backlog_series,
     concurrency_series,
     resource_usage_series,
     start_rate_series,
-    state_occupancy_series,
 )
 from .validate import Violation, assert_valid_trace, validate_trace
 
 __all__ = [
     "BackendSummary",
     "CriticalStep",
-    "PhaseStats",
     "Profiler",
     "Series",
     "SessionSummary",
@@ -43,6 +41,7 @@ __all__ = [
     "TraceEvent",
     "Violation",
     "assert_valid_trace",
+    "backlog_series",
     "concurrency_series",
     "critical_path",
     "events",
@@ -55,7 +54,6 @@ __all__ = [
     "resource_usage_series",
     "start_rate_series",
     "startup_overheads",
-    "state_occupancy_series",
     "task_throughput",
     "throughput",
     "utilization",

@@ -173,7 +173,7 @@ def startup_overheads(profiler: "Profiler", kind: Optional[str] = None
 def makespan(tasks: Iterable["Task"]) -> float:
     """Workflow makespan: first submission to last payload stop."""
     tasks = list(tasks)
-    submit = [t.state_history[0][0] for t in tasks]
+    submit = [t.created for t in tasks]
     stops = [t.exec_stop for t in tasks if t.exec_stop is not None]
     if not submit or not stops:
         return 0.0

@@ -1,15 +1,17 @@
-"""Whole-session summaries: per-backend breakdowns and latency stats.
+"""Whole-session summaries: task counts, per-backend breakdowns and
+throughput.
 
-RADICAL-Analytics' most common use is a per-run report: how many
-tasks ran where, how long each lifecycle phase took, and the
-percentile structure of scheduling/launch delays.  This module builds
-that from :class:`~repro.core.task.Task` lists, complementing the
-single-number metrics in :mod:`repro.analytics.metrics`.
+RADICAL-Analytics' most common use is a per-run report: how many tasks
+ran where, how fast, and how busy the allocation was.  This module
+builds that from :class:`~repro.core.task.Task` lists, complementing
+the single-number metrics in :mod:`repro.analytics.metrics`.  Where
+task time went (the schedule/launch/exec/collect phases) is a function
+of the profile: :func:`repro.observability.phase_rollup`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -20,29 +22,6 @@ from .report import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.task import Task
-
-
-@dataclass(frozen=True)
-class PhaseStats:
-    """Distribution of one lifecycle-phase duration across tasks."""
-
-    name: str
-    n: int
-    mean: float
-    p50: float
-    p95: float
-    max: float
-
-    @staticmethod
-    def from_samples(name: str, samples: Iterable[float]) -> "PhaseStats":
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.size == 0:
-            return PhaseStats(name, 0, 0.0, 0.0, 0.0, 0.0)
-        return PhaseStats(
-            name=name, n=int(arr.size), mean=float(arr.mean()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            max=float(arr.max()))
 
 
 @dataclass(frozen=True)
@@ -60,14 +39,13 @@ class BackendSummary:
 
 @dataclass(frozen=True)
 class SessionSummary:
-    """Everything a run report needs, in one object."""
+    """A run report's task counts, per-backend slices and utilization."""
 
     n_tasks: int
     n_done: int
     n_failed: int
     n_canceled: int
     backends: Tuple[BackendSummary, ...]
-    phases: Tuple[PhaseStats, ...]
     utilization_cores: Optional[float] = None
 
     def to_text(self) -> str:
@@ -84,34 +62,11 @@ class SessionSummary:
                 [(b.backend, b.n_tasks, b.n_done, b.n_failed, b.n_canceled,
                   b.throughput_avg, b.throughput_peak)
                  for b in self.backends]))
-        if self.phases:
-            out.append("")
-            out.append(format_table(
-                ["phase [s]", "n", "mean", "p50", "p95", "max"],
-                [(p.name, p.n, p.mean, p.p50, p.p95, p.max)
-                 for p in self.phases]))
         if self.utilization_cores is not None:
             out.append("")
             out.append(f"core utilization: "
                        f"{100 * self.utilization_cores:.1f} %")
         return "\n".join(out)
-
-
-def _phase_durations(tasks: List["Task"], begin_state: str,
-                     end_state: str) -> List[float]:
-    """start-to-start durations between two states, where both occur."""
-    out = []
-    for task in tasks:
-        begin = end = None
-        for ts, state in task.state_history:
-            if begin is None and state == begin_state:
-                begin = ts
-            elif begin is not None and state == end_state:
-                end = ts
-                break
-        if begin is not None and end is not None:
-            out.append(end - begin)
-    return out
 
 
 def summarize(tasks: Iterable["Task"],
@@ -136,28 +91,12 @@ def summarize(tasks: Iterable["Task"],
             throughput_peak=stats.peak,
         ))
 
-    phases = (
-        PhaseStats.from_samples(
-            "queue (tmgr->sched)",
-            _phase_durations(tasks, TaskState.TMGR_SCHEDULING,
-                             TaskState.AGENT_SCHEDULING)),
-        PhaseStats.from_samples(
-            "launch (sched->exec)",
-            _phase_durations(tasks, TaskState.AGENT_SCHEDULING,
-                             TaskState.AGENT_EXECUTING)),
-        PhaseStats.from_samples(
-            "execution",
-            [t.exec_stop - t.exec_start for t in tasks
-             if t.exec_start is not None and t.exec_stop is not None]),
-    )
-
     return SessionSummary(
         n_tasks=len(tasks),
         n_done=sum(t.state == TaskState.DONE for t in tasks),
         n_failed=sum(t.state == TaskState.FAILED for t in tasks),
         n_canceled=sum(t.state == TaskState.CANCELED for t in tasks),
         backends=tuple(backends),
-        phases=phases,
         utilization_cores=(utilization(tasks, total_cores)
                            if total_cores else None),
     )

@@ -1,21 +1,34 @@
-"""Time-series views of a run: concurrency and launch-rate curves.
+"""Time-series views of a run: concurrency, launch-rate and backlog
+curves.
 
 These regenerate the paper's Fig. 8 panels: running-task concurrency
 (green, left axis) and execution start rate (red, right axis) over
-the workflow's lifetime.
+the workflow's lifetime, from task lists, and the scheduling backlog
+behind them, from the run's profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable
 
 import numpy as np
 
+from . import events as tev
 from .metrics import exec_intervals, exec_start_times
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.task import Task
+    from .events import TraceEvent
+
+#: The task state events the profile records.
+_STATE_EVENTS = frozenset({
+    tev.TASK_CREATED, tev.TASK_SCHEDULED, tev.TASK_EXEC_START,
+    tev.TASK_DONE, tev.TASK_FAILED, tev.TASK_CANCELED,
+})
+_BACKLOG_EXITS = frozenset({
+    tev.TASK_EXEC_START, tev.TASK_FAILED, tev.TASK_CANCELED,
+})
 
 
 @dataclass(frozen=True)
@@ -32,21 +45,25 @@ class Series:
         return float(self.values.mean()) if self.values.size else 0.0
 
 
-def concurrency_series(tasks: Iterable["Task"],
-                       resolution: float = 60.0) -> Series:
-    """Number of concurrently *running* tasks sampled every
-    ``resolution`` seconds (the paper's green curves)."""
-    iv = exec_intervals(tasks)
+def _open_count(iv: np.ndarray, resolution: float) -> Series:
+    """How many ``[start, stop)`` rows of ``iv`` are open at each
+    ``resolution``-spaced sample from the first start to the last
+    stop."""
     if iv.shape[0] == 0:
         return Series(np.empty(0), np.empty(0))
     t0, t1 = float(iv[:, 0].min()), float(iv[:, 1].max())
     samples = np.arange(t0, t1 + resolution, resolution)
     # Vectorized interval stabbing: count starts <= t < stops.
-    starts = np.sort(iv[:, 0])
-    stops = np.sort(iv[:, 1])
-    running = (np.searchsorted(starts, samples, side="right")
-               - np.searchsorted(stops, samples, side="right"))
-    return Series(samples, running.astype(float))
+    count = (np.searchsorted(np.sort(iv[:, 0]), samples, side="right")
+             - np.searchsorted(np.sort(iv[:, 1]), samples, side="right"))
+    return Series(samples, count.astype(float))
+
+
+def concurrency_series(tasks: Iterable["Task"],
+                       resolution: float = 60.0) -> Series:
+    """Number of concurrently *running* tasks sampled every
+    ``resolution`` seconds (the paper's green curves)."""
+    return _open_count(exec_intervals(tasks), resolution)
 
 
 def start_rate_series(tasks: Iterable["Task"],
@@ -63,36 +80,32 @@ def start_rate_series(tasks: Iterable["Task"],
     return Series(centers, counts / bin_width)
 
 
-def state_occupancy_series(tasks: Iterable["Task"], state: str,
-                           resolution: float = 60.0) -> Series:
-    """How many tasks sit in ``state`` over time.
+def backlog_series(events: Iterable["TraceEvent"],
+                   resolution: float = 60.0) -> Series:
+    """How many tasks of a run's profile wait in AGENT_SCHEDULING over
+    time: Fig. 8's scheduled-vs-running gap, where a slow launcher
+    piles tasks up while the running count trails behind.
 
-    Used to reproduce Fig. 8's scheduled-vs-running gap: with a slow
-    launcher, tasks pile up in AGENT_SCHEDULING while the running
-    count trails behind.
+    A task waits from each ``task_scheduled`` (a retry re-enters) to
+    its next ``task_exec_start``, ``task_failed`` or ``task_canceled``
+    (the only successors of AGENT_SCHEDULING); one still waiting at
+    the end counts up to the latest task state event.
     """
+    entered: Dict[str, float] = {}
     rows = []
     horizon = 0.0
-    for task in tasks:
-        history = task.state_history
-        horizon = max(horizon, history[-1][0])
-        for i, (ts, name) in enumerate(history):
-            if name != state:
-                continue
-            stop = (history[i + 1][0] if i + 1 < len(history)
-                    else float("inf"))
-            rows.append((ts, stop))
-    if not rows:
-        return Series(np.empty(0), np.empty(0))
-    iv = np.array(rows, dtype=float)
-    iv[:, 1] = np.minimum(iv[:, 1], horizon)
-    t0, t1 = float(iv[:, 0].min()), float(iv[:, 1].max())
-    samples = np.arange(t0, t1 + resolution, resolution)
-    starts = np.sort(iv[:, 0])
-    stops = np.sort(iv[:, 1])
-    occupancy = (np.searchsorted(starts, samples, side="right")
-                 - np.searchsorted(stops, samples, side="right"))
-    return Series(samples, occupancy.astype(float))
+    for ev in events:
+        name = ev.name
+        if name not in _STATE_EVENTS:
+            continue
+        if ev.time > horizon:
+            horizon = ev.time
+        if name == tev.TASK_SCHEDULED:
+            entered[ev.entity] = ev.time
+        elif name in _BACKLOG_EXITS and ev.entity in entered:
+            rows.append((entered.pop(ev.entity), ev.time))
+    rows.extend((start, horizon) for start in entered.values())
+    return _open_count(np.array(rows, dtype=float), resolution)
 
 
 def resource_usage_series(tasks: Iterable["Task"], total: int,

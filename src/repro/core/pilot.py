@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from ..analytics import events as tev
 from .description import PilotDescription
@@ -26,7 +26,6 @@ class Pilot:
         self.description = description
         self.profiler = profiler
         self.state = PilotState.NEW
-        self.state_history: List[Tuple[float, str]] = [(env.now, PilotState.NEW)]
         self.allocation: Optional["Allocation"] = None
         self.agent: Optional["Agent"] = None
         self._active_event: Optional["Event"] = None
@@ -35,7 +34,6 @@ class Pilot:
     def advance(self, new_state: str, **meta) -> None:
         check_transition("pilot", self.state, new_state, PilotState.TRANSITIONS)
         self.state = new_state
-        self.state_history.append((self.env.now, new_state))
         if self.profiler is not None:
             if new_state == PilotState.ACTIVE:
                 self.profiler.record(self.uid, tev.PILOT_ACTIVE,

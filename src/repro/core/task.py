@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from ..analytics import events as tev
 from ..exceptions import StateTransitionError
@@ -31,7 +31,7 @@ class Task:
     # thousands, several state transitions each); slots keep their
     # attribute access off the instance-dict path.
     __slots__ = (
-        "env", "uid", "description", "profiler", "state", "state_history",
+        "env", "uid", "description", "profiler", "state", "created",
         "backend", "exec_start", "exec_stop", "exception", "attempts",
         "retries_left", "_final_event", "_exec_event", "_on_final",
         "_payload",
@@ -45,7 +45,8 @@ class Task:
         self.description = description
         self.profiler = profiler
         self.state = TaskState.NEW
-        self.state_history: List[Tuple[float, str]] = [(env.now, TaskState.NEW)]
+        #: Creation time; every later state time is in the profile.
+        self.created = env.now
         self.backend: Optional[str] = None
         self.exec_start: Optional[float] = None
         self.exec_stop: Optional[float] = None
@@ -77,7 +78,6 @@ class Task:
             check_transition("task", self.state, new_state,
                              TaskState.TRANSITIONS)
         self.state = new_state
-        self.state_history.append((self.env._now, new_state))
         if new_state == TaskState.AGENT_EXECUTING:
             self.exec_start = self.env._now
             self.exec_stop = None
@@ -197,7 +197,7 @@ def build_tasks(env: "Environment", uids: List[str],
         task.description = desc
         task.profiler = profiler
         task.state = TaskState.NEW
-        task.state_history = [(now, TaskState.NEW)]
+        task.created = now
         task.backend = None
         task.exec_start = None
         task.exec_stop = None

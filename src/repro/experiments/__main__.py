@@ -122,9 +122,11 @@ def _report_single(result, args: argparse.Namespace) -> None:
         print(result.faults.to_text())
     if args.summary:
         from ..analytics import summarize
+        from ..observability import spans_from_profiler
 
         total_cores = cfg.n_nodes * result.session.cluster.cores_per_node
         print(summarize(result.tasks, total_cores=total_cores).to_text())
+        print(_phase_line(spans_from_profiler(result.session.profiler)))
     if args.profile:
         from ..analytics import save_profile
 
@@ -242,12 +244,19 @@ def _trace_source(path: str):
         raise ReproError(str(exc)) from exc
 
 
+def _phase_line(root) -> str:
+    """Mean duration and task count of each task phase in a span tree:
+    the one phase breakdown ``run --summary`` and ``trace inspect``
+    print."""
+    from ..observability import phase_rollup
+
+    return "phases:   " + "  ".join(
+        f"{name}={stats['mean']:.3f}s×{int(stats['count'])}"
+        for name, stats in phase_rollup(root).items())
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from ..observability import (
-        phase_rollup,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
+    from ..observability import validate_chrome_trace, write_chrome_trace
 
     if args.trace_command == "inspect":
         manifest, root = _trace_source(args.bundle)
@@ -267,9 +276,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"makespan {res.get('makespan', 0.0):.1f}s")
         print(f"files:    {', '.join(sorted(manifest.get('files', {})))}")
         if root is not None:
-            print("phases:   " + "  ".join(
-                f"{name}={stats['mean']:.3f}s×{int(stats['count'])}"
-                for name, stats in phase_rollup(root).items()))
+            print(_phase_line(root))
         return 0
 
     if args.trace_command == "watch":
@@ -354,7 +361,8 @@ def main(argv: List[str] = None) -> int:
                             "max_attempts=5); layered over the "
                             "config's own spec if it has one")
     p_run.add_argument("--summary", action="store_true",
-                       help="print the per-backend session summary")
+                       help="print the per-backend session summary and "
+                       "the task phases of the run's profile")
     p_run.add_argument("--profile", default="",
                        help="write the trace profile to this JSONL file")
     p_run.add_argument("--bundle", default="",

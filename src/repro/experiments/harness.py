@@ -259,6 +259,7 @@ def run_experiment(cfg: ExperimentConfig,
     with host.phase("metrics"):
         total_cores = cfg.n_nodes * session.cluster.cores_per_node
         total_gpus = cfg.n_nodes * session.cluster.gpus_per_node
+        span = makespan(tasks)
         result = ExperimentResult(
             config=cfg,
             n_tasks=len(tasks),
@@ -268,12 +269,12 @@ def run_experiment(cfg: ExperimentConfig,
             utilization_cores=utilization(tasks, total_cores),
             utilization_gpus=(utilization(tasks, total_gpus, resource="gpus")
                               if total_gpus else 0.0),
-            makespan=makespan(tasks),
+            makespan=span,
             startup_overheads=startup_overheads(session.profiler),
             tasks=tasks,
             session=session if keep_session else None,
             wall_seconds=time.perf_counter() - wall0,
-            faults=(FaultReport.collect(session.faults, tasks, makespan(tasks))
+            faults=(FaultReport.collect(session.faults, tasks, span)
                     if session.faults is not None else None),
         )
         if store is not None:

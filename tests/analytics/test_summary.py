@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analytics import PhaseStats, summarize
+from repro.analytics import summarize
 from repro.core import (
     PartitionSpec,
     PilotDescription,
@@ -28,20 +28,6 @@ def hybrid_run():
     return session, tasks
 
 
-class TestPhaseStats:
-    def test_from_samples(self):
-        stats = PhaseStats.from_samples("x", [1.0, 2.0, 3.0, 4.0])
-        assert stats.n == 4
-        assert stats.mean == 2.5
-        assert stats.max == 4.0
-        assert stats.p50 == 2.5
-
-    def test_empty_samples(self):
-        stats = PhaseStats.from_samples("x", [])
-        assert stats.n == 0
-        assert stats.mean == 0.0
-
-
 class TestSummarize:
     def test_counts(self, hybrid_run):
         _, tasks = hybrid_run
@@ -60,14 +46,17 @@ class TestSummarize:
         assert by_name["flux"].n_failed == 5
 
     def test_phases_present(self, hybrid_run):
-        _, tasks = hybrid_run
-        summary = summarize(tasks)
-        names = [p.name for p in summary.phases]
-        assert "execution" in names
-        exec_phase = next(p for p in summary.phases
-                          if p.name == "execution")
-        assert exec_phase.n == 45
-        assert exec_phase.p50 == pytest.approx(5.0, abs=0.1)
+        """A run report's phases are the rollup of the run's profile."""
+        from repro.observability import phase_rollup, spans_from_profiler
+
+        session, tasks = hybrid_run
+        rollup = phase_rollup(spans_from_profiler(session.profiler))
+        assert list(rollup) == ["schedule", "launch", "exec", "collect"]
+        assert rollup["schedule"]["count"] == len(tasks) == 45
+        # The 40 payloads that finished ran 5 s each; the 5
+        # fail-injected tasks fail as they start, with no exec phase.
+        assert rollup["exec"]["count"] == 40
+        assert rollup["exec"]["mean"] == pytest.approx(5.0, abs=0.1)
 
     def test_utilization_optional(self, hybrid_run):
         _, tasks = hybrid_run

@@ -98,20 +98,19 @@ class TestStaging:
         task = tmgr.submit_tasks(TaskDescription(
             duration=1.0, input_staging=3, output_staging=2))
         session.run(tmgr.wait_tasks())
-        states = [s for _, s in task.state_history]
-        assert TaskState.AGENT_STAGING_INPUT in states
-        assert TaskState.AGENT_STAGING_OUTPUT in states
         assert task.succeeded
         assert pilot.agent.stager_in.n_items == 3
         assert pilot.agent.stager_out.n_items == 2
+        assert session.profiler.duration(
+            task.uid, "task_created", "task_scheduled") > 0.0
 
     def test_staging_skipped_without_directives(self, session):
         pilot, tmgr = launch(session, (PartitionSpec("flux"),))
         task = tmgr.submit_tasks(TaskDescription(duration=1.0))
         session.run(tmgr.wait_tasks())
-        states = [s for _, s in task.state_history]
-        assert TaskState.AGENT_STAGING_INPUT not in states
-        assert TaskState.AGENT_STAGING_OUTPUT not in states
+        assert task.succeeded
+        assert pilot.agent.stager_in.n_items == 0
+        assert pilot.agent.stager_out.n_items == 0
 
 
 class TestRetries:

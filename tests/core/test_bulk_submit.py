@@ -36,11 +36,17 @@ class TestBuildTasks:
 
     def test_tasks_mutate_independently(self, session):
         desc = TaskDescription(duration=1.0)
-        t1, t2 = build_tasks(session.env, ["t1", "t2"], [desc] * 2)
-        t1.advance(TaskState.TMGR_SCHEDULING, note="only t1")
-        assert t1.state == TaskState.TMGR_SCHEDULING
+        profiler = session.profiler
+        t1, t2 = build_tasks(session.env, ["t1", "t2"], [desc] * 2,
+                             profiler=profiler)
+        t1.advance(TaskState.TMGR_SCHEDULING)
+        t1.advance(TaskState.AGENT_SCHEDULING, note="only t1")
+        assert t1.state == TaskState.AGENT_SCHEDULING
         assert t2.state == TaskState.NEW
-        assert t2.state_history == [(0.0, TaskState.NEW)]
+        assert t1.created == t2.created == 0.0
+        assert profiler.timeline("t2") == [(0.0, "task_created")]
+        assert profiler.events_for("t1")[-1].meta["note"] == "only t1"
+        assert "note" not in profiler.events_for("t2")[0].meta
 
     def test_created_events_recorded(self, session):
         desc = TaskDescription(duration=1.0)
@@ -79,9 +85,10 @@ class TestBulkSubmission:
             [TaskDescription(duration=1.0, input_staging=4)] * 4)
         session.run(tmgr.wait_tasks())
         assert all(t.succeeded for t in tasks)
+        assert pilot.agent.stager_in.n_items == 16
         for t in tasks:
-            states = [s for _, s in t.state_history]
-            assert TaskState.AGENT_STAGING_INPUT in states
+            assert session.profiler.duration(
+                t.uid, "task_created", "task_scheduled") > 0.0
 
     def test_empty_bulk_is_noop(self, session):
         pilot, tmgr = launch(session)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analytics import Profiler, events as tev
 from repro.core import PilotDescription, PilotState
 from repro.core.pilot import Pilot
 from repro.exceptions import ConfigurationError, StateTransitionError
@@ -30,11 +31,18 @@ class TestStateMachine:
         with pytest.raises(StateTransitionError):
             pilot.advance(PilotState.ACTIVE)
 
-    def test_history_recorded(self, env, pilot):
-        env._now = 7.0
+    def test_history_recorded(self, env):
+        """The profile records the pilot's ACTIVE and final states."""
+        profiler = Profiler(env)
+        pilot = Pilot(env, "pilot.test", PilotDescription(nodes=4),
+                      profiler=profiler)
         pilot.advance(PilotState.PMGR_LAUNCHING)
-        assert pilot.state_history == [
-            (0.0, PilotState.NEW), (7.0, PilotState.PMGR_LAUNCHING)]
+        env._now = 7.0
+        pilot.advance(PilotState.ACTIVE)
+        env._now = 9.0
+        pilot.advance(PilotState.DONE)
+        assert profiler.timeline("pilot.test") == [
+            (7.0, tev.PILOT_ACTIVE), (9.0, tev.PILOT_DONE)]
 
 
 class TestEvents:

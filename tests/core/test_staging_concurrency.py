@@ -64,21 +64,24 @@ class TestStagingUnderLoad:
         assert session.now > single
 
     def test_staging_phases_visible_in_summary(self):
-        from repro.analytics import summarize
+        """Staging-in happens between task creation and
+        AGENT_SCHEDULING, so its transfer time shows up in the
+        ``schedule`` phase the run summary prints."""
+        from repro.observability import phase_rollup, spans_from_profiler
 
-        session = Session(cluster=generic(4, 8, 2), seed=78)
-        pmgr, tmgr = session.pilot_manager(), session.task_manager()
-        pilot = pmgr.submit_pilots(PilotDescription(
-            nodes=4, partitions=(PartitionSpec("flux"),)))
-        tmgr.add_pilot(pilot)
-        tasks = tmgr.submit_tasks([
-            TaskDescription(duration=2.0, input_staging=2,
-                            staging_item_mb=100.0)
-            for _ in range(8)])
-        session.run(tmgr.wait_tasks())
-        summary = summarize(tasks)
-        queue_phase = next(p for p in summary.phases
-                           if p.name.startswith("queue"))
-        # Staging happens between TMGR and AGENT_SCHEDULING: the queue
-        # phase includes the transfer time.
-        assert queue_phase.mean > 0.1
+        def schedule_mean(input_staging):
+            session = Session(cluster=generic(4, 8, 2), seed=78)
+            pmgr, tmgr = session.pilot_manager(), session.task_manager()
+            pilot = pmgr.submit_pilots(PilotDescription(
+                nodes=4, partitions=(PartitionSpec("flux"),)))
+            tmgr.add_pilot(pilot)
+            tmgr.submit_tasks([
+                TaskDescription(duration=2.0, input_staging=input_staging,
+                                staging_item_mb=100.0)
+                for _ in range(8)])
+            session.run(tmgr.wait_tasks())
+            assert pilot.agent.stager_in.n_items == 8 * input_staging
+            rollup = phase_rollup(spans_from_profiler(session.profiler))
+            return rollup["schedule"]["mean"]
+
+        assert schedule_mean(2) > schedule_mean(0) + 0.1

@@ -36,12 +36,16 @@ class TestStateMachine:
         with pytest.raises(StateTransitionError):
             task.advance(TaskState.DONE)
 
-    def test_history_records_times(self, env):
-        task = make_task(env)
+    def test_history_records_times(self, env, profiler):
+        """The task keeps its creation time; the profile holds every
+        state time after it."""
+        task = make_task(env, profiler)
         env._now = 5.0
         task.advance(TaskState.TMGR_SCHEDULING)
-        assert task.state_history == [(0.0, TaskState.NEW),
-                                      (5.0, TaskState.TMGR_SCHEDULING)]
+        task.advance(TaskState.AGENT_SCHEDULING)
+        assert task.created == 0.0
+        assert profiler.timeline(task.uid) == [(0.0, tev.TASK_CREATED),
+                                               (5.0, tev.TASK_SCHEDULED)]
 
     def test_exec_start_recorded(self, env):
         task = make_task(env)

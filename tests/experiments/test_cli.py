@@ -154,6 +154,30 @@ class TestCli:
         assert "backend" in out
         assert "core utilization" in out
 
+    def test_summary_phases_match_trace_inspect(self, capsys, tmp_path):
+        """``--summary`` prints the phase rollup of the run's profile:
+        the same phase means and counts ``trace inspect`` reads back
+        from the bundle's ``profile.jsonl``."""
+        import re
+
+        def phases(stdout):
+            lines = [ln for ln in stdout.splitlines()
+                     if ln.startswith("phases:")]
+            assert len(lines) == 1, stdout
+            return re.findall(r"(\w+)=([\d.]+)s×(\d+)", lines[0])
+
+        bundle = tmp_path / "B"
+        assert main(["run", "flux_n", "--nodes", "8", "--partitions", "2",
+                     "--waves", "1", "--summary",
+                     "--bundle", str(bundle)]) == 0
+        summary = phases(capsys.readouterr().out)
+        assert main(["trace", "inspect", str(bundle)]) == 0
+        inspect = phases(capsys.readouterr().out)
+        assert [name for name, _, _ in summary] == [
+            "schedule", "launch", "exec", "collect"]
+        assert all(count == "448" for _, _, count in summary)
+        assert summary == inspect
+
     def test_run_with_profile_export(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
         assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.analytics.events import TASK_ATTEMPT_FAILED
+from repro.analytics.events import (
+    TASK_ATTEMPT_FAILED,
+    TASK_EXEC_START,
+    TASK_SCHEDULED,
+)
 from repro.core import (
     PartitionSpec,
     PilotDescription,
@@ -46,8 +50,10 @@ class TestRetryTransitions:
         # The retried task went executing -> scheduling(retry) ->
         # executing again, and the failed attempt left a trace event.
         uid = hit[0].uid
-        states = [name for (_t, name) in hit[0].state_history]
-        assert states.count(TaskState.AGENT_EXECUTING) >= 2
+        names = [ev.name for ev in session.profiler.events_for(uid)]
+        assert names.count(TASK_EXEC_START) >= 2
+        assert any(ev.name == TASK_SCHEDULED and ev.meta.get("retry")
+                   for ev in session.profiler.events_for(uid))
         retry_events = [
             r for r in session.profiler.events_named(TASK_ATTEMPT_FAILED)
             if r.entity == uid]

@@ -13,7 +13,6 @@ from repro.core import (
     PilotDescription,
     Session,
     TaskDescription,
-    TaskState,
 )
 from repro.platform import frontier, generic
 
@@ -91,13 +90,15 @@ class TestBackendEquivalence:
                             input_staging=1, output_staging=1)
             for _ in range(20)])
         session.run(tmgr.wait_tasks())
+        assert pilot.agent.stager_in.n_items == 20
+        assert pilot.agent.stager_out.n_items == 20
         for t in tasks:
-            states = [s for _, s in t.state_history]
-            assert states[0] == TaskState.NEW
-            assert TaskState.AGENT_STAGING_INPUT in states
-            assert TaskState.AGENT_EXECUTING in states
-            assert TaskState.AGENT_STAGING_OUTPUT in states
-            assert states[-1] == TaskState.DONE
+            names = [name for _, name in session.profiler.timeline(t.uid)]
+            assert names[0] == tev.TASK_CREATED
+            assert tev.TASK_EXEC_START in names
+            assert names[-1] == tev.TASK_DONE
+            assert session.profiler.duration(
+                t.uid, tev.TASK_CREATED, tev.TASK_SCHEDULED) > 0.0
 
 
 class TestScale:

@@ -4,6 +4,7 @@ safety under randomized workloads, backend mixes and fault injection."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import events as tev
 from repro.core import (
     PartitionSpec,
     PilotDescription,
@@ -12,6 +13,8 @@ from repro.core import (
     TaskState,
 )
 from repro.platform import generic
+
+FINAL_EVENTS = {tev.TASK_DONE, tev.TASK_FAILED, tev.TASK_CANCELED}
 
 task_specs = st.lists(
     st.tuples(
@@ -49,11 +52,11 @@ class TestConservation:
     @settings(max_examples=30, deadline=None)
     def test_every_task_reaches_exactly_one_final_state(
             self, specs, backends, seed):
-        _, _, tasks = run_mix(specs, backends, seed)
+        session, _, tasks = run_mix(specs, backends, seed)
         assert all(t.is_final for t in tasks)
         for task in tasks:
-            finals = [s for _, s in task.state_history
-                      if s in TaskState.FINAL]
+            finals = [name for _, name in session.profiler.timeline(task.uid)
+                      if name in FINAL_EVENTS]
             assert len(finals) == 1
 
     @given(task_specs, backend_sets, st.integers(0, 1000))

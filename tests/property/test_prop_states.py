@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import Profiler
 from repro.core import TaskDescription
 from repro.core.states import TaskState
 from repro.core.task import Task
@@ -59,7 +60,8 @@ class TestRandomWalks:
     @settings(max_examples=100)
     def test_history_is_monotone_in_time(self, walk):
         env = Environment()
-        task = Task(env, "t", TaskDescription())
+        profiler = Profiler(env)
+        task = Task(env, "t", TaskDescription(), profiler=profiler)
         t = 0.0
         for target in walk:
             t += 1.0
@@ -68,7 +70,7 @@ class TestRandomWalks:
                 task.advance(target)
             except StateTransitionError:
                 pass
-        times = [ts for ts, _ in task.state_history]
+        times = [ts for ts, _ in profiler.timeline("t")]
         assert times == sorted(times)
 
     def test_every_nonfinal_state_can_reach_done(self):

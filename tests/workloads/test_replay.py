@@ -91,7 +91,7 @@ class TestReplay:
         tmgr.add_pilot(pilot)
         runner = ReplayRunner(target, tmgr, workload)
         target.run(runner.start())
-        submits = [t.state_history[0][0] for t in runner.tasks]
+        submits = [t.created for t in runner.tasks]
         gaps = [b - a for a, b in zip(submits, submits[1:])]
         # The first submission may wait for pilot bootstrap; later gaps
         # follow the recorded 5 s pattern.
@@ -107,7 +107,7 @@ class TestReplay:
         tmgr.add_pilot(pilot)
         runner = ReplayRunner(target, tmgr, workload, time_scale=0.1)
         target.run(runner.start())
-        submits = [t.state_history[0][0] for t in runner.tasks]
+        submits = [t.created for t in runner.tasks]
         gaps = [b - a for a, b in zip(submits, submits[1:])]
         assert all(g == pytest.approx(0.5, abs=0.05) for g in gaps[1:])
 
