@@ -1,7 +1,10 @@
 """Atomic file writes: a crash never leaves a torn artifact.
 
-Every durable artifact the simulator emits — profiles, bundle files,
-store entries — goes through one of these helpers.  The recipe is the classic one:
+Profiles, bundle files and the run store's ``store.json`` marker go
+through one of these helpers.  (Run-store entries do not: a put
+publishes its one file with a hard link and relies on the hashes
+checked on every read, not on ``fsync``; see
+:mod:`repro.store.store`.)  The recipe is the classic one:
 
 1. write the full content to a temporary file *in the target
    directory* (same filesystem, so the final rename cannot cross a

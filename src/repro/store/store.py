@@ -3,58 +3,58 @@
 Layout (everything under one root directory)::
 
     <root>/
-      store.json        format marker + digest-scheme version
-      objects/ab/<digest>/
-        entry.json      full config doc, cache key, fingerprint,
-                        artifact hashes + sizes; its mtime is the
-                        entry's LRU clock
-        result.json     the run's metrics document (result_to_doc)
-        profile.jsonl   byte-exact trace export (save_profile format)
-      tmp/              staging dirs (one atomic rename publishes each)
-      trash/            eviction staging (renamed out, then deleted)
+      store.json          format marker, store version, digest scheme
+      objects/ab/<digest> one file per stored run (below); its mtime
+                          is the entry's LRU clock
+      tmp/                temp files of puts in flight
+
+An object file has three parts, in order:
+
+1. one JSON header line: digest, cache key, seed, full config doc,
+   creation time, and the sha256 and byte length of each part below;
+2. the run's result document (:func:`result_to_doc`);
+3. the byte-exact profile export (``save_profile`` format).
 
 ``objects/`` is the store's only record: listing, ``gc`` and prefix
-lookup read the object directories, and nothing else is kept in step
-with them.  Stores written with an ``index.json`` / ``index.jsonl`` /
-``index.lock`` keep working; those files are ignored.
+lookup read the object files' header lines, and nothing else is kept
+in step with them.
 
 Correctness properties, each pinned by ``tests/store``:
 
-* **Atomic publication.**  A writer stages the whole entry in
-  ``tmp/`` and publishes it with one ``os.rename``; concurrent
-  writers of the same digest race to one winner (``rename`` onto an
-  existing directory fails; the loser discards its staging copy).
-  Readers never observe a partial entry.
-* **Integrity on read.**  ``entry.json`` records the sha256 of every
-  artifact; every artifact a read *delivers* is verified against it
-  first.  A corrupt entry is quarantined (counted, removed) and
-  reported as a miss — never served.
-* **Safe eviction.**  Eviction renames the entry directory into
-  ``trash/`` before deleting; a reader holding open file handles
-  keeps its POSIX data, and no half-deleted entry is ever visible at
-  its content address.
+* **Atomic publication.**  A writer writes the whole object to a temp
+  file in ``tmp/`` and publishes it with one ``os.link`` to its
+  address; concurrent writers of the same digest race to one winner
+  (``link`` onto an existing name fails; the loser counts a lost race).
+  Either way the temp file is unlinked.  Readers never observe a
+  partial object.
+* **Integrity on read.**  The header records the sha256 and length of
+  each part; every part a read *delivers* is verified against it
+  first.  A hit reads the header line and the result part only; the
+  profile part is read and verified when it is used.  A corrupt
+  object is quarantined (counted, removed) and reported as a miss —
+  never served.
+* **Safe eviction.**  Eviction is one ``os.unlink``: the address
+  vanishes atomically, and a reader holding the file open keeps its
+  POSIX data.
 * **LRU eviction.**  :meth:`RunStore.gc` evicts least-recently-used
   entries down to a byte or entry cap (``store gc --max-bytes`` /
-  ``--max-entries``).  A hit sets its ``entry.json`` mtime to now
+  ``--max-entries``).  A hit sets its object file's mtime to now
   (one ``utime``, no lock), so a hit and a put cost the same however
   many entries the store holds.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import errno
-import glob
 import hashlib
 import io
 import json
 import os
-import shutil
+import re
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..exceptions import StoreError
 from .keys import KEY_SCHEME, cache_key, run_digest
@@ -62,12 +62,10 @@ from .keys import KEY_SCHEME, cache_key, run_digest
 PathLike = Union[str, Path]
 
 STORE_FORMAT = "repro-run-store"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
-#: Artifact names every complete entry carries.
-ARTIFACT_RESULT = "result.json"
-ARTIFACT_PROFILE = "profile.jsonl"
-ENTRY_NAME = "entry.json"
+#: What :meth:`RunStore.get` accepts: a run digest or a prefix of one.
+_DIGEST_PREFIX = re.compile(r"[0-9a-f]{1,64}")
 
 
 @dataclasses.dataclass
@@ -102,12 +100,15 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
-    hasher = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            hasher.update(chunk)
-    return hasher.hexdigest()
+def _part(data: bytes) -> Dict[str, Any]:
+    """The header's record of one part: its sha256 and byte length."""
+    return {"sha256": _sha256_bytes(data), "bytes": len(data)}
+
+
+def _read_header(fh) -> Tuple[Dict[str, Any], int]:
+    """``(header, length of the header line)`` of an open object file."""
+    line = fh.readline()
+    return json.loads(line), len(line)
 
 
 def result_to_doc(result) -> Dict[str, Any]:
@@ -179,6 +180,8 @@ class CachedRun:
     path: Path
     entry: Dict[str, Any]
     result_doc: Dict[str, Any]
+    #: Where the profile part starts in the object file.
+    profile_offset: int
 
     def to_result(self, cfg):
         """The run's (task-free) ``ExperimentResult``, marked cached."""
@@ -189,13 +192,14 @@ class CachedRun:
 
     def profile_bytes(self) -> bytes:
         """The byte-exact profile export, integrity-verified."""
-        path = self.path / ARTIFACT_PROFILE
-        data = path.read_bytes()
-        recorded = self.entry["artifacts"][ARTIFACT_PROFILE]["sha256"]
-        if _sha256_bytes(data) != recorded:
+        recorded = self.entry["parts"]["profile"]
+        with self.path.open("rb") as fh:
+            fh.seek(self.profile_offset)
+            data = fh.read(recorded["bytes"])
+        if _part(data) != recorded:
             raise StoreError(
-                f"store entry {self.digest[:12]}: profile blob corrupt "
-                f"(sha256 mismatch against {ENTRY_NAME})")
+                f"store entry {self.digest[:12]}: profile part corrupt "
+                f"(length or sha256 mismatch against its header)")
         return data
 
 
@@ -205,7 +209,7 @@ class RunStore:
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
         self.stats = StoreStats()
-        self.root.mkdir(parents=True, exist_ok=True)
+        (self.root / "tmp").mkdir(parents=True, exist_ok=True)
         marker = self.root / "store.json"
         if not marker.exists():
             from ..resilience.atomic import atomic_write_json
@@ -219,6 +223,10 @@ class RunStore:
             doc = json.loads(marker.read_text(encoding="utf-8"))
             if doc.get("format") != STORE_FORMAT:
                 raise StoreError(f"{self.root}: not a repro run store")
+            if doc.get("version") != STORE_VERSION:
+                raise StoreError(
+                    f"{self.root}: store version {doc.get('version')!r} "
+                    f"does not match this code's version {STORE_VERSION}")
             if doc.get("key_scheme") != KEY_SCHEME:
                 raise StoreError(
                     f"{self.root}: digest scheme {doc.get('key_scheme')!r} "
@@ -247,7 +255,7 @@ class RunStore:
 
     # -- paths -------------------------------------------------------------
 
-    def _object_dir(self, digest: str) -> Path:
+    def _object_path(self, digest: str) -> Path:
         return self.root / "objects" / digest[:2] / digest
 
     # -- write path --------------------------------------------------------
@@ -264,54 +272,41 @@ class RunStore:
         copy is byte-identical by the determinism contract, so losing
         costs nothing).
         """
-        final = self._object_dir(digest)
+        final = self._object_path(digest)
         if final.exists():
             return False
-        stage = self.root / "tmp" / f"{digest}.{os.getpid()}.{uuid.uuid4().hex}"
-        stage.mkdir(parents=True)
+        result_bytes = (json.dumps(result_to_doc(result), sort_keys=True,
+                                   indent=2) + "\n").encode("utf-8")
+        header = {
+            "format": STORE_FORMAT,
+            "version": STORE_VERSION,
+            "digest": digest,
+            "cache_key": cache_key(cfg) if key is None else key,
+            "seed": cfg.seed,
+            "config": dataclasses.asdict(cfg),
+            "created": time.time(),
+            "parts": {"result": _part(result_bytes),
+                      "profile": _part(profile_bytes)},
+        }
+        header_bytes = (json.dumps(header, sort_keys=True, default=repr)
+                        + "\n").encode("utf-8")
+        temp = self.root / "tmp" / f"{digest}.{os.getpid()}.{uuid.uuid4().hex}"
         try:
-            (stage / ARTIFACT_PROFILE).write_bytes(profile_bytes)
-            result_text = json.dumps(result_to_doc(result), sort_keys=True,
-                                     indent=2) + "\n"
-            result_bytes = result_text.encode("utf-8")
-            (stage / ARTIFACT_RESULT).write_bytes(result_bytes)
-            entry = {
-                "format": STORE_FORMAT,
-                "version": STORE_VERSION,
-                "digest": digest,
-                "cache_key": cache_key(cfg) if key is None else key,
-                "seed": cfg.seed,
-                "config": dataclasses.asdict(cfg),
-                "created": time.time(),
-                "artifacts": {
-                    ARTIFACT_RESULT: {
-                        "sha256": _sha256_bytes(result_bytes),
-                        "bytes": len(result_bytes),
-                    },
-                    ARTIFACT_PROFILE: {
-                        "sha256": _sha256_bytes(profile_bytes),
-                        "bytes": len(profile_bytes),
-                    },
-                },
-            }
-            entry_bytes = (json.dumps(entry, sort_keys=True, indent=2,
-                                      default=repr) + "\n").encode("utf-8")
-            (stage / ENTRY_NAME).write_bytes(entry_bytes)
+            with temp.open("wb") as fh:
+                fh.write(header_bytes)
+                fh.write(result_bytes)
+                fh.write(profile_bytes)
             final.parent.mkdir(parents=True, exist_ok=True)
             try:
-                os.rename(stage, final)
-            except OSError as exc:
-                if exc.errno in (errno.EEXIST, errno.ENOTEMPTY,
-                                 errno.EPERM):
-                    # Another writer published the same digest first;
-                    # by the determinism contract its bytes equal ours.
-                    self.stats.lost_races += 1
-                    STATS.lost_races += 1
-                    return False
-                raise
+                os.link(temp, final)
+            except FileExistsError:
+                # Another writer published the same digest first; by
+                # the determinism contract its bytes equal ours.
+                self.stats.lost_races += 1
+                STATS.lost_races += 1
+                return False
         finally:
-            if stage.exists():
-                shutil.rmtree(stage, ignore_errors=True)
+            temp.unlink(missing_ok=True)
         self.stats.stored += 1
         STATS.stored += 1
         return True
@@ -321,40 +316,40 @@ class RunStore:
     def fetch(self, digest: str, touch: bool = True) -> Optional[CachedRun]:
         """The verified entry at ``digest``, or ``None`` (a miss).
 
-        Verifies the result document against the hashes recorded in
-        ``entry.json`` before delivering it; the (much larger) profile
-        blob is verified by :meth:`CachedRun.profile_bytes` when it is
-        actually read.  A corrupt entry is quarantined and counted.
-        ``touch`` records the access for LRU by setting the
-        ``entry.json`` mtime to now.
+        Reads the header line and the result part, and verifies the
+        result against the header's hash before delivering it; the
+        (much larger) profile part is read and verified by
+        :meth:`CachedRun.profile_bytes` when it is used.  A corrupt
+        entry is quarantined and counted.  ``touch`` records the access
+        for LRU by setting the object file's mtime to now.
         """
-        path = self._object_dir(digest)
-        entry_path = path / ENTRY_NAME
-        if not entry_path.exists():
-            self._miss()
-            return None
+        path = self._object_path(digest)
         try:
-            entry = json.loads(entry_path.read_text(encoding="utf-8"))
-            result_bytes = (path / ARTIFACT_RESULT).read_bytes()
-        except (OSError, ValueError):
-            self._quarantine(digest, "unreadable entry")
+            fh = path.open("rb")
+        except FileNotFoundError:
             self._miss()
             return None
-        recorded = entry.get("artifacts", {}).get(
-            ARTIFACT_RESULT, {}).get("sha256")
-        if recorded != _sha256_bytes(result_bytes):
-            self._quarantine(digest, "result document corrupt")
-            self._miss()
-            return None
-        result_doc = json.loads(result_bytes.decode("utf-8"))
-        if touch:
-            now = time.time_ns()
-            with contextlib.suppress(FileNotFoundError):  # evicted
-                os.utime(entry_path, ns=(now, now))
+        with fh:
+            try:
+                header, offset = _read_header(fh)
+                recorded = header["parts"]["result"]
+                result_bytes = fh.read(recorded["bytes"])
+                intact = _part(result_bytes) == recorded
+                result_doc = json.loads(result_bytes) if intact else None
+            except (OSError, ValueError, KeyError, TypeError):
+                intact = False
+            if not intact:
+                self._quarantine(digest)
+                self._miss()
+                return None
+            if touch:
+                now = time.time_ns()
+                os.utime(fh.fileno(), ns=(now, now))
         self.stats.hits += 1
         STATS.hits += 1
-        return CachedRun(digest=digest, path=path, entry=entry,
-                         result_doc=result_doc)
+        return CachedRun(digest=digest, path=path, entry=header,
+                         result_doc=result_doc,
+                         profile_offset=offset + len(result_bytes))
 
     def load_result(self, cfg, digest: str):
         """Convenience: fetch + rebuild the cached result, or ``None``."""
@@ -365,7 +360,7 @@ class RunStore:
         self.stats.misses += 1
         STATS.misses += 1
 
-    def _quarantine(self, digest: str, reason: str) -> None:
+    def _quarantine(self, digest: str) -> None:
         self.stats.integrity_failures += 1
         STATS.integrity_failures += 1
         self._remove(digest)
@@ -373,20 +368,9 @@ class RunStore:
     # -- maintenance -------------------------------------------------------
 
     def _remove(self, digest: str) -> None:
-        """Delete one entry via rename-then-delete (readers holding
-        open handles keep their data; the address vanishes atomically).
-        """
-        path = self._object_dir(digest)
-        if not path.exists():
-            return
-        trash = self.root / "trash"
-        trash.mkdir(parents=True, exist_ok=True)
-        target = trash / f"{digest}.{uuid.uuid4().hex}"
-        try:
-            os.rename(path, target)
-        except OSError:  # pragma: no cover - concurrent removal
-            return
-        shutil.rmtree(target, ignore_errors=True)
+        """Delete one entry (a reader holding it open keeps its bytes;
+        the address vanishes atomically)."""
+        self._object_path(digest).unlink(missing_ok=True)
 
     def gc(self, max_bytes: Optional[int] = None,
            max_entries: Optional[int] = None) -> List[str]:
@@ -399,7 +383,7 @@ class RunStore:
             entries,
             key=lambda d: (entries[d]["last_access"],
                            entries[d].get("created") or 0.0))
-        total = sum(int(m.get("bytes", 0)) for m in entries.values())
+        total = sum(m["bytes"] for m in entries.values())
 
         def over() -> bool:
             if max_entries is not None and len(entries) > max_entries:
@@ -410,63 +394,64 @@ class RunStore:
             if not over():
                 break
             self._remove(digest)
-            total -= int(entries.pop(digest).get("bytes", 0))
+            total -= entries.pop(digest)["bytes"]
             evicted.append(digest)
             self.stats.evicted += 1
             STATS.evicted += 1
         return evicted
 
     def verify(self) -> List[str]:
-        """Integrity-check every artifact of every entry; returns a
-        list of problems (empty = clean).  Read-only: nothing is
+        """Integrity-check every part of every entry, and that each
+        object file is exactly its header plus both parts long; returns
+        a list of problems (empty = clean).  Read-only: nothing is
         quarantined, so operators see the full damage report first."""
         problems: List[str] = []
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return problems
-        for entry_path in sorted(objects.glob("*/*/" + ENTRY_NAME)):
-            label = entry_path.parent.name[:12]
+        for path in sorted((self.root / "objects").glob("*/*")):
+            label = path.name[:12]
             try:
-                entry = json.loads(entry_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                problems.append(f"{label}: unreadable entry.json ({exc})")
+                with path.open("rb") as fh:
+                    header, _ = _read_header(fh)
+                    body = fh.read()
+                parts = header["parts"]
+                want = parts["result"]["bytes"] + parts["profile"]["bytes"]
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                problems.append(f"{label}: unreadable header ({exc})")
                 continue
-            for name, meta in entry.get("artifacts", {}).items():
-                blob = entry_path.parent / name
-                if not blob.exists():
-                    problems.append(f"{label}: missing artifact {name}")
-                    continue
-                if _sha256_file(blob) != meta.get("sha256"):
+            if len(body) != want:
+                problems.append(f"{label}: {len(body)} bytes after the "
+                                f"header, {want} expected (truncated?)")
+                continue
+            split = parts["result"]["bytes"]
+            for name, data in (("result", body[:split]),
+                               ("profile", body[split:])):
+                if _sha256_bytes(data) != parts[name]["sha256"]:
                     problems.append(f"{label}: sha256 mismatch on {name}")
         return problems
 
     # -- enumeration -------------------------------------------------------
 
     def _scan_objects(self) -> Dict[str, Dict[str, Any]]:
-        """Summary rows for every entry, read from ``objects/``; an
-        entry's ``last_access`` is its ``entry.json`` mtime."""
+        """Summary rows for every entry, read from the header lines in
+        ``objects/``; an entry's ``last_access`` is its file's mtime."""
         rows: Dict[str, Dict[str, Any]] = {}
-        for entry_path in (self.root / "objects").glob("*/*/" + ENTRY_NAME):
+        for path in (self.root / "objects").glob("*/*"):
             try:
-                last_access = entry_path.stat().st_mtime
-                entry = json.loads(entry_path.read_text(encoding="utf-8"))
+                with path.open("rb") as fh:
+                    stat = os.fstat(fh.fileno())
+                    header, _ = _read_header(fh)
             except (OSError, ValueError):
                 continue
-            digest = entry.get("digest")
-            if not digest:
-                continue
-            cfg = entry.get("config", {})
-            rows[digest] = {
+            cfg = header.get("config", {})
+            rows[path.name] = {
                 "exp_id": cfg.get("exp_id"),
                 "launcher": cfg.get("launcher"),
                 "workload": cfg.get("workload"),
                 "n_nodes": cfg.get("n_nodes"),
                 "n_partitions": cfg.get("n_partitions"),
-                "seed": entry.get("seed"),
-                "created": entry.get("created"),
-                "last_access": last_access,
-                "bytes": sum(a.get("bytes", 0)
-                             for a in entry.get("artifacts", {}).values()),
+                "seed": header.get("seed"),
+                "created": header.get("created"),
+                "last_access": stat.st_mtime,
+                "bytes": stat.st_size,
             }
         return rows
 
@@ -479,11 +464,14 @@ class RunStore:
 
     def get(self, digest: str) -> Optional[CachedRun]:
         """Like :meth:`fetch` but without bumping the LRU clock; also
-        accepts an unambiguous digest prefix."""
+        accepts an unambiguous digest prefix.  Anything but 1-64
+        lowercase hex characters raises :class:`StoreError`."""
+        if not _DIGEST_PREFIX.fullmatch(digest):
+            raise StoreError(f"{digest!r} is not a run digest or a "
+                             f"prefix of one (1-64 lowercase hex digits)")
         if len(digest) < 64:
-            pattern = f"{glob.escape(digest[:2])}*/{glob.escape(digest)}*"
-            matches = [path.name for path in
-                       (self.root / "objects").glob(pattern)]
+            matches = [path.name for path in (self.root / "objects").glob(
+                f"{digest[:2]}*/{digest}*")]
             if not matches:
                 return None
             if len(matches) > 1:
@@ -494,7 +482,8 @@ class RunStore:
         return self.fetch(digest, touch=False)
 
     def export(self, digest: str, out_dir: PathLike) -> Dict[str, Path]:
-        """Copy one entry's artifacts into ``out_dir`` (verified)."""
+        """Write one entry's profile, result document and header
+        document (``entry.json``) into ``out_dir``, verified."""
         cached = self.get(digest)
         if cached is None:
             raise StoreError(f"no store entry matches {digest!r}")
@@ -502,18 +491,14 @@ class RunStore:
         out.mkdir(parents=True, exist_ok=True)
         from ..resilience.atomic import atomic_write_bytes
 
-        written = {
-            ARTIFACT_PROFILE: atomic_write_bytes(
-                out / ARTIFACT_PROFILE, cached.profile_bytes()),
-            ARTIFACT_RESULT: atomic_write_bytes(
-                out / ARTIFACT_RESULT,
-                (json.dumps(cached.result_doc, sort_keys=True, indent=2)
-                 + "\n").encode("utf-8")),
-            ENTRY_NAME: atomic_write_bytes(
-                out / ENTRY_NAME,
-                (self._object_dir(cached.digest) / ENTRY_NAME)
-                .read_bytes()),
-        }
+        documents = {"result.json": cached.result_doc,
+                     "entry.json": cached.entry}
+        written = {"profile.jsonl": atomic_write_bytes(
+            out / "profile.jsonl", cached.profile_bytes())}
+        for name, doc in documents.items():
+            written[name] = atomic_write_bytes(
+                out / name, (json.dumps(doc, sort_keys=True, indent=2)
+                             + "\n").encode("utf-8"))
         return written
 
 

@@ -94,6 +94,15 @@ class TestStoreCommand:
         assert main(["store", "get", store_dir, "ffff"]) == 1
         assert "no store entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["store", "get", "STORE", "../" + "v" * 61],
+        ["store", "query", "STORE", "--near", "../x"],
+        ["store", "query", "STORE", "--compare", "../x", "../y"]])
+    def test_path_as_digest_is_an_error(self, store_dir, capsys, argv):
+        argv = [store_dir if arg == "STORE" else arg for arg in argv]
+        assert main(argv) == 1
+        assert "not a run digest" in capsys.readouterr().err
+
     def test_get_export(self, store_dir, tmp_path, capsys):
         main(["store", "ls", store_dir, "--json"])
         digest = json.loads(capsys.readouterr().out)[0]["digest"]
@@ -135,14 +144,15 @@ class TestStoreCommand:
 
         store = RunStore(store_dir)
         digest = store.entries()[0]["digest"]
-        blob = store._object_dir(digest) / "profile.jsonl"
-        original = blob.read_bytes()
+        path = store._object_path(digest)
+        original = path.read_bytes()
         try:
-            blob.write_bytes(b"garbage")
+            # the last byte belongs to the profile part
+            path.write_bytes(original[:-1] + b"X")
             assert main(["store", "verify", store_dir]) == 1
-            assert "sha256 mismatch" in capsys.readouterr().err
+            assert "sha256 mismatch on profile" in capsys.readouterr().err
         finally:
-            blob.write_bytes(original)
+            path.write_bytes(original)
 
     def test_gc(self, tmp_path, capsys):
         store = str(tmp_path / "store")

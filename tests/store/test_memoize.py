@@ -131,8 +131,8 @@ class TestSweeps:
         store = RunStore(tmp_path / "store")
         first = run_repetitions(cfg, n_reps=3, cache=store)
         digest = store.digest_for(cfg.with_seed(cfg.seed + 1))
-        result_path = store._object_dir(digest) / "result.json"
-        result_path.write_bytes(result_path.read_bytes()[:20])
+        path = store._object_path(digest)
+        path.write_bytes(path.read_bytes()[:20])  # a torn header
         again = run_repetitions(cfg, n_reps=3, cache=store)
         assert again.provenance == {"cached": 2, "fresh": 1}
         assert again.results[1].provenance == "fresh"

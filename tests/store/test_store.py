@@ -39,6 +39,24 @@ def populate(store: RunStore, donor, seeds=(0,)):
     return digests
 
 
+def part_offsets(path):
+    """``{part: (start, end)}`` byte ranges of an object file's header
+    line and its result and profile parts."""
+    data = path.read_bytes()
+    cut = data.index(b"\n") + 1
+    parts = json.loads(data[:cut])["parts"]
+    split = cut + parts["result"]["bytes"]
+    return {"header": (0, cut), "result": (cut, split),
+            "profile": (split, split + parts["profile"]["bytes"])}
+
+
+def overwrite(path, offset, data):
+    """Overwrite ``len(data)`` bytes of ``path`` in place at ``offset``."""
+    with path.open("r+b") as fh:
+        fh.seek(offset)
+        fh.write(data)
+
+
 class TestRoundtrip:
     def test_put_fetch_roundtrip(self, tmp_path, donor):
         cfg, result, profile = donor
@@ -96,10 +114,39 @@ class TestRoundtrip:
 
     def test_scheme_mismatch_rejected(self, tmp_path):
         (tmp_path / "store.json").write_text(json.dumps({
-            "format": store_mod.STORE_FORMAT, "version": 1,
-            "key_scheme": -1}))
-        with pytest.raises(StoreError):
+            "format": store_mod.STORE_FORMAT,
+            "version": store_mod.STORE_VERSION, "key_scheme": -1}))
+        with pytest.raises(StoreError, match="digest scheme"):
             RunStore(tmp_path)
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        # A store of one-directory-per-run entries is refused whole,
+        # not read through a second layout.
+        from repro.store.keys import KEY_SCHEME
+
+        (tmp_path / "store.json").write_text(json.dumps({
+            "format": store_mod.STORE_FORMAT, "version": 1,
+            "key_scheme": KEY_SCHEME}))
+        with pytest.raises(StoreError, match="store version 1"):
+            RunStore(tmp_path)
+
+    def test_one_file_per_run(self, tmp_path, donor):
+        _, result, profile = donor
+        store = RunStore(tmp_path / "store")
+        (digest,) = populate(store, donor)
+        files = sorted(str(path.relative_to(store.root))
+                       for path in store.root.rglob("*") if path.is_file())
+        path = store._object_path(digest)
+        assert files == sorted(
+            ["store.json", str(path.relative_to(store.root))])
+        data = path.read_bytes()
+        ranges = part_offsets(path)
+        header = json.loads(data[slice(*ranges["header"])])
+        assert header["digest"] == digest
+        assert json.loads(data[slice(*ranges["result"])]) \
+            == json.loads(json.dumps(result_to_doc(result)))
+        assert data[slice(*ranges["profile"])] == profile
+        assert len(data) == ranges["profile"][1]
 
     def test_resolve(self, tmp_path):
         assert RunStore.resolve(None) is None
@@ -112,43 +159,55 @@ class TestIntegrity:
     def test_corrupt_result_quarantined(self, tmp_path, donor):
         store = RunStore(tmp_path / "store")
         (digest,) = populate(store, donor)
-        path = store._object_dir(digest) / "result.json"
-        path.write_bytes(path.read_bytes().replace(b":", b": ", 1))
+        path = store._object_path(digest)
+        start, _ = part_offsets(path)["result"]
+        overwrite(path, start, b"[")
         assert store.fetch(digest) is None
         assert store.stats.integrity_failures == 1
         # quarantined: the entry is gone, not served half-broken
-        assert not store._object_dir(digest).exists()
+        assert not path.exists()
 
     def test_corrupt_profile_detected_on_read(self, tmp_path, donor):
+        """A hit reads only the header line and the result part: with
+        the whole profile range overwritten it still succeeds, and the
+        damage shows when the profile bytes are read."""
         store = RunStore(tmp_path / "store")
         (digest,) = populate(store, donor)
-        blob = store._object_dir(digest) / "profile.jsonl"
-        blob.write_bytes(blob.read_bytes()[:-1] + b"X")
+        path = store._object_path(digest)
+        start, end = part_offsets(path)["profile"]
+        overwrite(path, start, b"X" * (end - start))
         cached = store.fetch(digest)
         assert cached is not None  # result doc itself is intact
+        assert store.stats.integrity_failures == 0
         with pytest.raises(StoreError, match="corrupt"):
             cached.profile_bytes()
 
     def test_unreadable_entry_quarantined(self, tmp_path, donor):
         store = RunStore(tmp_path / "store")
         (digest,) = populate(store, donor)
-        (store._object_dir(digest) / "entry.json").write_text("{torn")
+        overwrite(store._object_path(digest), 0, b"{torn")
         assert store.fetch(digest) is None
         assert store.stats.integrity_failures == 1
+        assert not store._object_path(digest).exists()
 
     def test_verify_clean_and_dirty(self, tmp_path, donor):
         store = RunStore(tmp_path / "store")
         d1, d2 = populate(store, donor, seeds=(0, 1))
         assert store.verify() == []
-        blob = store._object_dir(d1) / "profile.jsonl"
-        blob.write_bytes(b"garbage")
-        (store._object_dir(d2) / "result.json").unlink()
+        path = store._object_path(d1)
+        start, _ = part_offsets(path)["profile"]
+        overwrite(path, start, b"garbage")
+        path = store._object_path(d2)
+        path.write_bytes(path.read_bytes()[:-10])
         problems = store.verify()
         assert len(problems) == 2
-        assert any("sha256 mismatch" in p for p in problems)
-        assert any("missing artifact" in p for p in problems)
+        assert any(p.startswith(d1[:12]) and "sha256 mismatch on profile"
+                   in p for p in problems)
+        assert any(p.startswith(d2[:12]) and "truncated" in p
+                   for p in problems)
         # verify is read-only: nothing was quarantined
-        assert store._object_dir(d1).exists()
+        assert store._object_path(d1).exists()
+        assert store._object_path(d2).exists()
 
 
 class TestConcurrency:
@@ -175,7 +234,7 @@ class TestConcurrency:
         won = store.put(digest, cfg, result, profile_bytes=profile)
         assert won is False
         assert store.stats.lost_races == 1
-        # the loser's staging copy is cleaned up; the entry survives
+        # the loser's temp file is unlinked; the entry survives
         assert list((store.root / "tmp").iterdir()) == []
         cached = store.fetch(digest)
         assert cached is not None
@@ -230,17 +289,18 @@ class TestEviction:
         assert {row["digest"] for row in store.entries()} == {d2, d3}
 
     def test_eviction_never_tears_a_mid_read(self, tmp_path, donor):
-        """POSIX rename-to-trash: an open handle keeps its bytes."""
+        """POSIX unlink: an open handle keeps its bytes."""
         cfg, result, profile = donor
         store = RunStore(tmp_path / "store")
         (digest,) = populate(store, donor)
-        blob = store._object_dir(digest) / "profile.jsonl"
-        with blob.open("rb") as fh:
+        path = store._object_path(digest)
+        start, end = part_offsets(path)["profile"]
+        with path.open("rb") as fh:
             first = fh.read(1024)  # reader is mid-flight
             assert store.gc(max_entries=0) == [digest]
-            assert not store._object_dir(digest).exists()
+            assert not path.exists()
             data = first + fh.read()
-        assert hashlib.sha256(data).hexdigest() \
+        assert hashlib.sha256(data[start:end]).hexdigest() \
             == hashlib.sha256(profile).hexdigest()
 
     def test_uncapped_gc_keeps_entries(self, tmp_path, donor):
@@ -270,9 +330,31 @@ class TestIndex:
 
     def test_ambiguous_prefix_raises(self, tmp_path, donor):
         store = RunStore(tmp_path / "store")
-        populate(store, donor, seeds=(0, 1))
+        (digest,) = populate(store, donor)
+        twin = digest[:8] + ("0" if digest[8] != "0" else "1") * 56
+        store._object_path(twin).write_bytes(b"")
         with pytest.raises(StoreError, match="ambiguous"):
-            store.get("")
+            store.get(digest[:8])
+
+    @pytest.mark.parametrize("digest", [
+        "", "F" * 64, "0" * 65, "ab/cd", "a*"])
+    def test_get_rejects_what_is_not_a_digest(self, tmp_path, digest):
+        with pytest.raises(StoreError, match="not a run digest"):
+            RunStore(tmp_path / "store").get(digest)
+
+    def test_get_cannot_reach_outside_the_store(self, tmp_path):
+        """A 64-character ``../`` path joined under ``objects/`` names a
+        directory beside the store; ``get`` must refuse it, not
+        quarantine (delete) what it finds there."""
+        store = RunStore(tmp_path / "store")
+        (store.root / "objects").mkdir()
+        outside = tmp_path / ("v" * 61)
+        outside.mkdir()
+        (outside / "entry.json").write_text("not json")
+        with pytest.raises(StoreError):
+            store.get("../" + "v" * 61)
+        assert (outside / "entry.json").read_text() == "not json"
+        assert store.stats.integrity_failures == 0
 
     def test_export(self, tmp_path, donor):
         cfg, result, profile = donor
@@ -282,6 +364,13 @@ class TestIndex:
         assert written["profile.jsonl"].read_bytes() == profile
         doc = json.loads(written["result.json"].read_text())
         assert doc["n_tasks"] == result.n_tasks
+        path = store._object_path(digest)
+        start, end = part_offsets(path)["result"]
+        assert written["result.json"].read_bytes() \
+            == path.read_bytes()[start:end]
+        entry = json.loads(written["entry.json"].read_text())
+        assert entry == store.get(digest).entry
+        assert entry["digest"] == digest
 
 
 def tree_state(root):
@@ -303,8 +392,7 @@ class TestObjectsAreTheRecord:
         before = tree_state(store.root)
         assert store.fetch(d0) is not None
         after = tree_state(store.root)
-        entry = str((store._object_dir(d0) / "entry.json")
-                    .relative_to(store.root))
+        entry = str(store._object_path(d0).relative_to(store.root))
         assert after.keys() == before.keys()
         assert {name for name in after if after[name] != before[name]} \
             == {entry}
@@ -330,23 +418,3 @@ class TestObjectsAreTheRecord:
                  for row in store.entries()}
         assert len(after) == 8 and after.keys() == before.keys()
         assert all(after[digest] > before[digest] for digest in after)
-
-    def test_leftover_index_files_are_ignored(self, tmp_path, donor):
-        """A store written with a snapshot/journal index opens, lists,
-        gc's and verifies from its objects alone."""
-        root = tmp_path / "store"
-        (digest,) = populate(RunStore(root), donor)
-        (root / "index.json").write_text(json.dumps({
-            "journal": [0, 0],
-            "entries": {"f" * 64: {"hits": 9, "bytes": 1}}}))
-        (root / "index.jsonl").write_text(
-            '{"format":"repro-run-store","generation":1}\n'
-            + json.dumps({"op": "evict", "digests": [digest]}))
-        (root / "index.lock").write_bytes(b"")
-        store = RunStore(root)
-        assert [row["digest"] for row in store.entries()] == [digest]
-        assert store.gc() == []
-        assert store.verify() == []
-        assert store.fetch(digest) is not None
-        for name in ("index.json", "index.jsonl", "index.lock"):
-            assert (root / name).exists()
